@@ -14,11 +14,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from math import comb
-from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import InputError, InternalInvariantError, SemanticError
 from .fields import QQ
-from .graphs import nodes_on_cycles, reachable_from, reaches_any
+from .graphs import nodes_on_cycles, reachable_from, reaches_any, strongly_connected_components
 from .matrix import Matrix
 
 __all__ = [
@@ -108,15 +108,23 @@ class Iba:
     """Weighted automaton with Buchi-style acceptance: rational matrices,
     a rational init row and a set of final states.  The value of an
     infinite word is the sum over final paths of the path weights; for the
-    automata built here that value is always 0 or 1."""
+    automata built here that value is always 0 or 1.
 
-    def __init__(self, alphabet, trans, init, final, state_labels=None):
+    ``trans`` is read-only, so the nonzero edge graph and the ultimate
+    stability flag are computed once, on first use.
+    ``untrimmed_state_count`` is the state count of the construction
+    before trimming, when the automaton came from one (else None)."""
+
+    def __init__(
+        self, alphabet, trans, init, final, state_labels=None, untrimmed_state_count=None
+    ):
         self.field = QQ
         self.alphabet = tuple(alphabet)
-        self.trans = dict(trans)
+        self.trans = MappingProxyType(dict(trans))
         self.init = init
         self.final = frozenset(final)
         self.state_labels = list(state_labels) if state_labels is not None else None
+        self.untrimmed_state_count = untrimmed_state_count
         n = init.ncols
         if init.nrows != 1:
             raise InputError("init must be a 1 x n row vector")
@@ -133,6 +141,8 @@ class Iba:
         if self.state_labels is not None and len(self.state_labels) != n:
             raise InputError("state_labels must have one entry per state")
         self.n = n
+        self._edges = None
+        self._stable = None
 
     @property
     def state_count(self):
@@ -145,15 +155,15 @@ class Iba:
             raise InputError("letter %r is not in the alphabet" % (letter,)) from None
 
     def nonzero_edge_graph(self):
-        zero = QQ.zero
-        graph = {q: [] for q in range(self.n)}
-        for m in self.trans.values():
-            for q in range(self.n):
-                row = m.rows[q]
-                for q2 in range(self.n):
-                    if row[q2] != zero and q2 not in graph[q]:
-                        graph[q].append(q2)
-        return graph
+        """{state: tuple of states reached by a nonzero weight under some
+        letter}, read-only."""
+        if self._edges is None:
+            succs = [set() for _ in range(self.n)]
+            for m in self.trans.values():
+                for q, row in enumerate(m.nonzero_rows()):
+                    succs[q].update(q2 for q2, _w in row)
+            self._edges = MappingProxyType({q: tuple(sorted(s)) for q, s in enumerate(succs)})
+        return self._edges
 
     def __eq__(self, other):
         # labels are decoration, not identity
@@ -223,13 +233,13 @@ def _cycle_graph(nba, lasso, roots):
     return {n: (s if s is not None else []) for n, s in graph.items()}
 
 
-def _tail_counts(graph, final_nodes):
+def _tail_counts(graph, final_nodes, cyc):
     """Per-node count of final tails, or None when any count is infinite.
+    ``cyc`` is the set of nodes on cycles of the graph.
 
     Returns (live_set, counts dict); counts[x] is 1 for locked cycle
     nodes and a DAG sum elsewhere.
     """
-    cyc = nodes_on_cycles(graph)
     anchors = [f for f in final_nodes if f in cyc]
     live = reaches_any(graph, anchors)
     live &= set(graph)
@@ -290,7 +300,7 @@ def nba_lasso_count_final(nba, lasso, cap):
     layer = _stem_layer(nba, lasso)
     graph = _cycle_graph(nba, lasso, layer.keys())
     final_nodes = [n for n in graph if n[0] in nba.final]
-    live, counts = _tail_counts(graph, final_nodes)
+    live, counts = _tail_counts(graph, final_nodes, nodes_on_cycles(graph))
     if counts is None:
         return OVERFLOW
     total = 0
@@ -355,21 +365,21 @@ def diamond_on_loop(nba):
 def is_ultimately_stable(iba):
     """Every transition weight outside {0,1} must be unrepeatable: no
     nonzero-edge path may lead from its target back to its source (so no
-    such edge lies on a cycle)."""
-    zero, one = QQ.zero, QQ.one
-    graph = iba.nonzero_edge_graph()
-    reach_memo = {}
-    for m in iba.trans.values():
-        for q in range(iba.n):
-            for q2 in range(iba.n):
-                w = m.rows[q][q2]
-                if w == zero or w == one:
-                    continue
-                if q2 not in reach_memo:
-                    reach_memo[q2] = reachable_from(graph, [q2])
-                if q in reach_memo[q2]:
-                    return False
-    return True
+    such edge lies on a cycle).  Decided once per automaton: such an edge
+    lies on a cycle exactly when both its ends share a strongly connected
+    component of the nonzero edge graph."""
+    if iba._stable is None:
+        comp = {}
+        for d, nodes in enumerate(strongly_connected_components(iba.nonzero_edge_graph())):
+            for q in nodes:
+                comp[q] = d
+        iba._stable = not any(
+            w != 1 and comp[q] == comp[q2]
+            for m in iba.trans.values()
+            for q, row in enumerate(m.nonzero_rows())
+            for q2, w in row
+        )
+    return iba._stable
 
 
 def _iba_lasso_analysis(iba, lasso):
@@ -384,47 +394,41 @@ def _iba_lasso_analysis(iba, lasso):
         raise InputError("automaton is not ultimately stable")
     zero = QQ.zero
     # stem: weighted and counting DP over nonzero edges
-    layer = {}
-    for q, w in enumerate(iba.init.rows[0]):
-        if w != zero:
-            layer[q] = (w, 1)
+    layer = {q: (w, 1) for q, w in iba.init.nonzero_rows()[0]}
     for a in lasso.stem:
-        m = iba.matrix(a)
+        rows = iba.matrix(a).nonzero_rows()
         nxt = {}
         for q, (w, c) in layer.items():
-            row = m.rows[q]
-            for q2 in range(iba.n):
-                x = row[q2]
-                if x != zero:
-                    ow, oc = nxt.get(q2, (zero, 0))
-                    nxt[q2] = (ow + w * x, oc + c)
+            for q2, x in rows[q]:
+                ow, oc = nxt.get(q2, (zero, 0))
+                nxt[q2] = (ow + w * x, oc + c)
         layer = nxt
 
+    # cycle part: node -> ((successor node, edge weight), ...)
     clen = len(lasso.cycle)
-    graph = {}
+    cycle_rows = [iba.matrix(a).nonzero_rows() for a in lasso.cycle]
+    edges = {}
     queue = deque((q, 0) for q in sorted(layer))
     for node in queue:
-        graph[node] = None
+        edges[node] = None
     while queue:
         node = queue.popleft()
         q, i = node
-        m = iba.matrix(lasso.cycle[i])
         nxt = (i + 1) % clen
-        row = m.rows[q]
-        succs = [(q2, nxt) for q2 in range(iba.n) if row[q2] != zero]
-        graph[node] = succs
-        for s in succs:
-            if s not in graph:
-                graph[s] = None
+        succs = tuple(((q2, nxt), x) for q2, x in cycle_rows[i][q])
+        edges[node] = succs
+        for s, _x in succs:
+            if s not in edges:
+                edges[s] = None
                 queue.append(s)
-    graph = {n: (s if s is not None else []) for n, s in graph.items()}
+    graph = {n: [s for s, _x in succs] for n, succs in edges.items()}
     final_nodes = [n for n in graph if n[0] in iba.final]
-    live, counts = _tail_counts(graph, final_nodes)
+    cyc = nodes_on_cycles(graph)
+    live, counts = _tail_counts(graph, final_nodes, cyc)
     if counts is None:
         raise SemanticError("infinitely many final paths on %r" % (lasso,))
     # weighted tails: forced cycles contribute 1, the DAG part multiplies
     # edge weights into the sum
-    cyc = nodes_on_cycles(graph)
     weights = {}
 
     def resolve(x):
@@ -438,16 +442,14 @@ def _iba_lasso_analysis(iba, lasso):
                 weights[top] = QQ.one
                 stack.pop()
                 continue
-            q, i = top
-            m = iba.matrix(lasso.cycle[i])
-            pending = [y for y in set(graph[top]) if y in live and y not in weights]
+            pending = [y for y, _x in edges[top] if y in live and y not in weights]
             if pending:
                 stack.extend(pending)
                 continue
             acc = zero
-            for y in set(graph[top]):
+            for y, x in edges[top]:
                 if y in live:
-                    acc = acc + m.rows[q][y[0]] * weights[y]
+                    acc = acc + x * weights[y]
             weights[top] = acc
             stack.pop()
 
@@ -685,34 +687,30 @@ def kdis(nba, k):
         for (i, j) in edges[a]:
             if j not in graph[i]:
                 graph[i].append(j)
-    anchors = [f for f in sorted(final_ids) if f in nodes_on_cycles(graph)]
-    keep = sorted(reaches_any(graph, anchors))
+    cyc = nodes_on_cycles(graph)
+    keep = sorted(reaches_any(graph, [f for f in sorted(final_ids) if f in cyc]))
     if not keep:
-        out = Iba(
+        return Iba(
             nba.alphabet,
             {a: Matrix.zeros(QQ, 1, 1) for a in nba.alphabet},
             Matrix.zeros(QQ, 1, 1),
             frozenset(),
             state_labels=[None],
+            untrimmed_state_count=untrimmed,
         )
-        out.untrimmed_state_count = untrimmed
-        return out
     remap = {old: new for new, old in enumerate(keep)}
     m = len(keep)
     trans = {}
     for a in nba.alphabet:
-        mat = Matrix.zeros(QQ, m, m)
-        for (i, j), w in edges[a].items():
-            if i in remap and j in remap:
-                mat.rows[remap[i]][remap[j]] = w
-        trans[a] = mat
-    init = Matrix.zeros(QQ, 1, m)
-    for r, w in alphas.items():
-        i = ids[r]
-        if i in remap:
-            init.rows[0][remap[i]] = w
+        kept = {(i, j): w for (i, j), w in edges[a].items() if i in remap and j in remap}
+        trans[a] = Matrix.from_entries(
+            QQ, m, m, {(remap[i], remap[j]): w for (i, j), w in kept.items()}
+        )
+    init = Matrix.from_entries(
+        QQ, 1, m, {(0, remap[ids[r]]): w for r, w in alphas.items() if ids[r] in remap}
+    )
     final = frozenset(remap[f] for f in final_ids if f in remap)
     labels = [order[old] for old in keep]
-    out = Iba(nba.alphabet, trans, init, final, state_labels=labels)
-    out.untrimmed_state_count = untrimmed
-    return out
+    return Iba(
+        nba.alphabet, trans, init, final, state_labels=labels, untrimmed_state_count=untrimmed
+    )

@@ -47,20 +47,20 @@ def random_dfa(rng, state_count, alphabet, final_count=None):
 def random_invertible_int_matrix(rng, n, steps=None):
     """Integer matrix with determinant +-1, built from elementary row
     operations on the identity (so the inverse is integer as well)."""
-    m = Matrix.identity(QQ, n)
+    rows = list(Matrix.identity(QQ, n).rows)
     if steps is None:
         steps = 3 * n
     for _ in range(steps):
         if n >= 2 and rng.random() < 0.2:
             i, j = rng.sample(range(n), 2)
-            m.rows[i], m.rows[j] = m.rows[j], m.rows[i]
+            rows[i], rows[j] = rows[j], rows[i]
             continue
         if n < 2:
             break
         i, j = rng.sample(range(n), 2)
         c = Fraction(rng.choice((-2, -1, 1, 2)))
-        m.rows[i] = [x + c * y for x, y in zip(m.rows[i], m.rows[j])]
-    return m
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix(QQ, rows)
 
 
 def conjugated_ifa(rng, dfa):

@@ -149,13 +149,16 @@ def parse_automaton(text):
             seen[(letter, i, j)] = (lineno, w)
         return seen
 
+    def read_matrices(weight_field):
+        entries = {a: {} for a in alphabet}
+        for (letter, i, j), (_lineno, w) in read_transitions(weight_field).items():
+            entries[letter][i, j] = w
+        return {a: Matrix.from_entries(weight_field, n, n, e) for a, e in entries.items()}
+
     if kind == "wa":
         init = Matrix.row_vector(field, scalar_row("initial"))
         final = Matrix.col_vector(field, scalar_row("final"))
-        trans = {a: Matrix.zeros(field, n, n) for a in alphabet}
-        for (letter, i, j), (_lineno, w) in read_transitions(field).items():
-            trans[letter].rows[i][j] = w
-        return WeightedAutomaton(field, alphabet, trans, init, final)
+        return WeightedAutomaton(field, alphabet, read_matrices(field), init, final)
 
     if kind == "nba":
         initial = _parse_index_line(headers["initial"], n, header_lines["initial"], "initial")
@@ -169,21 +172,14 @@ def parse_automaton(text):
 
     init = Matrix.row_vector(QQ, scalar_row("initial"))
     final = _parse_index_line(headers["final"], n, header_lines["final"], "final")
-    trans = {a: Matrix.zeros(QQ, n, n) for a in alphabet}
-    for (letter, i, j), (_lineno, w) in read_transitions(QQ).items():
-        trans[letter].rows[i][j] = w
-    return Iba(alphabet, trans, init, frozenset(final))
+    return Iba(alphabet, read_matrices(QQ), init, frozenset(final))
 
 
 def _trans_block(lines, alphabet, trans, field):
-    zero = field.zero
     for a in alphabet:
-        m = trans[a]
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                w = m.rows[i][j]
-                if w != zero:
-                    lines.append("trans %s %d %d %s" % (a, i + 1, j + 1, field.format(w)))
+        for i, row in enumerate(trans[a].nonzero_rows()):
+            for j, w in row:
+                lines.append("trans %s %d %d %s" % (a, i + 1, j + 1, field.format(w)))
 
 
 def serialize_automaton(obj):

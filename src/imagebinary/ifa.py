@@ -235,12 +235,10 @@ def dfa_to_ifa(dfa, field=QQ):
     """Embed a DFA as a 0/1 weighted automaton (trivially image-binary)."""
     n = dfa.state_count
     zero, one = field.zero, field.one
-    trans = {}
-    for a in dfa.alphabet:
-        m = Matrix.zeros(field, n, n)
-        for q in range(n):
-            m.rows[q][dfa.delta[q, a]] = one
-        trans[a] = m
+    trans = {
+        a: Matrix.from_entries(field, n, n, {(q, dfa.delta[q, a]): one for q in range(n)})
+        for a in dfa.alphabet
+    }
     init = Matrix.row_vector(field, [one if q == dfa.initial else zero for q in range(n)])
     final = Matrix.col_vector(field, [one if q in dfa.accepting else zero for q in range(n)])
     return WeightedAutomaton(field, dfa.alphabet, trans, init, final)

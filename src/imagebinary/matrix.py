@@ -1,9 +1,11 @@
-"""Dense exact matrices over QQ or F2, plus the linear algebra the
+"""Immutable exact matrices over QQ or F2, plus the linear algebra the
 automata algorithms need: products, Kronecker products, rank, unique
 solving and inversion, all by fraction-exact Gaussian elimination.
 
-Vectors travelling through the span-exploration algorithms are kept as
-sparse dicts {index: scalar}; the incremental basis helper lives here too.
+A matrix is frozen at construction: rows are tuples, and the sparse view
+``nonzero_rows`` is computed once, on first use.  Vectors travelling
+through the span-exploration algorithms are kept as sparse dicts
+{index: scalar}; the incremental basis helper lives here too.
 """
 
 from __future__ import annotations
@@ -14,30 +16,46 @@ __all__ = ["Matrix", "CoordBasis"]
 
 
 class Matrix:
-    """Row-major dense matrix with entries from one field."""
+    """Immutable row-major matrix with entries from one field.  Build it
+    from rows with ``Matrix(field, rows)`` or from its nonzero entries
+    with ``Matrix.from_entries``."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_nonzero")
 
     def __init__(self, field, rows):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
+        rows = tuple(tuple(r) for r in rows)
+        ncols = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != ncols:
                 raise InputError("ragged matrix rows")
+        init = object.__setattr__
+        init(self, "field", field)
+        init(self, "rows", rows)
+        init(self, "nrows", len(rows))
+        init(self, "ncols", ncols)
+        init(self, "_nonzero", None)
+
+    def __setattr__(self, name, value):
+        raise TypeError("Matrix is immutable")
+
+    def __delattr__(self, name):
+        raise TypeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls.from_entries(field, nrows, ncols, {})
+
+    @classmethod
+    def from_entries(cls, field, nrows, ncols, entries):
+        """Build from {(i, j): x}; entries not given are zero."""
+        rows = [[field.zero] * ncols for _ in range(nrows)]
+        for (i, j), x in entries.items():
+            rows[i][j] = x
+        return cls(field, rows)
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
+        return cls.from_entries(field, n, n, {(i, i): field.one for i in range(n)})
 
     @classmethod
     def from_ints(cls, field, rows):
@@ -46,11 +64,20 @@ class Matrix:
 
     @classmethod
     def row_vector(cls, field, entries):
-        return cls(field, [list(entries)])
+        return cls(field, [entries])
 
     @classmethod
     def col_vector(cls, field, entries):
         return cls(field, [[e] for e in entries])
+
+    def nonzero_rows(self):
+        """Per row, the tuple of (column, entry) pairs with a nonzero
+        entry, in column order; computed once per matrix."""
+        nz = self._nonzero
+        if nz is None:
+            nz = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.rows)
+            object.__setattr__(self, "_nonzero", nz)
+        return nz
 
     def __getitem__(self, ij):
         i, j = ij
@@ -65,18 +92,13 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
+        return hash((self.nrows, self.ncols, self.rows))
 
     def __repr__(self):
         return "Matrix(%r, %r)" % (self.field, self.rows)
 
-    def copy(self):
-        return Matrix(self.field, self.rows)
-
     def transpose(self):
-        if not self.rows:
-            return Matrix(self.field, [])
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)])
+        return Matrix(self.field, zip(*self.rows))
 
     def __add__(self, other):
         self._same_shape(other)
@@ -108,17 +130,13 @@ class Matrix:
             )
         zero = self.field.zero
         ocols = other.ncols
+        brows = other.nonzero_rows()
         out = []
-        for row in self.rows:
+        for arow in self.nonzero_rows():
             acc = [zero] * ocols
-            for k, a in enumerate(row):
-                if a == zero:
-                    continue
-                brow = other.rows[k]
-                for j in range(ocols):
-                    b = brow[j]
-                    if b != zero:
-                        acc[j] = acc[j] + a * b
+            for k, a in arow:
+                for j, b in brows[k]:
+                    acc[j] = acc[j] + a * b
             out.append(acc)
         return Matrix(self.field, out)
 
@@ -130,20 +148,15 @@ class Matrix:
             for brow in other.rows:
                 line = []
                 for a in arow:
-                    if a == zero:
+                    if not a:
                         line.extend([zero] * other.ncols)
                     else:
                         line.extend([a * b for b in brow])
                 out.append(line)
         return Matrix(self.field, out)
 
-    def entries(self):
-        for r in self.rows:
-            yield from r
-
     def is_zero(self):
-        z = self.field.zero
-        return all(e == z for e in self.entries())
+        return not any(self.nonzero_rows())
 
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -153,10 +166,9 @@ class Matrix:
 
     def rank(self):
         """Rank by incremental row reduction (exact in either field)."""
-        zero = self.field.zero
         basis = CoordBasis(self.field)
-        for row in self.rows:
-            basis.add({j: x for j, x in enumerate(row) if x != zero})
+        for row in self.nonzero_rows():
+            basis.add(row)
         return len(basis)
 
     def inverse(self):
@@ -170,14 +182,14 @@ class Matrix:
             for i, r in enumerate(self.rows)
         ]
         for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col] != zero), None)
+            piv = next((r for r in range(col, n) if work[r][col]), None)
             if piv is None:
                 raise InputError("matrix is singular")
             work[col], work[piv] = work[piv], work[col]
             inv = one / work[col][col]
             work[col] = [x * inv for x in work[col]]
             for r in range(n):
-                if r != col and work[r][col] != zero:
+                if r != col and work[r][col]:
                     f = work[r][col]
                     work[r] = [x - f * y for x, y in zip(work[r], work[col])]
         return Matrix(field, [row[n:] for row in work])
@@ -199,14 +211,14 @@ class Matrix:
         pivots = []
         row_at = 0
         for col in range(n):
-            piv = next((r for r in range(row_at, m) if work[r][col] != zero), None)
+            piv = next((r for r in range(row_at, m) if work[r][col]), None)
             if piv is None:
                 continue
             work[row_at], work[piv] = work[piv], work[row_at]
             inv = field.one / work[row_at][col]
             work[row_at] = [x * inv for x in work[row_at]]
             for r in range(m):
-                if r != row_at and work[r][col] != zero:
+                if r != row_at and work[r][col]:
                     f = work[r][col]
                     work[r] = [x - f * y for x, y in zip(work[r], work[row_at])]
             pivots.append(col)
@@ -214,7 +226,7 @@ class Matrix:
         if len(pivots) < n:
             raise InternalInvariantError("linear system does not have full column rank")
         for r in range(row_at, m):
-            if work[r][n] != zero:
+            if work[r][n]:
                 raise InternalInvariantError("inconsistent linear system")
         x = [zero] * n
         for r, col in enumerate(pivots):
@@ -247,17 +259,17 @@ class CoordBasis:
         zero = self.field.zero
         for i, p in enumerate(self.pivots):
             c = v.get(p)
-            if c is None or c == zero:
+            if not c:
                 continue
             for j, x in self.reduced[i].items():
                 nv = v.get(j, zero) - c * x
-                if nv == zero:
+                if not nv:
                     v.pop(j, None)
                 else:
                     v[j] = nv
             for k, x in self.exprs[i].items():
                 nv = used.get(k, zero) + c * x
-                if nv == zero:
+                if not nv:
                     used.pop(k, None)
                 else:
                     used[k] = nv
@@ -273,8 +285,7 @@ class CoordBasis:
         self.reduced.append({j: x * inv for j, x in residual.items()})
         self.pivots.append(pivot)
         # residual = vec - sum(used); scale by inv and solve for vec's slot
-        zero = self.field.zero
-        expr = {k: -inv * x for k, x in used.items() if (-inv * x) != zero}
+        expr = {k: -inv * x for k, x in used.items() if -inv * x}
         expr[m] = inv
         self.exprs.append(expr)
         return m

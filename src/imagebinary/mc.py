@@ -112,25 +112,24 @@ def trim_iba(iba):
     also reach a cycle through a final state.  Returns the trimmed
     automaton and the kept original indices (possibly empty)."""
     graph = iba.nonzero_edge_graph()
-    zero = QQ.zero
-    roots = [q for q in range(iba.n) if iba.init.rows[0][q] != zero]
-    anchors = [f for f in sorted(iba.final) if f in nodes_on_cycles(graph)]
-    keep = sorted(reachable_from(graph, roots) & reaches_any(graph, anchors))
+    support = iba.init.nonzero_rows()[0]
+    cyc = nodes_on_cycles(graph)
+    anchors = [f for f in sorted(iba.final) if f in cyc]
+    keep = sorted(reachable_from(graph, [q for q, _w in support]) & reaches_any(graph, anchors))
     if not keep:
         return None, []
     remap = {old: new for new, old in enumerate(keep)}
     m = len(keep)
     trans = {}
     for a in iba.alphabet:
-        mat = Matrix.zeros(QQ, m, m)
-        src = iba.trans[a]
-        for old_i in keep:
-            for old_j in keep:
-                mat.rows[remap[old_i]][remap[old_j]] = src.rows[old_i][old_j]
-        trans[a] = mat
-    init = Matrix.zeros(QQ, 1, m)
-    for old in keep:
-        init.rows[0][remap[old]] = iba.init.rows[0][old]
+        entries = {}
+        for old_i, row in enumerate(iba.trans[a].nonzero_rows()):
+            if old_i in remap:
+                for old_j, w in row:
+                    if old_j in remap:
+                        entries[remap[old_i], remap[old_j]] = w
+        trans[a] = Matrix.from_entries(QQ, m, m, entries)
+    init = Matrix.from_entries(QQ, 1, m, {(0, remap[q]): w for q, w in support if q in remap})
     final = frozenset(remap[f] for f in iba.final if f in remap)
     labels = [iba.state_labels[old] for old in keep] if iba.state_labels else None
     return Iba(iba.alphabet, trans, init, final, state_labels=labels), keep
@@ -139,7 +138,8 @@ def trim_iba(iba):
 class ProductSystem:
     """Product of a trimmed automaton with a chain, restricted to nodes
     that can reach an accepting cycle, with its SCC classification and
-    (once solved) the value vector."""
+    (once solved) the value vector.  ``scc_sets[d]`` holds the nodes of
+    SCC d as a frozenset."""
 
     def __init__(self, automaton, chain, nodes, B, sccs, classes):
         self.automaton = automaton
@@ -148,6 +148,8 @@ class ProductSystem:
         self.index = {x: i for i, x in enumerate(self.nodes)}
         self.B = B
         self.sccs = tuple(tuple(c) for c in sccs)
+        self.scc_sets = tuple(frozenset(c) for c in self.sccs)
+        self._scc_id = {x: d for d, comp in enumerate(self.sccs) for x in comp}
         self.classes = tuple(classes)
         self.z = None
 
@@ -156,10 +158,10 @@ class ProductSystem:
         return len(self.nodes)
 
     def scc_of(self, node):
-        for d, comp in enumerate(self.sccs):
-            if node in comp:
-                return d
-        raise InputError("node %r is not in the product" % (node,))
+        try:
+            return self._scc_id[node]
+        except KeyError:
+            raise InputError("node %r is not in the product" % (node,)) from None
 
 
 def build_product(iba, chain):
@@ -174,37 +176,30 @@ def build_product(iba, chain):
         return ProductSystem(None, chain, (), Matrix.zeros(QQ, 0, 0), (), ())
     if not is_ultimately_stable(aut):
         raise InputError("automaton is not ultimately stable")
-    zero = QQ.zero
     ns = chain.state_count
-    all_nodes = [(q, s) for q in range(aut.n) for s in range(ns)]
+    # label_rows[s][q]: nonzero automaton row of q under chain state s's label
+    label_rows = [aut.matrix(lab).nonzero_rows() for lab in chain.labels]
+    chain_rows = chain.matrix.nonzero_rows()
     graph = {}
-    for (q, s) in all_nodes:
-        m = aut.matrix(chain.labels[s])
-        row = m.rows[q]
-        prow = chain.matrix.rows[s]
-        succs = []
-        for s2 in range(ns):
-            if prow[s2] == 0:
-                continue
-            for q2 in range(aut.n):
-                if row[q2] != zero:
-                    succs.append((q2, s2))
-        graph[(q, s)] = succs
+    for q in range(aut.n):
+        for s in range(ns):
+            row = label_rows[s][q]
+            graph[(q, s)] = [(q2, s2) for s2, _p in chain_rows[s] for q2, _w in row]
     anchors = [x for x in nodes_on_cycles(graph) if x[0] in aut.final]
     keep = sorted(reaches_any(graph, anchors))
     if not keep:
         return ProductSystem(aut, chain, (), Matrix.zeros(QQ, 0, 0), (), ())
     index = {x: i for i, x in enumerate(keep)}
     n = len(keep)
-    B = Matrix.zeros(QQ, n, n)
+    entries = {}
     for x in keep:
         q, s = x
-        m = aut.matrix(chain.labels[s])
-        prow = chain.matrix.rows[s]
-        for y in graph[x]:
-            if y in index:
-                q2, s2 = y
-                B.rows[index[x]][index[y]] = prow[s2] * m.rows[q][q2]
+        for s2, p in chain_rows[s]:
+            for q2, w in label_rows[s][q]:
+                j = index.get((q2, s2))
+                if j is not None:
+                    entries[index[x], j] = p * w
+    B = Matrix.from_entries(QQ, n, n, entries)
     kept_graph = {x: [y for y in graph[x] if y in index] for x in keep}
     sccs = strongly_connected_components(kept_graph)
     sccs = [tuple(sorted(c)) for c in sccs]
@@ -217,18 +212,12 @@ def fiber_step(ps, fiber, t):
     """One move of the tracked-run subset: follow nonzero automaton edges
     under the source state's label into chain state t, staying inside the
     fiber's SCC.  Returns None when the chain cannot move to t."""
-    if ps.chain.matrix.rows[fiber.s][t] == 0:
+    if not ps.chain.matrix.rows[fiber.s][t]:
         return None
-    zero = QQ.zero
-    m = ps.automaton.matrix(ps.chain.labels[fiber.s])
-    comp = set(ps.sccs[fiber.scc])
-    states = set()
-    for q in fiber.states:
-        row = m.rows[q]
-        for q2 in range(ps.automaton.n):
-            if row[q2] != zero and (q2, t) in comp:
-                states.add(q2)
-    return Fiber(fiber.scc, t, frozenset(states))
+    rows = ps.automaton.matrix(ps.chain.labels[fiber.s]).nonzero_rows()
+    comp = ps.scc_sets[fiber.scc]
+    states = frozenset(q2 for q in fiber.states for q2, _w in rows[q] if (q2, t) in comp)
+    return Fiber(fiber.scc, t, states)
 
 
 def classify_scc(ps, d):
@@ -239,6 +228,7 @@ def classify_scc(ps, d):
     comp = ps.sccs[d]
     accepting = any(q in ps.automaton.final for (q, _s) in comp)
     seeds = [Fiber(d, s, frozenset([q])) for (q, s) in comp]
+    chain_rows = ps.chain.matrix.nonzero_rows()
     order = []
     succs = {}
     queue = deque(seeds)
@@ -250,10 +240,8 @@ def classify_scc(ps, d):
             succs[fiber] = []
             continue
         out = []
-        for t in range(ps.chain.state_count):
+        for t, _p in chain_rows[fiber.s]:
             nxt = fiber_step(ps, fiber, t)
-            if nxt is None:
-                continue
             out.append(nxt)
             if nxt not in seen:
                 seen.add(nxt)
@@ -320,16 +308,16 @@ def model_check(iba, chain):
     if ps.node_count == 0:
         return Fraction(0)
     total = QQ.zero
-    init = ps.automaton.init
-    for s in range(chain.state_count):
-        if chain.init[s] == 0:
+    init = ps.automaton.init.nonzero_rows()[0]
+    for s, p in enumerate(chain.init):
+        if not p:
             continue
         acc = QQ.zero
-        for q in range(ps.automaton.n):
+        for q, w in init:
             i = ps.index.get((q, s))
-            if i is not None and init.rows[0][q] != QQ.zero:
-                acc = acc + init.rows[0][q] * z[i]
-        total = total + chain.init[s] * acc
+            if i is not None:
+                acc = acc + w * z[i]
+        total = total + p * acc
     if total < 0 or total > 1:
         raise SemanticError("input not image-binary")
     return total
@@ -339,7 +327,8 @@ def spectral_spot_check(ps, tol=1e-6):
     """Float sanity check of the exact classification: the spectral
     radius of B restricted to a recurrent component is 1, and restricted
     to the union of non-recurrent components it is strictly below 1.
-    Returns (per-recurrent-component radii, transient radius or None)."""
+    Returns (per-recurrent-component radii, transient radius or None).
+    Needs numpy, which is an optional (test) dependency."""
     import numpy
 
     def radius(idxs):

@@ -103,12 +103,10 @@ def lfsr_to_mod2ma(spec, letter="#"):
     n-letter word is a_n (companion-matrix realisation)."""
     d = spec.dimension
     zero, one = F2.zero, F2.one
-    comp = Matrix.zeros(F2, d, d)
-    for j in range(d - 1):
-        comp.rows[j + 1][j] = one
-    for i in range(d):
-        # column d-1 computes the next bit from the window
-        comp.rows[i][d - 1] = one if spec.taps[d - 1 - i] else zero
+    entries = {(j + 1, j): one for j in range(d - 1)}
+    # column d-1 computes the next bit from the window
+    entries.update(((i, d - 1), one) for i in range(d) if spec.taps[d - 1 - i])
+    comp = Matrix.from_entries(F2, d, d, entries)
     init = Matrix.row_vector(F2, [one if b else zero for b in spec.init])
     final = Matrix.col_vector(F2, [one] + [zero] * (d - 1))
     return WeightedAutomaton(F2, (letter,), {letter: comp}, init, final)

@@ -107,52 +107,44 @@ def as_word(word):
 
 
 def _row_sparse(mat, row=0):
-    zero = mat.field.zero
-    return {j: x for j, x in enumerate(mat.rows[row]) if x != zero}
+    return dict(mat.nonzero_rows()[row])
 
 
 def _col_sparse(mat, col=0):
-    zero = mat.field.zero
-    return {i: r[col] for i, r in enumerate(mat.rows) if r[col] != zero}
+    return {i: r[col] for i, r in enumerate(mat.rows) if r[col]}
 
 
 def _vec_mat(v, mat):
-    """Sparse row vector times dense matrix."""
+    """Sparse row vector times matrix, over the matrix's nonzero entries."""
     zero = mat.field.zero
+    rows = mat.nonzero_rows()
     acc = {}
     for i, c in v.items():
-        row = mat.rows[i]
-        for j, x in enumerate(row):
-            if x != zero:
-                nv = acc.get(j, zero) + c * x
-                if nv == zero:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = nv
-    return acc
+        for j, x in rows[i]:
+            acc[j] = acc.get(j, zero) + c * x
+    return {j: x for j, x in acc.items() if x}
+
 
 def _mat_vec(mat, v):
-    """Dense matrix times sparse column vector."""
+    """Matrix times sparse column vector, over the matrix's nonzero entries."""
     zero = mat.field.zero
     acc = {}
-    for j, c in v.items():
-        for i in range(mat.nrows):
-            x = mat.rows[i][j]
-            if x != zero:
-                nv = acc.get(i, zero) + x * c
-                if nv == zero:
-                    acc.pop(i, None)
-                else:
-                    acc[i] = nv
+    for i, row in enumerate(mat.nonzero_rows()):
+        y = zero
+        for j, x in row:
+            c = v.get(j)
+            if c is not None:
+                y = y + x * c
+        if y:
+            acc[i] = y
     return acc
 
 
 def _dot_col(v, mat, col=0):
-    zero = mat.field.zero
-    acc = zero
+    acc = mat.field.zero
     for i, c in v.items():
         x = mat.rows[i][col]
-        if x != zero:
+        if x:
             acc = acc + c * x
     return acc
 
@@ -197,7 +189,6 @@ def span_explore(field, init_state, letters, step, to_vector=None, observe=None)
     """
     if to_vector is None:
         to_vector = lambda s: s
-    zero = field.zero
     basis = CoordBasis(field)
     words, states = [], []
     witness = None
@@ -205,7 +196,7 @@ def span_explore(field, init_state, letters, step, to_vector=None, observe=None)
     def consider(word, state):
         nonlocal witness
         if observe is not None and witness is None:
-            if observe(state) != zero:
+            if observe(state):
                 witness = word
                 return None
         if basis.add(to_vector(state)) is not None:
@@ -285,7 +276,6 @@ def minimize(automaton):
     _, fvecs, fbasis, _ = span_explore(
         field, fwd, a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter))
     )
-    r = len(fvecs)
     trans1 = {}
     for letter in a.alphabet:
         m = a.matrix(letter)
@@ -305,7 +295,6 @@ def minimize(automaton):
     _, bvecs, bbasis, _ = span_explore(
         field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v)
     )
-    s = len(bvecs)
     zero = field.zero
     trans2 = {}
     for letter in a.alphabet:
@@ -316,7 +305,7 @@ def minimize(automaton):
             if coords is None:
                 raise InternalInvariantError("backward space not closed under step")
             cols.append(coords)
-        trans2[letter] = Matrix(field, [[cols[j][i] for j in range(s)] for i in range(s)])
+        trans2[letter] = Matrix(field, zip(*cols))
     eta2 = bbasis.coords(bwd)
     alpha1 = init1.rows[0]
     alpha2 = []

@@ -99,14 +99,11 @@ class Dba:
 
     def to_iba(self):
         n = self.state_count
-        trans = {}
-        for a in self.alphabet:
-            m = Matrix.zeros(QQ, n, n)
-            for q in range(n):
-                m.rows[q][self.delta[q, a]] = QQ.one
-            trans[a] = m
-        init = Matrix.zeros(QQ, 1, n)
-        init.rows[0][self.initial] = QQ.one
+        trans = {
+            a: Matrix.from_entries(QQ, n, n, {(q, self.delta[q, a]): QQ.one for q in range(n)})
+            for a in self.alphabet
+        }
+        init = Matrix.from_entries(QQ, 1, n, {(0, self.initial): QQ.one})
         return Iba(self.alphabet, trans, init, self.final)
 
     def run_on_lasso(self, stem, cycle):

@@ -42,9 +42,9 @@ def test_parse_wa_document():
     assert isinstance(wa, WeightedAutomaton)
     assert wa.n == 2
     assert wa.alphabet == ("a", "b")
-    assert wa.matrix("a").rows[0] == [Fraction(1, 2), Fraction(1)]
+    assert wa.matrix("a").rows[0] == (Fraction(1, 2), Fraction(1))
     assert wa.matrix("b").rows[1][1] == Fraction(-1)
-    assert wa.init.rows[0] == [Fraction(1), Fraction(0)]
+    assert wa.init.rows[0] == (Fraction(1), Fraction(0))
     assert wa.final.rows[1][0] == Fraction(1)
 
 
