@@ -72,6 +72,7 @@ from .buchi import (
     nba_lasso_accepts,
     nba_lasso_count_final,
     num_succ,
+    trim_iba,
 )
 from .mc import (
     Fiber,
@@ -84,7 +85,6 @@ from .mc import (
     model_check,
     solve_values,
     spectral_spot_check,
-    trim_iba,
 )
 from .formats import (
     load_automaton,

@@ -19,7 +19,9 @@ from types import MappingProxyType
 from .errors import InputError, InternalInvariantError, SemanticError
 from .fields import QQ
 from .graphs import nodes_on_cycles, reachable_from, reaches_any, strongly_connected_components
+from .ifa import _transition_relation, words_up_to
 from .matrix import Matrix
+from .wa import _check_shapes, _distinct_letters
 
 __all__ = [
     "Nba",
@@ -35,6 +37,7 @@ __all__ = [
     "iba_lasso_eval",
     "iba_lasso_count_final",
     "binariness_witness",
+    "trim_iba",
     "num_succ",
     "kdis_weight_w",
     "kdis_successor_weights",
@@ -59,23 +62,12 @@ class Nba:
 
     def __init__(self, state_count, alphabet, transitions, initial, final):
         self.state_count = state_count
-        self.alphabet = tuple(alphabet)
+        self.alphabet = _distinct_letters(alphabet)
         self.initial = frozenset(initial)
         self.final = frozenset(final)
-        self.delta = {}
-        seen = set()
-        for (q, a, q2) in transitions:
-            if not (0 <= q < state_count and 0 <= q2 < state_count):
-                raise InputError("transition (%r, %r, %r) out of range" % (q, a, q2))
-            if a not in self.alphabet:
-                raise InputError("transition letter %r not in alphabet" % (a,))
-            if (q, a, q2) in seen:
-                raise InputError("duplicate transition (%r, %r, %r)" % (q, a, q2))
-            seen.add((q, a, q2))
-            self.delta.setdefault((q, a), set()).add(q2)
-        for q in self.initial | self.final:
-            if not 0 <= q < state_count:
-                raise InputError("state %r out of range" % (q,))
+        self.delta = _transition_relation(
+            state_count, self.alphabet, transitions, self.initial | self.final
+        )
 
     def successors(self, q, a):
         return self.delta.get((q, a), set())
@@ -119,22 +111,13 @@ class Iba:
         self, alphabet, trans, init, final, state_labels=None, untrimmed_state_count=None
     ):
         self.field = QQ
-        self.alphabet = tuple(alphabet)
+        self.alphabet = _distinct_letters(alphabet)
         self.trans = MappingProxyType(dict(trans))
         self.init = init
         self.final = frozenset(final)
         self.state_labels = list(state_labels) if state_labels is not None else None
         self.untrimmed_state_count = untrimmed_state_count
-        n = init.ncols
-        if init.nrows != 1:
-            raise InputError("init must be a 1 x n row vector")
-        if set(self.trans) != set(self.alphabet):
-            raise InputError("transition matrices must cover exactly the alphabet")
-        for a, m in self.trans.items():
-            if m.nrows != n or m.ncols != n:
-                raise InputError("matrix for letter %r is not %d x %d" % (a, n, n))
-            if m.field is not QQ:
-                raise InputError("matrices must be rational")
+        n = _check_shapes(QQ, self.alphabet, self.trans, init)
         for q in self.final:
             if not 0 <= q < n:
                 raise InputError("final state %r out of range" % (q,))
@@ -176,115 +159,118 @@ class Iba:
         )
 
 
-def _check_lasso_letters(alphabet, lasso):
-    for a in lasso.stem + lasso.cycle:
-        if a not in alphabet:
-            raise InputError("lasso letter %r is not in the alphabet" % (a,))
-
-
-# --- run analysis on the lasso product -------------------------------------
+# --- the lasso product -------------------------------------------------------
 #
 # Runs over u.v^omega correspond to paths in the product with the lasso
-# shape.  The stem part is a DAG of layers; the cycle part is the finite
-# graph G on nodes (state, cycle position).  A run is final iff its tail
-# visits a final-state node of G infinitely often.
+# shape: a DAG of stem layers, then the finite graph G on nodes (state,
+# cycle position).  A run is final iff its tail visits a final-state node
+# of G infinitely often.  One engine serves both automaton kinds: it reads
+# one tuple of (successor, weight) pairs per state, so an Iba's nonzero
+# rows sum path values and the same rows with weight 1 count paths.
 #
-# Counting distinct final paths uses the locked-cycle normal form: let
-# LIVE be the nodes with at least one final tail and CYC the nodes on
-# cycles of G.  If some node in LIVE and CYC has two or more successors in
-# LIVE, cycles can be pumped against a differing final tail and the count
-# is infinite.  Otherwise every live cycle node is locked into exactly one
-# forced cycle (which then must carry the final state its tails need), so
-# final tails are counted by a DAG sum over LIVE with locked nodes
-# contributing one tail each.
+# Sums use the locked-cycle normal form.  If some live node (one with a
+# final tail) on a cycle of G has two or more live successors, cycles can
+# be pumped against a differing final tail: infinitely many final paths.
+# Otherwise every live cycle node is locked into one forced cycle, which
+# carries the final state its tails need and, by ultimate stability, only
+# weight-1 edges; the other live nodes form a DAG of weighted sums.
 
 
-def _stem_layer(nba, lasso):
-    """Map state -> number of distinct runs over the stem ending there."""
-    layer = {q: 1 for q in sorted(nba.initial)}
-    for a in lasso.stem:
-        nxt = {}
-        for q, c in layer.items():
-            for q2 in nba.successors(q, a):
-                nxt[q2] = nxt.get(q2, 0) + c
-        layer = nxt
-    return layer
+class _UnitRows(dict):
+    """The same successors with weight 1, so that the engine counts; a row
+    is built when the engine first reaches its state."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __missing__(self, q):
+        row = self[q] = tuple((q2, 1) for q2, _w in self.rows[q])
+        return row
 
 
-def _cycle_graph(nba, lasso, roots):
-    """Product graph on (state, cycle position), restricted to nodes
-    reachable from the given root states at position 0."""
-    clen = len(lasso.cycle)
-    graph = {}
-    queue = deque((q, 0) for q in sorted(roots))
+def _nba_rows(nba):
+    """{letter: successor rows with weight 1}, in alphabet order."""
+    return {
+        a: tuple(tuple((q2, 1) for q2 in nba.successors(q, a)) for q in range(nba.state_count))
+        for a in nba.alphabet
+    }
+
+
+def _step(layer, rows):
+    """{state: summed run weight} after one more letter.  A state whose
+    weights cancel keeps its entry, so the product ignores the weights."""
+    nxt = {}
+    for q, w in layer.items():
+        for q2, x in rows[q]:
+            nxt[q2] = nxt.get(q2, 0) + w * x
+    return nxt
+
+
+def _cycle_sum(layer, cycle_rows, final):
+    """Sum over the final paths from ``layer`` (weights at cycle position
+    0) of entry weight times edge weights up to the locked cycle, or None
+    when there are infinitely many; ``cycle_rows`` is per cycle position."""
+    clen = len(cycle_rows)
+    edges = {}
+    queue = [(q, 0) for q in layer]
     for node in queue:
-        graph[node] = None
-    while queue:
-        node = queue.popleft()
-        q, i = node
-        a = lasso.cycle[i]
-        nxt = (i + 1) % clen
-        succs = [(q2, nxt) for q2 in sorted(nba.successors(q, a))]
-        graph[node] = succs
-        for s in succs:
-            if s not in graph:
-                graph[s] = None
-                queue.append(s)
-    return {n: (s if s is not None else []) for n, s in graph.items()}
-
-
-def _tail_counts(graph, final_nodes, cyc):
-    """Per-node count of final tails, or None when any count is infinite.
-    ``cyc`` is the set of nodes on cycles of the graph.
-
-    Returns (live_set, counts dict); counts[x] is 1 for locked cycle
-    nodes and a DAG sum elsewhere.
-    """
-    anchors = [f for f in final_nodes if f in cyc]
-    live = reaches_any(graph, anchors)
-    live &= set(graph)
-    counts = {}
-    for x in live:
-        if x not in cyc:
+        if node not in edges:
+            q, i = node
+            nxt = i + 1 if i + 1 < clen else 0
+            edges[node] = succs = tuple(((q2, nxt), x) for q2, x in cycle_rows[i][q])
+            queue.extend(s for s, _x in succs if s not in edges)
+    graph = {x: [y for y, _w in succs] for x, succs in edges.items()}
+    tails = {}  # live node -> weighted sum over its final tails
+    # components come sinks first, so successors are settled before use
+    for comp in strongly_connected_components(graph):
+        x = comp[0]
+        if len(comp) == 1 and x not in graph[x]:
+            live = [w * tails[y] for y, w in edges[x] if y in tails]
+            if live:
+                tails[x] = sum(live)
             continue
-        live_succs = {y for y in graph[x] if y in live}
-        if len(live_succs) != 1:
-            return live, None
-        counts[x] = 1
-    # remaining live nodes form a DAG; resolve with an explicit stack
-    def resolve(x):
-        stack = [x]
-        while stack:
-            top = stack[-1]
-            if top in counts:
-                stack.pop()
-                continue
-            pending = [y for y in set(graph[top]) if y in live and y not in counts]
-            if pending:
-                stack.extend(pending)
-                continue
-            counts[top] = sum(counts[y] for y in set(graph[top]) if y in live)
-            stack.pop()
-        return counts[x]
+        members = set(comp)
+        live_exit = any(y in tails for x in comp for y in graph[x])
+        if not live_exit and all(q not in final for q, _i in comp):
+            continue
+        if live_exit or any(sum(y in members for y in graph[x]) != 1 for x in comp):
+            return None
+        for x in comp:
+            tails[x] = 1
+    return sum(w * tails[q, 0] for q, w in layer.items() if (q, 0) in tails)
 
-    for x in live:
-        if x not in counts:
-            resolve(x)
-    return live, counts
+
+def _lasso_sum(start, rows, lasso, final):
+    """The engine on one lasso, from initial weights ``start``; ``rows``
+    has an entry for every letter of the alphabet."""
+    for a in lasso.stem + lasso.cycle:
+        if a not in rows:
+            raise InputError("lasso letter %r is not in the alphabet" % (a,))
+    layer = start
+    for a in lasso.stem:
+        layer = _step(layer, rows[a])
+    return _cycle_sum(layer, [rows[a] for a in lasso.cycle], final)
+
+
+def _lasso_sweep(start, rows, final, max_stem, max_cycle):
+    """(stem, cycle, sum) for every lasso within the bounds, stems then
+    cycles in length-lexicographic order over the letters of ``rows``; each
+    stem's layer is computed once, from its longest proper prefix."""
+    if max_stem < 0 or max_cycle < 1:
+        raise InputError("lasso bounds need max_stem >= 0 and max_cycle >= 1")
+    cycles = [(c, [rows[a] for a in c]) for c in words_up_to(rows, max_cycle) if c]
+    layers = {(): start}
+    for stem in words_up_to(rows, max_stem):
+        if stem:
+            layers[stem] = _step(layers[stem[:-1]], rows[stem[-1]])
+        for cycle, cycle_rows in cycles:
+            yield stem, cycle, _cycle_sum(layers[stem], cycle_rows, final)
 
 
 def nba_lasso_accepts(nba, lasso):
-    """Does some run over the lasso visit a final state infinitely often?
-    Decided by pure reachability on the lasso product."""
-    _check_lasso_letters(nba.alphabet, lasso)
-    layer = _stem_layer(nba, lasso)
-    graph = _cycle_graph(nba, lasso, layer.keys())
-    cyc = nodes_on_cycles(graph)
-    anchors = {f for f in cyc if f[0] in nba.final}
-    if not anchors:
-        return False
-    reach = reachable_from(graph, [(q, 0) for q in layer])
-    return bool(anchors & reach)
+    """Does some run over the lasso visit a final state infinitely often,
+    that is, are there more than 0 final paths?"""
+    return nba_lasso_count_final(nba, lasso, 0) is OVERFLOW
 
 
 def nba_lasso_count_final(nba, lasso, cap):
@@ -294,21 +280,10 @@ def nba_lasso_count_final(nba, lasso, cap):
     Paths are distinct when their state sequences differ anywhere, so
     runs that branch and later merge are counted separately.
     """
-    _check_lasso_letters(nba.alphabet, lasso)
     if cap < 0:
         raise InputError("cap must be nonnegative")
-    layer = _stem_layer(nba, lasso)
-    graph = _cycle_graph(nba, lasso, layer.keys())
-    final_nodes = [n for n in graph if n[0] in nba.final]
-    live, counts = _tail_counts(graph, final_nodes, nodes_on_cycles(graph))
-    if counts is None:
-        return OVERFLOW
-    total = 0
-    for q, c in layer.items():
-        node = (q, 0)
-        if node in live:
-            total += c * counts[node]
-    return total if total <= cap else OVERFLOW
+    total = _lasso_sum(dict.fromkeys(nba.initial, 1), _nba_rows(nba), lasso, nba.final)
+    return OVERFLOW if total is None or total > cap else total
 
 
 def check_ambiguity_on_lassos(nba, k, max_stem, max_cycle):
@@ -316,15 +291,10 @@ def check_ambiguity_on_lassos(nba, k, max_stem, max_cycle):
     <= max_cycle has at most k final paths."""
     if k < 0:
         raise InputError("k must be nonnegative")
-    letters = nba.alphabet
-    for slen in range(max_stem + 1):
-        for stem in itertools.product(letters, repeat=slen):
-            for clen in range(1, max_cycle + 1):
-                for cycle in itertools.product(letters, repeat=clen):
-                    res = nba_lasso_count_final(nba, Lasso(stem, cycle), k)
-                    if res is OVERFLOW:
-                        return False
-    return True
+    sweep = _lasso_sweep(
+        dict.fromkeys(nba.initial, 1), _nba_rows(nba), nba.final, max_stem, max_cycle
+    )
+    return all(total is not None and total <= k for _stem, _cycle, total in sweep)
 
 
 def diamond_on_loop(nba):
@@ -382,118 +352,71 @@ def is_ultimately_stable(iba):
     return iba._stable
 
 
-def _iba_lasso_analysis(iba, lasso):
-    """Joint (value, final-path count) over the lasso product.
-
-    Weights multiply along the transient prefix; locked cycles contribute
-    factor 1 (their edges are weight 1 by ultimate stability).  Raises
-    SemanticError when infinitely many final paths exist.
-    """
-    _check_lasso_letters(iba.alphabet, lasso)
+def _stable_weights(iba):
+    """Initial weights and {letter: nonzero rows}, in alphabet order, of
+    an ultimately stable automaton: the input of the lasso engine."""
     if not is_ultimately_stable(iba):
         raise InputError("automaton is not ultimately stable")
-    zero = QQ.zero
-    # stem: weighted and counting DP over nonzero edges
-    layer = {q: (w, 1) for q, w in iba.init.nonzero_rows()[0]}
-    for a in lasso.stem:
-        rows = iba.matrix(a).nonzero_rows()
-        nxt = {}
-        for q, (w, c) in layer.items():
-            for q2, x in rows[q]:
-                ow, oc = nxt.get(q2, (zero, 0))
-                nxt[q2] = (ow + w * x, oc + c)
-        layer = nxt
-
-    # cycle part: node -> ((successor node, edge weight), ...)
-    clen = len(lasso.cycle)
-    cycle_rows = [iba.matrix(a).nonzero_rows() for a in lasso.cycle]
-    edges = {}
-    queue = deque((q, 0) for q in sorted(layer))
-    for node in queue:
-        edges[node] = None
-    while queue:
-        node = queue.popleft()
-        q, i = node
-        nxt = (i + 1) % clen
-        succs = tuple(((q2, nxt), x) for q2, x in cycle_rows[i][q])
-        edges[node] = succs
-        for s, _x in succs:
-            if s not in edges:
-                edges[s] = None
-                queue.append(s)
-    graph = {n: [s for s, _x in succs] for n, succs in edges.items()}
-    final_nodes = [n for n in graph if n[0] in iba.final]
-    cyc = nodes_on_cycles(graph)
-    live, counts = _tail_counts(graph, final_nodes, cyc)
-    if counts is None:
-        raise SemanticError("infinitely many final paths on %r" % (lasso,))
-    # weighted tails: forced cycles contribute 1, the DAG part multiplies
-    # edge weights into the sum
-    weights = {}
-
-    def resolve(x):
-        stack = [x]
-        while stack:
-            top = stack[-1]
-            if top in weights:
-                stack.pop()
-                continue
-            if top in cyc:
-                weights[top] = QQ.one
-                stack.pop()
-                continue
-            pending = [y for y, _x in edges[top] if y in live and y not in weights]
-            if pending:
-                stack.extend(pending)
-                continue
-            acc = zero
-            for y, x in edges[top]:
-                if y in live:
-                    acc = acc + x * weights[y]
-            weights[top] = acc
-            stack.pop()
-
-    value = zero
-    count = 0
-    for q, (w, c) in layer.items():
-        node = (q, 0)
-        if node in live:
-            resolve(node)
-            value = value + w * weights[node]
-            count += c * counts[node]
-    return value, count
+    rows = {a: iba.trans[a].nonzero_rows() for a in iba.alphabet}
+    return dict(iba.init.nonzero_rows()[0]), rows
 
 
 def iba_lasso_eval(iba, lasso):
     """Exact value of the lasso word: the sum of initial weight times
-    transient edge weights over all final paths."""
-    value, _ = _iba_lasso_analysis(iba, lasso)
-    return value
+    transient edge weights over all final paths.  Raises SemanticError
+    when infinitely many final paths exist."""
+    total = _lasso_sum(*_stable_weights(iba), lasso, iba.final)
+    if total is None:
+        raise SemanticError("infinitely many final paths on %r" % (lasso,))
+    return QQ.of(total)
 
 
 def iba_lasso_count_final(iba, lasso, cap):
     """Number of final paths over the lasso, or OVERFLOW beyond cap."""
-    try:
-        _, count = _iba_lasso_analysis(iba, lasso)
-    except SemanticError:
-        return OVERFLOW
-    return count if count <= cap else OVERFLOW
+    start, rows = _stable_weights(iba)
+    unit = {a: _UnitRows(r) for a, r in rows.items()}
+    total = _lasso_sum(dict.fromkeys(start, 1), unit, lasso, iba.final)
+    return OVERFLOW if total is None or total > cap else total
 
 
 def binariness_witness(iba, max_stem, max_cycle):
     """First lasso (bounded lengths) whose value is outside {0, 1},
     as a (lasso, value) pair, or None when all tested values are 0/1."""
-    zero, one = QQ.zero, QQ.one
-    letters = iba.alphabet
-    for slen in range(max_stem + 1):
-        for stem in itertools.product(letters, repeat=slen):
-            for clen in range(1, max_cycle + 1):
-                for cycle in itertools.product(letters, repeat=clen):
-                    lasso = Lasso(stem, cycle)
-                    value = iba_lasso_eval(iba, lasso)
-                    if value != zero and value != one:
-                        return lasso, value
+    start, rows = _stable_weights(iba)
+    for stem, cycle, total in _lasso_sweep(start, rows, iba.final, max_stem, max_cycle):
+        if total is None:
+            raise SemanticError("infinitely many final paths on %r" % (Lasso(stem, cycle),))
+        if total != 0 and total != 1:
+            return Lasso(stem, cycle), QQ.of(total)
     return None
+
+
+def trim_iba(iba):
+    """Restrict to states reachable from the initial support that can
+    reach a cycle through a final state.  Returns the trimmed automaton
+    (same ``untrimmed_state_count``) and the kept indices, possibly []."""
+    graph = iba.nonzero_edge_graph()
+    support = iba.init.nonzero_rows()[0]
+    cyc = nodes_on_cycles(graph)
+    anchors = [f for f in sorted(iba.final) if f in cyc]
+    keep = sorted(reachable_from(graph, [q for q, _w in support]) & reaches_any(graph, anchors))
+    if not keep:
+        return None, []
+    remap = {old: new for new, old in enumerate(keep)}
+    m = len(keep)
+    trans = {}
+    for a in iba.alphabet:
+        entries = {}
+        for old_i, row in enumerate(iba.trans[a].nonzero_rows()):
+            if old_i in remap:
+                for old_j, w in row:
+                    if old_j in remap:
+                        entries[remap[old_i], remap[old_j]] = w
+        trans[a] = Matrix.from_entries(QQ, m, m, entries)
+    init = Matrix.from_entries(QQ, 1, m, {(0, remap[q]): w for q, w in support if q in remap})
+    final = frozenset(remap[f] for f in iba.final if f in remap)
+    labels = [iba.state_labels[old] for old in keep] if iba.state_labels else None
+    return Iba(iba.alphabet, trans, init, final, labels, iba.untrimmed_state_count), keep
 
 
 # --- the disambiguation construction ----------------------------------------
@@ -681,15 +604,16 @@ def kdis(nba, k):
                 sign = (-1) ** (r2.size - r.size)
                 edges[a][i, j] = QQ.of(sign * w)
     untrimmed = len(order)
-    final_ids = {i for i, r in enumerate(order) if all(b for (_q, b), _c in r.items())}
-    graph = {i: [] for i in range(untrimmed)}
-    for a in nba.alphabet:
-        for (i, j) in edges[a]:
-            if j not in graph[i]:
-                graph[i].append(j)
-    cyc = nodes_on_cycles(graph)
-    keep = sorted(reaches_any(graph, [f for f in sorted(final_ids) if f in cyc]))
-    if not keep:
+    full = Iba(
+        nba.alphabet,
+        {a: Matrix.from_entries(QQ, untrimmed, untrimmed, edges[a]) for a in nba.alphabet},
+        Matrix.from_entries(QQ, 1, untrimmed, {(0, ids[r]): w for r, w in alphas.items()}),
+        {i for i, r in enumerate(order) if all(b for (_q, b), _c in r.items())},
+        state_labels=order,
+        untrimmed_state_count=untrimmed,
+    )
+    out, _kept = trim_iba(full)
+    if out is None:
         return Iba(
             nba.alphabet,
             {a: Matrix.zeros(QQ, 1, 1) for a in nba.alphabet},
@@ -698,19 +622,4 @@ def kdis(nba, k):
             state_labels=[None],
             untrimmed_state_count=untrimmed,
         )
-    remap = {old: new for new, old in enumerate(keep)}
-    m = len(keep)
-    trans = {}
-    for a in nba.alphabet:
-        kept = {(i, j): w for (i, j), w in edges[a].items() if i in remap and j in remap}
-        trans[a] = Matrix.from_entries(
-            QQ, m, m, {(remap[i], remap[j]): w for (i, j), w in kept.items()}
-        )
-    init = Matrix.from_entries(
-        QQ, 1, m, {(0, remap[ids[r]]): w for r, w in alphas.items() if ids[r] in remap}
-    )
-    final = frozenset(remap[f] for f in final_ids if f in remap)
-    labels = [order[old] for old in keep]
-    return Iba(
-        nba.alphabet, trans, init, final, state_labels=labels, untrimmed_state_count=untrimmed
-    )
+    return out

@@ -25,6 +25,7 @@ from .wa import (
     negate,
     span_explore,
     _col_sparse,
+    _distinct_letters,
     _dot_col,
     _mat_vec,
     _row_sparse,
@@ -54,7 +55,7 @@ class Dfa:
 
     def __init__(self, state_count, alphabet, delta, initial, accepting):
         self.state_count = state_count
-        self.alphabet = tuple(alphabet)
+        self.alphabet = _distinct_letters(alphabet)
         self.delta = dict(delta)
         self.initial = initial
         self.accepting = frozenset(accepting)
@@ -84,26 +85,34 @@ class Nfa:
 
     def __init__(self, state_count, alphabet, transitions, initial, accepting):
         self.state_count = state_count
-        self.alphabet = tuple(alphabet)
+        self.alphabet = _distinct_letters(alphabet)
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
-        self.delta = {}
-        seen = set()
-        for (q, a, q2) in transitions:
-            if not (0 <= q < state_count and 0 <= q2 < state_count):
-                raise InputError("transition (%r, %r, %r) out of range" % (q, a, q2))
-            if a not in self.alphabet:
-                raise InputError("transition letter %r not in alphabet" % (a,))
-            if (q, a, q2) in seen:
-                raise InputError("duplicate transition (%r, %r, %r)" % (q, a, q2))
-            seen.add((q, a, q2))
-            self.delta.setdefault((q, a), set()).add(q2)
-        for q in self.initial | self.accepting:
-            if not 0 <= q < state_count:
-                raise InputError("state %r out of range" % (q,))
+        self.delta = _transition_relation(
+            state_count, self.alphabet, transitions, self.initial | self.accepting
+        )
 
     def successors(self, q, a):
         return self.delta.get((q, a), set())
+
+
+def _transition_relation(state_count, alphabet, transitions, states):
+    """Validated {(q, a): set of successors} from (q, a, q2) triples; the
+    initial and accepting ``states`` are range-checked too."""
+    delta = {}
+    for (q, a, q2) in transitions:
+        if not (0 <= q < state_count and 0 <= q2 < state_count):
+            raise InputError("transition (%r, %r, %r) out of range" % (q, a, q2))
+        if a not in alphabet:
+            raise InputError("transition letter %r not in alphabet" % (a,))
+        succs = delta.setdefault((q, a), set())
+        if q2 in succs:
+            raise InputError("duplicate transition (%r, %r, %r)" % (q, a, q2))
+        succs.add(q2)
+    for q in states:
+        if not 0 <= q < state_count:
+            raise InputError("state %r out of range" % (q,))
+    return delta
 
 
 @dataclass

@@ -14,10 +14,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .buchi import Iba, is_ultimately_stable
+from .buchi import is_ultimately_stable, trim_iba
 from .errors import InputError, InternalInvariantError, SemanticError, ValidationError
 from .fields import QQ
-from .graphs import nodes_on_cycles, reachable_from, reaches_any, strongly_connected_components
+from .graphs import nodes_on_cycles, reaches_any, strongly_connected_components
 from .matrix import Matrix
 
 __all__ = [
@@ -105,34 +105,6 @@ class SccClass:
     accepting: bool
     recurrent: bool
     cut: object  # Fiber when recurrent, else None
-
-
-def trim_iba(iba):
-    """Restrict to states reachable from the initial support that can
-    also reach a cycle through a final state.  Returns the trimmed
-    automaton and the kept original indices (possibly empty)."""
-    graph = iba.nonzero_edge_graph()
-    support = iba.init.nonzero_rows()[0]
-    cyc = nodes_on_cycles(graph)
-    anchors = [f for f in sorted(iba.final) if f in cyc]
-    keep = sorted(reachable_from(graph, [q for q, _w in support]) & reaches_any(graph, anchors))
-    if not keep:
-        return None, []
-    remap = {old: new for new, old in enumerate(keep)}
-    m = len(keep)
-    trans = {}
-    for a in iba.alphabet:
-        entries = {}
-        for old_i, row in enumerate(iba.trans[a].nonzero_rows()):
-            if old_i in remap:
-                for old_j, w in row:
-                    if old_j in remap:
-                        entries[remap[old_i], remap[old_j]] = w
-        trans[a] = Matrix.from_entries(QQ, m, m, entries)
-    init = Matrix.from_entries(QQ, 1, m, {(0, remap[q]): w for q, w in support if q in remap})
-    final = frozenset(remap[f] for f in iba.final if f in remap)
-    labels = [iba.state_labels[old] for old in keep] if iba.state_labels else None
-    return Iba(iba.alphabet, trans, init, final, state_labels=labels), keep
 
 
 class ProductSystem:

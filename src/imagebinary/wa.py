@@ -37,25 +37,13 @@ class WeightedAutomaton:
 
     def __init__(self, field, alphabet, trans, init, final):
         self.field = field
-        self.alphabet = tuple(alphabet)
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise InputError("alphabet letters must be distinct")
+        self.alphabet = _distinct_letters(alphabet)
         self.trans = dict(trans)
         self.init = init
         self.final = final
-        n = init.ncols
-        if init.nrows != 1:
-            raise InputError("init must be a 1 x n row vector")
-        if final.ncols != 1 or final.nrows != n:
+        self.n = _check_shapes(field, self.alphabet, self.trans, init)
+        if final.ncols != 1 or final.nrows != self.n:
             raise InputError("final must be an n x 1 column vector")
-        if set(self.trans) != set(self.alphabet):
-            raise InputError("transition matrices must cover exactly the alphabet")
-        for a, m in self.trans.items():
-            if m.nrows != n or m.ncols != n:
-                raise InputError("matrix for letter %r is not %d x %d" % (a, n, n))
-            if m.field is not field:
-                raise InputError("matrix for letter %r uses a different field" % (a,))
-        self.n = n
 
     @property
     def state_count(self):
@@ -98,9 +86,31 @@ def as_word(word):
     single-character alphabets used throughout; pass a list or tuple for
     multi-character letter names.
     """
-    if isinstance(word, str):
-        return tuple(word)
     return tuple(word)
+
+
+def _distinct_letters(alphabet):
+    """The alphabet as a tuple; a repeated letter could not be serialised."""
+    alphabet = tuple(alphabet)
+    if len(set(alphabet)) != len(alphabet):
+        raise InputError("alphabet letters must be distinct")
+    return alphabet
+
+
+def _check_shapes(field, alphabet, trans, init):
+    """n, once ``init`` is a 1 x n row and ``trans`` one n x n matrix over
+    ``field`` per letter."""
+    n = init.ncols
+    if init.nrows != 1:
+        raise InputError("init must be a 1 x n row vector")
+    if set(trans) != set(alphabet):
+        raise InputError("transition matrices must cover exactly the alphabet")
+    for a, m in trans.items():
+        if m.nrows != n or m.ncols != n:
+            raise InputError("matrix for letter %r is not %d x %d" % (a, n, n))
+        if m.field is not field:
+            raise InputError("matrix for letter %r is not over %r" % (a, field))
+    return n
 
 
 # --- sparse vector helpers (dicts {index: nonzero scalar}) ---

@@ -3,19 +3,26 @@
 Everything here is constructed directly from first principles (explicit
 matrices, explicit transition tables, explicit language predicates) so
 the tests that use these builders compare library output against
-independent ground truth.
+independent ground truth.  The reference lasso analysis at the end is
+the separate stem-layer / cycle-graph / tail-count path the library's
+lasso engine replaced, kept as an oracle.
 """
 
+import itertools
+from collections import deque
 from fractions import Fraction
 
 from imagebinary import (
     Iba,
+    Lasso,
     MarkovChain,
     Matrix,
     Nba,
+    OVERFLOW,
     QQ,
     WeightedAutomaton,
 )
+from imagebinary.graphs import nodes_on_cycles, reachable_from, reaches_any
 
 
 # === The even-a-block language ===
@@ -194,3 +201,118 @@ def thirds_chain():
     return MarkovChain(
         Matrix(QQ, rows), [third, third, third], ["a", "b", "b"], ("a", "b")
     )
+
+
+# === Lassos and the reference lasso analysis ===
+
+
+def all_lassos(max_stem, max_cycle, alphabet=("a", "b")):
+    """Every lasso with stem length <= max_stem and cycle length
+    <= max_cycle: stems, then cycles, by length and then letter order."""
+    for slen in range(max_stem + 1):
+        for stem in itertools.product(alphabet, repeat=slen):
+            for clen in range(1, max_cycle + 1):
+                for cycle in itertools.product(alphabet, repeat=clen):
+                    yield Lasso(stem, cycle)
+
+
+def stem_layer(nba, lasso):
+    """Map state -> number of distinct runs over the stem ending there."""
+    layer = {q: 1 for q in sorted(nba.initial)}
+    for a in lasso.stem:
+        nxt = {}
+        for q, c in layer.items():
+            for q2 in nba.successors(q, a):
+                nxt[q2] = nxt.get(q2, 0) + c
+        layer = nxt
+    return layer
+
+
+def cycle_graph(nba, lasso, roots):
+    """Product graph on (state, cycle position), restricted to nodes
+    reachable from the given root states at position 0."""
+    clen = len(lasso.cycle)
+    graph = {}
+    queue = deque((q, 0) for q in sorted(roots))
+    for node in queue:
+        graph[node] = None
+    while queue:
+        node = queue.popleft()
+        q, i = node
+        a = lasso.cycle[i]
+        nxt = (i + 1) % clen
+        succs = [(q2, nxt) for q2 in sorted(nba.successors(q, a))]
+        graph[node] = succs
+        for s in succs:
+            if s not in graph:
+                graph[s] = None
+                queue.append(s)
+    return {n: (s if s is not None else []) for n, s in graph.items()}
+
+
+def tail_counts(graph, final_nodes, cyc):
+    """Per-node count of final tails, or None when any count is infinite.
+    ``cyc`` is the set of nodes on cycles of the graph.
+
+    Returns (live_set, counts dict); counts[x] is 1 for locked cycle
+    nodes and a DAG sum elsewhere.
+    """
+    anchors = [f for f in final_nodes if f in cyc]
+    live = reaches_any(graph, anchors)
+    live &= set(graph)
+    counts = {}
+    for x in live:
+        if x not in cyc:
+            continue
+        live_succs = {y for y in graph[x] if y in live}
+        if len(live_succs) != 1:
+            return live, None
+        counts[x] = 1
+
+    def resolve(x):
+        stack = [x]
+        while stack:
+            top = stack[-1]
+            if top in counts:
+                stack.pop()
+                continue
+            pending = [y for y in set(graph[top]) if y in live and y not in counts]
+            if pending:
+                stack.extend(pending)
+                continue
+            counts[top] = sum(counts[y] for y in set(graph[top]) if y in live)
+            stack.pop()
+        return counts[x]
+
+    for x in live:
+        if x not in counts:
+            resolve(x)
+    return live, counts
+
+
+def reference_lasso_accepts(nba, lasso):
+    """Acceptance by pure reachability on the lasso product."""
+    layer = stem_layer(nba, lasso)
+    graph = cycle_graph(nba, lasso, layer.keys())
+    cyc = nodes_on_cycles(graph)
+    anchors = {f for f in cyc if f[0] in nba.final}
+    if not anchors:
+        return False
+    reach = reachable_from(graph, [(q, 0) for q in layer])
+    return bool(anchors & reach)
+
+
+def reference_lasso_count(nba, lasso, cap):
+    """Distinct final paths over the lasso, or OVERFLOW beyond cap."""
+    layer = stem_layer(nba, lasso)
+    graph = cycle_graph(nba, lasso, layer.keys())
+    final_nodes = [n for n in graph if n[0] in nba.final]
+    live, counts = tail_counts(graph, final_nodes, nodes_on_cycles(graph))
+    if counts is None:
+        return OVERFLOW
+    total = 0
+    for q, c in layer.items():
+        node = (q, 0)
+        if node in live:
+            total += c * counts[node]
+    return total if total <= cap else OVERFLOW

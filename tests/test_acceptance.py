@@ -41,6 +41,7 @@ from imagebinary import (
 from imagebinary.fixtures import bounded_ambiguity_nba, conjugated_ifa, random_dfa
 
 from goldens import (
+    all_lassos,
     dba_suite,
     even_ablock_accepts,
     even_ablock_ifa,
@@ -74,14 +75,6 @@ def conjugated_fixtures(count=50, max_states=5, seed=11):
         dfa = random_dfa(rng, rng.randint(1, max_states), ALPHABET)
         out.append((dfa, conjugated_ifa(rng, dfa)))
     return out
-
-
-def all_lassos(max_stem, max_cycle, alphabet=ALPHABET):
-    for slen in range(max_stem + 1):
-        for stem in itertools.product(alphabet, repeat=slen):
-            for clen in range(1, max_cycle + 1):
-                for cycle in itertools.product(alphabet, repeat=clen):
-                    yield Lasso(stem, cycle)
 
 
 def test_c01_golden_language_and_conjugacy():

@@ -1,0 +1,47 @@
+"""The names other code looks up by string: every function the benchmark
+tracer wraps, and every name a module lists in ``__all__``.  A refactor
+that moves or renames one of them fails here instead of in
+``perfbench/run.py --trace 1``."""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import imagebinary
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def package_modules():
+    return [
+        importlib.import_module("imagebinary." + info.name)
+        for info in pkgutil.iter_modules(imagebinary.__path__)
+    ]
+
+
+def test_every_traced_name_resolves():
+    traced = load_tracer().TRACED
+    assert traced
+    for module, cls, fn in traced:
+        owner = importlib.import_module("imagebinary." + module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+            # the tracer patches the class's own attribute
+            assert fn in vars(owner), (module, cls, fn)
+        assert callable(getattr(owner, fn)), (module, cls, fn)
+
+
+def test_every_listed_name_exists():
+    modules = package_modules()
+    assert {m.__name__ for m in modules} >= {"imagebinary.buchi", "imagebinary.mc"}
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

@@ -32,19 +32,17 @@ from imagebinary import (
 )
 from imagebinary.fixtures import bounded_ambiguity_nba
 
-from goldens import dba_suite, fanout_unary_nba
+from goldens import (
+    all_lassos,
+    dba_suite,
+    fanout_unary_nba,
+    reference_lasso_accepts,
+    reference_lasso_count,
+)
 
 
 def cv(pairs):
     return CountVector(dict(pairs))
-
-
-def all_lassos(alphabet, max_stem, max_cycle):
-    for slen in range(max_stem + 1):
-        for stem in itertools.product(alphabet, repeat=slen):
-            for clen in range(1, max_cycle + 1):
-                for cycle in itertools.product(alphabet, repeat=clen):
-                    yield Lasso(stem, cycle)
 
 
 def det_run_accepts(nba, q0, lasso):
@@ -142,7 +140,7 @@ def test_counts_match_deterministic_components():
     for _ in range(12):
         k = rng.randint(1, 3)
         nba = bounded_ambiguity_nba(rng, k, rng.randint(1, 3), ("a", "b"))
-        for lasso in all_lassos(("a", "b"), 2, 2):
+        for lasso in all_lassos(2, 2):
             expected = sum(
                 1 for q0 in sorted(nba.initial) if det_run_accepts(nba, q0, lasso)
             )
@@ -153,10 +151,53 @@ def test_counts_match_deterministic_components():
 def test_dba_acceptance_matches_run_oracle():
     for dba in dba_suite():
         nba = dba.to_nba()
-        for lasso in all_lassos(("a", "b"), 2, 2):
+        for lasso in all_lassos(2, 2):
             assert nba_lasso_accepts(nba, lasso) == dba.run_on_lasso(
                 lasso.stem, lasso.cycle
             ), (dba.name, lasso)
+
+
+def test_lasso_engine_matches_reference_analysis():
+    """The engine and the lasso sweep against the separate stem-layer /
+    cycle-graph / tail-count analysis, on the c07 generator's acceptors
+    without its ambiguity filter, so infinitely many final runs occur."""
+    rng = random.Random(2024)
+    acceptors = [
+        bounded_ambiguity_nba(rng, k, comp, ("a", "b"))
+        for k, comp in ((1, 3), (1, 4), (2, 2), (3, 1), (2, 1))
+    ]
+    acceptors += [random_nba(rng, rng.randint(2, 4), ("a", "b"), density=0.35) for _ in range(15)]
+    lassos = list(all_lassos(3, 3))
+    unbounded = 0
+    for nba in acceptors:
+        worst = 0
+        for lasso in lassos:
+            assert nba_lasso_accepts(nba, lasso) == reference_lasso_accepts(nba, lasso), lasso
+            for cap in (0, 1, 2, 3, 10**9):
+                expected = reference_lasso_count(nba, lasso, cap)
+                assert nba_lasso_count_final(nba, lasso, cap) == expected, (lasso, cap)
+            count = reference_lasso_count(nba, lasso, 10**9)
+            worst = None if worst is None or count is OVERFLOW else max(worst, count)
+        unbounded += worst is None
+        for k in range(4):
+            within = worst is not None and worst <= k
+            assert check_ambiguity_on_lassos(nba, k, 3, 3) == within, k
+    assert 0 < unbounded < len(acceptors), unbounded
+
+
+def test_lasso_bounds_and_letters_are_checked():
+    nba = fanout_unary_nba()
+    iba = kdis(nba, 4)
+    for max_stem, max_cycle in ((-1, 3), (3, 0), (-1, 0)):
+        with pytest.raises(InputError, match="lasso bounds"):
+            check_ambiguity_on_lassos(nba, 1, max_stem, max_cycle)
+        with pytest.raises(InputError, match="lasso bounds"):
+            binariness_witness(iba, max_stem, max_cycle)
+    assert not check_ambiguity_on_lassos(nba, 1, 0, 1)
+    assert binariness_witness(iba, 0, 1) is None
+    for query, automaton in ((nba_lasso_accepts, nba), (iba_lasso_eval, iba)):
+        with pytest.raises(InputError, match="lasso letter 'b'"):
+            query(automaton, Lasso("a", "ab"))
 
 
 def test_diamond_on_loop():
@@ -209,7 +250,7 @@ def test_lasso_eval_multiplies_transient_weights():
 def test_lasso_eval_on_deterministic_acceptors():
     for dba in dba_suite():
         iba = dba.to_iba()
-        for lasso in all_lassos(("a", "b"), 2, 2):
+        for lasso in all_lassos(2, 2):
             expected = Fraction(1 if dba.run_on_lasso(lasso.stem, lasso.cycle) else 0)
             assert iba_lasso_eval(iba, lasso) == expected, (dba.name, lasso)
         assert binariness_witness(iba, 2, 2) is None
@@ -468,7 +509,7 @@ def test_kdis_matches_acceptance_on_deterministic_suite():
         nba = dba.to_nba()
         out = kdis(nba, 1)
         assert out.untrimmed_state_count <= 2 ** (2 * nba.state_count)
-        for lasso in all_lassos(("a", "b"), 2, 2):
+        for lasso in all_lassos(2, 2):
             expected = Fraction(1 if dba.run_on_lasso(lasso.stem, lasso.cycle) else 0)
             assert iba_lasso_eval(out, lasso) == expected, (dba.name, lasso)
 
@@ -480,7 +521,7 @@ def test_kdis_matches_acceptance_on_bounded_fixtures():
         nba = bounded_ambiguity_nba(rng, k, 2, ("a", "b"))
         out = kdis(nba, k)
         assert out.untrimmed_state_count <= (k + 1) ** (2 * nba.state_count)
-        for lasso in all_lassos(("a", "b"), 2, 2):
+        for lasso in all_lassos(2, 2):
             expected = Fraction(1 if nba_lasso_accepts(nba, lasso) else 0)
             assert iba_lasso_eval(out, lasso) == expected
             assert iba_lasso_count_final(out, lasso, 2 ** k) is not OVERFLOW

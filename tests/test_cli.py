@@ -254,6 +254,21 @@ def test_ambiguity_check(run, nba_path, tmp_path):
     assert "ambiguity is unbounded" in err
 
 
+def test_lasso_bounds_are_exit_two(run, nba_path, tmp_path):
+    assert run("ambiguity-check", nba_path, "--k", "1") == (0, "no\n", "")
+    for flags in (("--max-stem", "-1"), ("--max-cycle", "0")):
+        code, out, err = run("ambiguity-check", nba_path, "--k", "1", *flags)
+        assert (code, out) == (2, "")
+        assert "lasso bounds" in err
+    dis = tmp_path / "dis.iba"
+    assert run("kdis", nba_path, str(dis), "--k", "4")[0] == 0
+    chain = tmp_path / "chain.mc"
+    save_markov_chain(str(chain), unary_chain())
+    code, out, err = run("modelcheck", str(dis), str(chain), "--spot-cycle", "0")
+    assert (code, out) == (2, "")
+    assert "lasso bounds" in err
+
+
 def test_modelcheck(run, nba_path, tmp_path):
     dis = tmp_path / "dis.iba"
     assert run("kdis", nba_path, str(dis), "--k", "4")[0] == 0

@@ -7,9 +7,12 @@ import pytest
 
 from imagebinary import (
     F2,
+    Dfa,
     Iba,
+    InputError,
     Matrix,
     Nba,
+    Nfa,
     ParseError,
     QQ,
     ValidationError,
@@ -184,6 +187,24 @@ def test_wrong_entry_counts():
     doc = replace_line(WA_DOC, "final: 0 1", "final: 0 1 0")
     with pytest.raises(ValidationError, match="final needs exactly 2"):
         parse_automaton(doc)
+
+
+def test_every_constructor_rejects_repeated_letters():
+    # a repeated letter would serialise to a document that cannot be parsed
+    one = Matrix.identity(QQ, 1)
+    builders = [
+        lambda ab: WeightedAutomaton(QQ, ab, {"a": one}, one, one),
+        lambda ab: Iba(ab, {"a": one}, one, [0]),
+        lambda ab: Nba(1, ab, [(0, "a", 0)], [0], [0]),
+        lambda ab: Nfa(1, ab, [(0, "a", 0)], [0], [0]),
+        lambda ab: Dfa(1, ab, {(0, "a"): 0}, 0, [0]),
+    ]
+    for build in builders:
+        obj = build(("a",))
+        if not isinstance(obj, (Nfa, Dfa)):
+            assert parse_automaton(serialize_automaton(obj)) == obj
+        with pytest.raises(InputError, match="distinct"):
+            build(("a", "a"))
 
 
 def test_alphabet_restrictions():

@@ -1,7 +1,6 @@
 """The frozen matrix core and the per-automaton caches, checked against
 the dense loops they replaced on seeded instances."""
 
-import itertools
 import random
 from collections import deque
 from fractions import Fraction
@@ -12,21 +11,23 @@ from imagebinary import (
     F2,
     Iba,
     InputError,
-    Lasso,
     Matrix,
+    OVERFLOW,
     QQ,
     SemanticError,
+    binariness_witness,
     build_product,
+    iba_lasso_count_final,
+    iba_lasso_eval,
     is_ultimately_stable,
     kdis,
     random_mc,
 )
-from imagebinary.buchi import _iba_lasso_analysis, _tail_counts
 from imagebinary.fixtures import bounded_ambiguity_nba
 from imagebinary.graphs import nodes_on_cycles, reachable_from
 from imagebinary.wa import _mat_vec, _vec_mat
 
-from goldens import fanout_unary_nba
+from goldens import all_lassos, fanout_unary_nba, tail_counts
 
 ALPHABET = ("a", "b")
 
@@ -210,7 +211,7 @@ def dense_lasso_analysis(iba, lasso):
                 graph[s] = []
                 queue.append(s)
     cyc = nodes_on_cycles(graph)
-    live, counts = _tail_counts(graph, [n for n in graph if n[0] in iba.final], cyc)
+    live, counts = tail_counts(graph, [n for n in graph if n[0] in iba.final], cyc)
     if counts is None:
         raise SemanticError("infinitely many final paths on %r" % (lasso,))
 
@@ -236,14 +237,6 @@ def outcome(analysis, iba, lasso):
         return type(exc), str(exc)
 
 
-def lassos_up_to(max_stem, max_cycle, alphabet=ALPHABET):
-    for slen in range(max_stem + 1):
-        for stem in itertools.product(alphabet, repeat=slen):
-            for clen in range(1, max_cycle + 1):
-                for cycle in itertools.product(alphabet, repeat=clen):
-                    yield Lasso(stem, cycle)
-
-
 def unstable_iba():
     # the weight-1/2 loop on state 0 can be repeated
     m_a = Matrix.from_ints(QQ, [[Fraction(1, 2), 1], [0, 1]])
@@ -266,17 +259,53 @@ def seeded_kdis_outputs():
     return out
 
 
+def public_analysis(iba, lasso):
+    """(value, count) from the public queries, each one engine pass."""
+    value = iba_lasso_eval(iba, lasso)
+    return value, iba_lasso_count_final(iba, lasso, 10**9)
+
+
+def stem_ab_iba():
+    # a.b.a^omega has value 2 and every other word 0, so the first
+    # non-binary lasso has a stem of two different letters
+    m_a = Matrix.from_ints(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    m_b = Matrix.from_ints(QQ, [[0, 0, 0], [0, 0, 2], [0, 0, 0]])
+    return Iba(ALPHABET, {"a": m_a, "b": m_b}, Matrix.from_ints(QQ, [[1, 0, 0]]), [2])
+
+
+def first_witness(iba, _lasso):
+    """binariness_witness over the lassos up to 3+3, as plain data."""
+    found = binariness_witness(iba, 3, 3)
+    return None if found is None else (found[0].stem, found[0].cycle, found[1])
+
+
 def test_lasso_analysis_matches_dense_oracle():
-    ibas = seeded_kdis_outputs() + [unstable_iba(), infinitely_ambiguous_iba()]
+    outputs = seeded_kdis_outputs()
+    ibas = outputs + [stem_ab_iba(), unstable_iba(), infinitely_ambiguous_iba()]
     seen_errors = set()
+    witnesses = []
     for iba in ibas:
         assert is_ultimately_stable(iba) == dense_is_ultimately_stable(iba)
-        for lasso in lassos_up_to(3, 3, iba.alphabet):
+        first = None  # the first lasso outcome outside {0, 1}
+        for lasso in all_lassos(3, 3, iba.alphabet):
             expected = outcome(dense_lasso_analysis, iba, lasso)
-            assert outcome(_iba_lasso_analysis, iba, lasso) == expected, (iba.n, lasso)
+            assert outcome(public_analysis, iba, lasso) == expected, (iba.n, lasso)
+            if expected[0] is SemanticError:
+                assert iba_lasso_count_final(iba, lasso, 10**9) is OVERFLOW
+            elif expected[0] is InputError:
+                with pytest.raises(InputError):
+                    iba_lasso_count_final(iba, lasso, 10**9)
             if isinstance(expected[0], type):
                 seen_errors.add(expected[0])
+                first = first or expected
+            elif first is None and expected[0] not in (0, 1):
+                first = (lasso.stem, lasso.cycle, expected[0])
+        assert outcome(first_witness, iba, None) == first, iba.n
+        witnesses.append(first)
     assert seen_errors == {InputError, SemanticError}
+    assert witnesses[: len(outputs)] == [None] * len(outputs)
+    assert witnesses[len(outputs)] == (("a", "b"), ("a",), 2)
+    assert all(w is not None for w in witnesses[len(outputs):])
     assert not is_ultimately_stable(unstable_iba())
 
 
