@@ -21,7 +21,7 @@ from .fields import QQ
 from .graphs import nodes_on_cycles, reachable_from, reaches_any, strongly_connected_components
 from .ifa import _transition_relation, words_up_to
 from .matrix import Matrix
-from .wa import _check_shapes, _distinct_letters
+from .wa import _check_shapes, _distinct_letters, _LetterMatrices
 
 __all__ = [
     "Nba",
@@ -96,7 +96,7 @@ class Lasso:
         return "Lasso(%r, %r)" % ("".join(map(str, self.stem)), "".join(map(str, self.cycle)))
 
 
-class Iba:
+class Iba(_LetterMatrices):
     """Weighted automaton with Buchi-style acceptance: rational matrices,
     a rational init row and a set of final states.  The value of an
     infinite word is the sum over final paths of the path weights; for the
@@ -126,16 +126,6 @@ class Iba:
         self.n = n
         self._edges = None
         self._stable = None
-
-    @property
-    def state_count(self):
-        return self.n
-
-    def matrix(self, letter):
-        try:
-            return self.trans[letter]
-        except KeyError:
-            raise InputError("letter %r is not in the alphabet" % (letter,)) from None
 
     def nonzero_edge_graph(self):
         """{state: tuple of states reached by a nonzero weight under some

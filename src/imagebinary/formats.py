@@ -185,23 +185,27 @@ def _trans_block(lines, alphabet, trans, field):
 def serialize_automaton(obj):
     """Canonical text form of a weighted automaton, Buchi acceptor or
     weighted Buchi automaton."""
-    lines = []
     if isinstance(obj, WeightedAutomaton):
-        field = obj.field
-        lines.append("kind: wa")
-        lines.append("field: %s" % (field.name,))
-        lines.append("alphabet: %s" % " ".join(obj.alphabet))
-        lines.append("states: %d" % (obj.n,))
+        kind, field = "wa", obj.field
+    elif isinstance(obj, Nba):
+        kind, field = "nba", QQ
+    elif isinstance(obj, Iba):
+        kind, field = "iba", QQ
+    else:
+        raise ValidationError("cannot serialize %r" % (type(obj).__name__,))
+    lines = [
+        "kind: " + kind,
+        "field: " + field.name,
+        "alphabet: " + " ".join(obj.alphabet),
+        "states: %d" % (obj.state_count,),
+    ]
+    if kind == "wa":
         lines.append("initial: %s" % " ".join(field.format(x) for x in obj.init.rows[0]))
         lines.append(
             "final: %s" % " ".join(field.format(obj.final.rows[i][0]) for i in range(obj.n))
         )
         _trans_block(lines, obj.alphabet, obj.trans, field)
-    elif isinstance(obj, Nba):
-        lines.append("kind: nba")
-        lines.append("field: rational")
-        lines.append("alphabet: %s" % " ".join(obj.alphabet))
-        lines.append("states: %d" % (obj.state_count,))
+    elif kind == "nba":
         lines.append("initial: %s" % " ".join(str(q + 1) for q in sorted(obj.initial)))
         lines.append("final: %s" % " ".join(str(q + 1) for q in sorted(obj.final)))
         for (q, a), succs in sorted(
@@ -209,11 +213,7 @@ def serialize_automaton(obj):
         ):
             for q2 in sorted(succs):
                 lines.append("trans %s %d %d 1" % (a, q + 1, q2 + 1))
-    elif isinstance(obj, Iba):
-        lines.append("kind: iba")
-        lines.append("field: rational")
-        lines.append("alphabet: %s" % " ".join(obj.alphabet))
-        lines.append("states: %d" % (obj.n,))
+    else:
         if obj.state_labels is not None:
             for i, label in enumerate(obj.state_labels):
                 if isinstance(label, CountVector):
@@ -223,8 +223,6 @@ def serialize_automaton(obj):
         lines.append("initial: %s" % " ".join(QQ.format(x) for x in obj.init.rows[0]))
         lines.append("final: %s" % " ".join(str(q + 1) for q in sorted(obj.final)))
         _trans_block(lines, obj.alphabet, obj.trans, QQ)
-    else:
-        raise ValidationError("cannot serialize %r" % (type(obj).__name__,))
     return "\n".join(lines) + "\n"
 
 

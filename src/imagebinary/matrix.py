@@ -1,6 +1,7 @@
 """Immutable exact matrices over QQ or F2, plus the linear algebra the
-automata algorithms need: products, Kronecker products, rank, unique
-solving and inversion, all by fraction-exact Gaussian elimination.
+automata algorithms need: products, Kronecker products, rank and
+inversion by exact Gaussian elimination, and unique solving by
+fraction-free (Bareiss) elimination.
 
 A matrix is frozen at construction: rows are tuples, and the sparse view
 ``nonzero_rows`` is computed once, on first use.  Vectors travelling
@@ -10,7 +11,10 @@ through the span-exploration algorithms are kept as sparse dicts
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import InputError, InternalInvariantError
+from .fields import QQ
 
 __all__ = ["Matrix", "CoordBasis"]
 
@@ -197,6 +201,11 @@ class Matrix:
     def solve_unique(self, rhs):
         """Solve self * x = rhs where self may have extra rows.
 
+        Fraction-free (Bareiss) elimination: rational rows are scaled to
+        integers by the lcm of their denominators, and each update
+        (p * row - f * pivot_row) // previous pivot divides exactly.  Back
+        substitution is in the field; over F2 every pivot is one.
+
         Requires full column rank and a consistent system; anything else
         raises InternalInvariantError since callers only assemble systems
         that are provably uniquely solvable.
@@ -204,9 +213,12 @@ class Matrix:
         if rhs.nrows != self.nrows or rhs.ncols != 1:
             raise InputError("right hand side shape mismatch")
         field = self.field
-        zero = field.zero
         n = self.ncols
         work = [list(r) + [b[0]] for r, b in zip(self.rows, rhs.rows)]
+        prev = field.one
+        if field is QQ:
+            work = [_integral(r) for r in work]
+            prev = 1
         m = len(work)
         pivots = []
         row_at = 0
@@ -215,12 +227,14 @@ class Matrix:
             if piv is None:
                 continue
             work[row_at], work[piv] = work[piv], work[row_at]
-            inv = field.one / work[row_at][col]
-            work[row_at] = [x * inv for x in work[row_at]]
-            for r in range(m):
-                if r != row_at and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[row_at])]
+            prow = work[row_at]
+            p = prow[col]
+            tail = prow[col:]
+            for r in range(row_at + 1, m):
+                row = work[r]
+                f = row[col]
+                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
+            prev = p
             pivots.append(col)
             row_at += 1
         if len(pivots) < n:
@@ -228,10 +242,21 @@ class Matrix:
         for r in range(row_at, m):
             if work[r][n]:
                 raise InternalInvariantError("inconsistent linear system")
-        x = [zero] * n
-        for r, col in enumerate(pivots):
-            x[col] = work[r][n]
+        x = [None] * n
+        for r in range(n - 1, -1, -1):
+            row = work[r]
+            acc = field.of(row[n])
+            for j in range(r + 1, n):
+                if row[j]:
+                    acc = acc - row[j] * x[j]
+            x[r] = acc / row[r]
         return Matrix.col_vector(field, x)
+
+
+def _integral(row):
+    """A rational row times the lcm of its denominators: a row of ints."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 class CoordBasis:

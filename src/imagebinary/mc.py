@@ -2,10 +2,13 @@
 Markov chains.
 
 The probability that the chain emits a word of value 1 is read off an
-exact linear system over the product of the chain with the automaton:
-recurrent strongly connected components are detected combinatorially by
-a fiber search (a cut is a set of runs that can never all die), cuts
-normalize the system, and everything else is forced by z = Bz.
+exact linear system z = Bz over the product of the chain with the
+automaton: recurrent strongly connected components are detected
+combinatorially by a fiber search (a cut is a set of runs that can never
+all die), cuts normalize the system, and it is solved one SCC at a time
+from the sinks (the cut-and-fiber method of Baier, Kiefer, Klein,
+Klueppelholz, Mueller and Worrell, "Markov chains and unambiguous Buchi
+automata", CAV 2016).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from .buchi import is_ultimately_stable, trim_iba
 from .errors import InputError, InternalInvariantError, SemanticError, ValidationError
 from .fields import QQ
-from .graphs import nodes_on_cycles, reaches_any, strongly_connected_components
+from .graphs import reaches_any, strongly_connected_components
 from .matrix import Matrix
 
 __all__ = [
@@ -157,8 +160,18 @@ def build_product(iba, chain):
         for s in range(ns):
             row = label_rows[s][q]
             graph[(q, s)] = [(q2, s2) for s2, _p in chain_rows[s] for q2, _w in row]
-    anchors = [x for x in nodes_on_cycles(graph) if x[0] in aut.final]
-    keep = sorted(reaches_any(graph, anchors))
+    # one Tarjan pass, sinks first: keep the SCCs that hold or reach an
+    # accepting cycle
+    comps = strongly_connected_components(graph)
+    comp_of = {x: d for d, comp in enumerate(comps) for x in comp}
+    live = [False] * len(comps)
+    for d, comp in enumerate(comps):
+        cyclic = len(comp) > 1 or comp[0] in graph[comp[0]]
+        live[d] = (cyclic and any(q in aut.final for q, _s in comp)) or any(
+            live[comp_of[y]] for x in comp for y in graph[x]
+        )
+    sccs = [tuple(sorted(comp)) for d, comp in enumerate(comps) if live[d]]
+    keep = sorted(x for comp in sccs for x in comp)
     if not keep:
         return ProductSystem(aut, chain, (), Matrix.zeros(QQ, 0, 0), (), ())
     index = {x: i for i, x in enumerate(keep)}
@@ -172,9 +185,6 @@ def build_product(iba, chain):
                 if j is not None:
                     entries[index[x], j] = p * w
     B = Matrix.from_entries(QQ, n, n, entries)
-    kept_graph = {x: [y for y in graph[x] if y in index] for x in keep}
-    sccs = strongly_connected_components(kept_graph)
-    sccs = [tuple(sorted(c)) for c in sccs]
     ps = ProductSystem(aut, chain, keep, B, sccs, ())
     ps.classes = tuple(classify_scc(ps, d) for d in range(len(sccs)))
     return ps
@@ -229,42 +239,54 @@ def classify_scc(ps, d):
 
 
 def solve_values(ps):
-    """Exact solution of z = Bz with one normalizer row per accepting
-    recurrent component (its cut entries sum to 1) and zero rows on
-    non-accepting recurrent components.  The solved vector is checked to
-    be a fixed point of B with all entries in [0, 1]."""
+    """Exact solution of z = Bz, one SCC C at a time in the order of
+    ``ps.classes`` (sinks first), so the values C reads outside itself
+    are known.  A non-accepting recurrent C gets z_C = 0; any other C
+    solves (I - B_CC) z_C = B_C,out z_out, and an accepting recurrent C
+    adds its cut normalizer row (cut entries sum to 1), which pins the
+    one-dimensional kernel of I - B_CC.  The solved vector is checked
+    to be a fixed point of the whole B with all entries in [0, 1]."""
     n = ps.node_count
     if n == 0:
         ps.z = ()
         return ()
-    rows = []
-    rhs = []
-    ident = Matrix.identity(QQ, n)
-    for i in range(n):
-        rows.append([ident.rows[i][j] - ps.B.rows[i][j] for j in range(n)])
-        rhs.append(QQ.zero)
+    brows = ps.B.nonzero_rows()
+    z = [None] * n
     for cls in ps.classes:
-        if not cls.recurrent:
+        idx = [ps.index[x] for x in cls.nodes]
+        if cls.recurrent and not cls.accepting:
+            for i in idx:
+                z[i] = QQ.zero
             continue
-        if cls.accepting:
-            row = [QQ.zero] * n
-            for q in sorted(cls.cut.states):
-                row[ps.index[(q, cls.cut.s)]] = QQ.one
+        local = {i: k for k, i in enumerate(idx)}
+        rows = []
+        rhs = []
+        for k, i in enumerate(idx):
+            row = [QQ.zero] * len(idx)
+            row[k] = QQ.one
+            b = QQ.zero
+            for j, w in brows[i]:
+                c = local.get(j)
+                if c is not None:
+                    row[c] -= w
+                elif z[j] is None:
+                    raise InternalInvariantError("successor value read before it is solved")
+                else:
+                    b += w * z[j]
+            rows.append(row)
+            rhs.append(b)
+        if cls.recurrent:
+            row = [QQ.zero] * len(idx)
+            for q in cls.cut.states:
+                row[local[ps.index[(q, cls.cut.s)]]] = QQ.one
             rows.append(row)
             rhs.append(QQ.one)
-        else:
-            for x in cls.nodes:
-                row = [QQ.zero] * n
-                row[ps.index[x]] = QQ.one
-                rows.append(row)
-                rhs.append(QQ.zero)
-    system = Matrix(QQ, rows)
-    rhs_col = Matrix(QQ, [[v] for v in rhs])
-    sol = system.solve_unique(rhs_col)
-    z = tuple(sol.rows[i][0] for i in range(n))
-    fixed = ps.B * sol
+        sol = Matrix(QQ, rows).solve_unique(Matrix.col_vector(QQ, rhs))
+        for i, (v,) in zip(idx, sol.rows):
+            z[i] = v
+    z = tuple(z)
     for i in range(n):
-        if fixed.rows[i][0] != z[i]:
+        if sum((w * z[j] for j, w in brows[i]), QQ.zero) != z[i]:
             raise InternalInvariantError("solved vector is not a fixed point of B")
     for v in z:
         if v < 0 or v > 1:

@@ -31,7 +31,22 @@ __all__ = [
 ]
 
 
-class WeightedAutomaton:
+class _LetterMatrices:
+    """Base of the automata given by one n x n matrix per letter in
+    ``trans`` (``WeightedAutomaton`` and ``buchi.Iba``)."""
+
+    @property
+    def state_count(self):
+        return self.n
+
+    def matrix(self, letter):
+        try:
+            return self.trans[letter]
+        except KeyError:
+            raise InputError("letter %r is not in the alphabet" % (letter,)) from None
+
+
+class WeightedAutomaton(_LetterMatrices):
     """A field-weighted automaton with a row init vector and column final
     vector.  ``trans`` maps each alphabet letter to its n x n matrix."""
 
@@ -44,16 +59,6 @@ class WeightedAutomaton:
         self.n = _check_shapes(field, self.alphabet, self.trans, init)
         if final.ncols != 1 or final.nrows != self.n:
             raise InputError("final must be an n x 1 column vector")
-
-    @property
-    def state_count(self):
-        return self.n
-
-    def matrix(self, letter):
-        try:
-            return self.trans[letter]
-        except KeyError:
-            raise InputError("letter %r is not in the alphabet" % (letter,)) from None
 
     def word_matrix(self, word):
         m = Matrix.identity(self.field, self.n)

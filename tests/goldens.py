@@ -3,9 +3,11 @@
 Everything here is constructed directly from first principles (explicit
 matrices, explicit transition tables, explicit language predicates) so
 the tests that use these builders compare library output against
-independent ground truth.  The reference lasso analysis at the end is
-the separate stem-layer / cycle-graph / tail-count path the library's
-lasso engine replaced, kept as an oracle.
+independent ground truth.  The reference lasso analysis is the separate
+stem-layer / cycle-graph / tail-count path the library's lasso engine
+replaced, and the reference solvers at the end are the Gauss-Jordan
+elimination and the global dense product solve that the SCC-by-SCC,
+fraction-free solve replaced; all are kept as oracles.
 """
 
 import itertools
@@ -14,12 +16,14 @@ from fractions import Fraction
 
 from imagebinary import (
     Iba,
+    InternalInvariantError,
     Lasso,
     MarkovChain,
     Matrix,
     Nba,
     OVERFLOW,
     QQ,
+    SemanticError,
     WeightedAutomaton,
 )
 from imagebinary.graphs import nodes_on_cycles, reachable_from, reaches_any
@@ -193,6 +197,40 @@ def unary_chain():
     return MarkovChain(Matrix(QQ, [[Fraction(1)]]), [Fraction(1)], ["a"], ("a",))
 
 
+def closed_block_chain(rng, blocks, block_size, transient, alphabet=("a", "b")):
+    """Chain whose first blocks * block_size states form closed blocks,
+    each labelled from one letter pattern, and whose last ``transient``
+    states lead into them; the transient states start the chain, so
+    acceptance probabilities are not all 0 or 1."""
+    n = blocks * block_size + transient
+    first = blocks * block_size
+    patterns = [alphabet[:1], alphabet[1:], alphabet]
+
+    def dist(support, must=None):
+        weights = [0] * n
+        for i in support:
+            weights[i] = rng.randint(0, 3)
+        if must is not None:
+            weights[must] += 1
+        if not any(weights):
+            weights[rng.choice(support)] = 1
+        return [Fraction(w, sum(weights)) for w in weights]
+
+    rows, labels = [], []
+    for b in range(blocks):
+        members = list(range(b * block_size, (b + 1) * block_size))
+        for _ in members:
+            rows.append(dist(members))
+            labels.append(rng.choice(patterns[b % 3]))
+    for _ in range(transient):
+        exits = rng.sample(range(first), min(2, first))
+        rows.append(dist(list(range(first, n)) + exits, must=exits[0]))
+        labels.append(rng.choice(alphabet))
+    init = [Fraction(0)] * first + dist(list(range(first, n)))[first:]
+    init = [x / sum(init) for x in init]
+    return MarkovChain(Matrix(QQ, rows), init, labels, tuple(alphabet))
+
+
 def thirds_chain():
     """Three states labeled a, b, b entered uniformly; the first letter
     is a with probability exactly 1/3."""
@@ -316,3 +354,80 @@ def reference_lasso_count(nba, lasso, cap):
         if node in live:
             total += c * counts[node]
     return total if total <= cap else OVERFLOW
+
+
+# === Reference solvers ===
+
+
+def reference_solve_unique(matrix, rhs):
+    """Gauss-Jordan over the field: the unique x with matrix * x = rhs;
+    InternalInvariantError without full column rank or consistency."""
+    field = matrix.field
+    n = matrix.ncols
+    work = [list(r) + [b[0]] for r, b in zip(matrix.rows, rhs.rows)]
+    m = len(work)
+    pivots = []
+    row_at = 0
+    for col in range(n):
+        piv = next((r for r in range(row_at, m) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[row_at], work[piv] = work[piv], work[row_at]
+        inv = field.one / work[row_at][col]
+        work[row_at] = [x * inv for x in work[row_at]]
+        for r in range(m):
+            if r != row_at and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[row_at])]
+        pivots.append(col)
+        row_at += 1
+    if len(pivots) < n:
+        raise InternalInvariantError("linear system does not have full column rank")
+    for r in range(row_at, m):
+        if work[r][n]:
+            raise InternalInvariantError("inconsistent linear system")
+    x = [field.zero] * n
+    for r, col in enumerate(pivots):
+        x[col] = work[r][n]
+    return Matrix.col_vector(field, x)
+
+
+def reference_solve_values(ps):
+    """z from one dense system over the whole product: the rows of I - B,
+    one cut normaliser row per accepting recurrent class and z = 0 rows
+    on non-accepting recurrent classes, then the same fixed-point and
+    [0, 1] checks as the library.  Leaves ``ps.z`` alone."""
+    n = ps.node_count
+    if n == 0:
+        return ()
+    rows = []
+    rhs = []
+    ident = Matrix.identity(QQ, n)
+    for i in range(n):
+        rows.append([ident.rows[i][j] - ps.B.rows[i][j] for j in range(n)])
+        rhs.append(QQ.zero)
+    for cls in ps.classes:
+        if not cls.recurrent:
+            continue
+        if cls.accepting:
+            row = [QQ.zero] * n
+            for q in sorted(cls.cut.states):
+                row[ps.index[(q, cls.cut.s)]] = QQ.one
+            rows.append(row)
+            rhs.append(QQ.one)
+        else:
+            for x in cls.nodes:
+                row = [QQ.zero] * n
+                row[ps.index[x]] = QQ.one
+                rows.append(row)
+                rhs.append(QQ.zero)
+    sol = reference_solve_unique(Matrix(QQ, rows), Matrix.col_vector(QQ, rhs))
+    z = tuple(sol.rows[i][0] for i in range(n))
+    fixed = ps.B * sol
+    for i in range(n):
+        if fixed.rows[i][0] != z[i]:
+            raise InternalInvariantError("solved vector is not a fixed point of B")
+    for v in z:
+        if v < 0 or v > 1:
+            raise SemanticError("input not image-binary")
+    return z

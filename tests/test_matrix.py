@@ -16,6 +16,8 @@ from imagebinary import (
 from imagebinary.fixtures import random_invertible_int_matrix
 from imagebinary.matrix import CoordBasis
 
+from goldens import reference_solve_unique
+
 
 def mat(rows):
     return Matrix.from_ints(QQ, rows)
@@ -175,6 +177,80 @@ def test_solve_unique_matches_inverse():
         m = random_invertible_int_matrix(rng, 3)
         rhs = Matrix.col_vector(QQ, [Fraction(rng.randint(-5, 5)) for _ in range(3)])
         assert m.solve_unique(rhs) == m.inverse() * rhs
+
+
+def test_solve_unique_gf2_golden():
+    def col(bits):
+        return Matrix.col_vector(F2, [F2.of(b) for b in bits])
+
+    # consistent and overdetermined: x = (1, 0, 0)
+    a = Matrix.from_ints(F2, [[1, 1, 0], [0, 1, 1], [1, 1, 1], [1, 0, 1]])
+    assert a.solve_unique(col([1, 0, 1, 1])) == col([1, 0, 0])
+    # invertible over QQ, but the rows sum to zero over F2
+    cyclic = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    assert mat(cyclic).solve_unique(Matrix.col_vector(QQ, [Fraction(1), Fraction(0), Fraction(1)])) == (
+        Matrix.col_vector(QQ, [Fraction(1), Fraction(0), Fraction(0)])
+    )
+    with pytest.raises(InternalInvariantError, match="full column rank"):
+        Matrix.from_ints(F2, cyclic).solve_unique(col([1, 0, 1]))
+    # x = (1, 1) meets the first two rows; the third asks 1 + 1 = 1
+    with pytest.raises(InternalInvariantError, match="inconsistent"):
+        Matrix.from_ints(F2, [[1, 0], [0, 1], [1, 1]]).solve_unique(col([1, 1, 1]))
+
+
+def random_rational_rows(rng, nrows, ncols):
+    return [
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.6 else Fraction(0)
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def test_solve_unique_matches_reference_on_random_systems():
+    """Square, overdetermined-consistent, inconsistent and rank-deficient
+    rational systems: the same solution or the same exception class as
+    Gauss-Jordan elimination."""
+    rng = random.Random(29)
+    outcomes = {}
+    for trial in range(400):
+        kind = ("square", "overdetermined", "inconsistent", "rank-deficient")[trial % 4]
+        n = rng.randint(1, 7)
+        rows = random_rational_rows(rng, n, n)
+        if kind == "rank-deficient" and n > 1:
+            j, k = rng.sample(range(n), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for row in rows:
+                row[j] = c * row[k]
+        if kind in ("overdetermined", "inconsistent"):
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                rows.append([x + c * y for x, y in zip(a, b)])
+        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
+        rhs = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+        if kind == "inconsistent":
+            rhs[-1] += 1
+        system = Matrix(QQ, rows)
+        b = Matrix.col_vector(QQ, rhs)
+        try:
+            expected = reference_solve_unique(system, b)
+        except InternalInvariantError as exc:
+            expected = type(exc), str(exc)
+        try:
+            got = system.solve_unique(b)
+        except InternalInvariantError as exc:
+            got = type(exc), str(exc)
+        assert got == expected, (kind, rows, rhs)
+        if isinstance(got, Matrix):
+            assert system * got == b
+            outcome = "solved"
+        else:
+            outcome = got[1]
+        outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
+    assert outcomes["square", "solved"] > 50
+    assert outcomes["overdetermined", "solved"] > 50
+    assert outcomes["inconsistent", "inconsistent linear system"] > 50
+    assert outcomes["rank-deficient", "linear system does not have full column rank"] > 50
 
 
 # === Coordinate basis ===

@@ -3,6 +3,7 @@ independent deterministic-product oracle (own SCC search and Gaussian
 elimination) and exact residual checks on the solved systems."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from imagebinary import (
     Fiber,
     Iba,
     InputError,
+    InternalInvariantError,
     Lasso,
     MarkovChain,
     Matrix,
@@ -25,17 +27,21 @@ from imagebinary import (
     spectral_spot_check,
     trim_iba,
 )
-from imagebinary.fixtures import random_mc
+from imagebinary.fixtures import bounded_ambiguity_nba, random_mc
+from imagebinary.graphs import nodes_on_cycles, reaches_any, strongly_connected_components
 
 from goldens import (
+    closed_block_chain,
     dba_suite,
     fanout_unary_nba,
     first_letter_a_dba,
+    reference_solve_values,
     thirds_chain,
     unary_chain,
 )
 
 F = Fraction
+ALPHABET = ("a", "b")
 
 
 def accept_all_iba(alphabet=("a", "b")):
@@ -378,3 +384,97 @@ def test_disambiguation_pipeline_end_to_end():
     assert model_check(iba, thirds_chain()) == oracle_probability(
         inf_a, thirds_chain()
     )
+
+
+# === SCC-by-SCC solve against the global dense solve ===
+
+
+def matches_global_solve(ps):
+    z = solve_values(ps)
+    assert z == reference_solve_values(ps)
+    assert ps.z == z
+    return z
+
+
+def test_product_keeps_sccs_reaching_accepting_cycles_sinks_first():
+    rng = random.Random(53)
+    for dba in dba_suite():
+        for chain in (random_mc(rng, 4, ALPHABET), closed_block_chain(rng, 2, 2, 3)):
+            ps = build_product(dba.to_iba(), chain)
+            aut = ps.automaton
+            graph = {
+                (q, s): [
+                    (q2, t)
+                    for t, _p in chain.matrix.nonzero_rows()[s]
+                    for q2, _w in aut.matrix(chain.labels[s]).nonzero_rows()[q]
+                ]
+                for q in range(aut.n)
+                for s in range(chain.state_count)
+            }
+            anchors = [x for x in nodes_on_cycles(graph) if x[0] in aut.final]
+            assert list(ps.nodes) == sorted(reaches_any(graph, anchors))
+            kept = {x: [y for y in graph[x] if y in ps.index] for x in ps.nodes}
+            assert {frozenset(c) for c in ps.sccs} == {
+                frozenset(c) for c in strongly_connected_components(kept)
+            }
+            for i, row in enumerate(ps.B.nonzero_rows()):
+                for j, _w in row:
+                    assert ps.scc_of(ps.nodes[j]) <= ps.scc_of(ps.nodes[i])
+
+
+def test_solve_matches_global_solve_on_suite():
+    chains = seeded_chains(5, random.Random(101))  # the c09 chains
+    for dba in dba_suite():
+        for chain in chains:
+            matches_global_solve(build_product(dba.to_iba(), chain))
+
+
+def test_solve_matches_global_solve_on_kdis_products():
+    rng = random.Random(33)  # products of 15 to 147 nodes
+    sizes = []
+    while len(sizes) < 12:
+        k = rng.choice((1, 2))
+        iba = kdis(bounded_ambiguity_nba(rng, k, rng.randint(2, 4), ALPHABET), k)
+        ps = build_product(iba, random_mc(rng, rng.randint(2, 8), ALPHABET))
+        if 0 < ps.node_count <= 200:
+            matches_global_solve(ps)
+            sizes.append(ps.node_count)
+    assert max(sizes) >= 100
+
+
+def test_solve_matches_global_solve_on_closed_block_chains():
+    rng = random.Random(47)
+    fractional = 0
+    for dba in dba_suite():
+        for _ in range(3):
+            chain = closed_block_chain(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4))
+            fractional += sum(1 for v in matches_global_solve(build_product(dba.to_iba(), chain)) if 0 < v < 1)
+            assert model_check(dba.to_iba(), chain) == oracle_probability(dba, chain), dba.name
+    for _ in range(10):
+        k = rng.choice((1, 2))
+        iba = kdis(bounded_ambiguity_nba(rng, k, rng.randint(2, 3), ALPHABET), k)
+        chain = closed_block_chain(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4))
+        fractional += sum(1 for v in matches_global_solve(build_product(iba, chain)) if 0 < v < 1)
+    assert fractional > 0
+
+
+def test_solve_refuses_to_read_unsolved_successors():
+    ps = build_product(first_letter_a_dba().to_iba(), thirds_chain())
+    ps.classes = tuple(reversed(ps.classes))
+    with pytest.raises(InternalInvariantError, match="before it is solved"):
+        solve_values(ps)
+
+
+def test_dense_product_solves_within_budget():
+    # 26-state kdis output x 16-state chain: 416 product nodes, with
+    # strongly connected components of up to 192 nodes
+    rng = random.Random(5)
+    while True:
+        iba = kdis(bounded_ambiguity_nba(rng, 2, 4, ALPHABET), 2)
+        if 20 <= iba.n <= 26:
+            break
+    chain = random_mc(random.Random(16), 16, ALPHABET)
+    start = time.monotonic()
+    assert model_check(iba, chain) == 1
+    assert time.monotonic() - start < 10.0
+    assert build_product(iba, chain).node_count == 416
