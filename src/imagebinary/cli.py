@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import QQ
-from .wa import WeightedAutomaton
+from .wa import WeightedAutomaton, _join_word
 
 __all__ = ["main"]
 
@@ -55,14 +55,6 @@ def _parse_word(alphabet, text):
     return tuple(text.split(","))
 
 
-def _join_word(word):
-    if not word:
-        return '""'
-    if all(len(a) == 1 for a in word):
-        return "".join(word)
-    return ",".join(word)
-
-
 def _parse_lasso(alphabet, text):
     if ":" not in text:
         raise InputError("lasso words are written stem:cycle")
@@ -71,7 +63,8 @@ def _parse_lasso(alphabet, text):
 
 
 def _join_lasso(lasso):
-    return "%s:%s" % ("".join(map(str, lasso.stem)), "".join(map(str, lasso.cycle)))
+    stem = _join_word(lasso.stem) if lasso.stem else ""
+    return "%s:%s" % (stem, _join_word(lasso.cycle))
 
 
 def _parse_bits(text, what):
@@ -104,12 +97,6 @@ def _load_nba(path):
 
 def _load_iba(path):
     return _load(path, Iba, "iba")
-
-
-def _require_image_binary(automaton):
-    ok, witness = ifa.is_image_binary(automaton)
-    if not ok:
-        raise SemanticError("not image-binary (witness word %s)" % (_join_word(witness),))
 
 
 def _cmd_eval(args):
@@ -158,7 +145,7 @@ def _cmd_check_ifa(args):
 
 def _one_input_op(args, op):
     automaton = _load_rational_wa(args.automaton)
-    _require_image_binary(automaton)
+    ifa.require_image_binary(automaton)
     out = op(automaton)
     formats.save_automaton(args.out, out)
     return {"states": out.n, "output": args.out}, ["states: %d" % (out.n,)], []
@@ -171,8 +158,8 @@ def _cmd_complement(args):
 def _two_input_op(args, op):
     a = _load_rational_wa(args.left)
     b = _load_rational_wa(args.right)
-    _require_image_binary(a)
-    _require_image_binary(b)
+    ifa.require_image_binary(a)
+    ifa.require_image_binary(b)
     out = op(a, b)
     formats.save_automaton(args.out, out)
     return {"states": out.n, "output": args.out}, ["states: %d" % (out.n,)], []
@@ -188,7 +175,7 @@ def _cmd_union(args):
 
 def _cmd_to_dfa(args):
     automaton = _load_rational_wa(args.automaton)
-    _require_image_binary(automaton)
+    ifa.require_image_binary(automaton)
     dfa = ifa.ifa_to_dfa(automaton)
     out = ifa.dfa_to_ifa(dfa, QQ)
     formats.save_automaton(args.out, out)

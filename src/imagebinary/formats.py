@@ -28,9 +28,6 @@ __all__ = [
     "save_markov_chain",
 ]
 
-_HEADERS = ("kind:", "field:", "alphabet:", "states:", "initial:", "final:")
-
-
 def _content_lines(text):
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -70,21 +67,21 @@ def _parse_index_line(toks, n, lineno, what):
     return out
 
 
-def parse_automaton(text):
-    """Parse one automaton document; the `kind:` header picks the type
-    (wa, nba or iba)."""
-    headers = {}
-    header_lines = {}
-    trans_lines = []
+def _read_document(text, required, optional, body_key):
+    """Split one document into its `name:` headers and its body lines.
+
+    Returns the header values {name: tokens}, their line numbers, the
+    state count and the body lines (lineno, tokens after ``body_key``).
+    Unrecognized lines, duplicate or missing headers and a state count
+    below 1 are refused.
+    """
+    keys = {name + ":" for name in required + optional}
+    headers, header_lines, body = {}, {}, []
     for lineno, toks in _content_lines(text):
         key = toks[0]
-        if key == "trans":
-            if len(toks) != 5:
-                raise ParseError(
-                    "trans lines take exactly letter, from, to, weight", line=lineno
-                )
-            trans_lines.append((lineno, toks[1], toks[2], toks[3], toks[4]))
-        elif key in _HEADERS:
+        if key == body_key:
+            body.append((lineno, toks[1:]))
+        elif key in keys:
             name = key[:-1]
             if name in headers:
                 raise ParseError("duplicate %r header" % (name,), line=lineno)
@@ -92,20 +89,31 @@ def parse_automaton(text):
             header_lines[name] = lineno
         else:
             raise ParseError("unrecognized line starting with %r" % (key,), line=lineno)
-
-    for required in ("kind", "alphabet", "states", "initial", "final"):
-        if required not in headers:
-            raise ParseError("missing %r header" % (required,))
-    if len(headers["kind"]) != 1 or headers["kind"][0] not in ("wa", "nba", "iba"):
-        raise ParseError(
-            "kind must be one of wa, nba, iba", line=header_lines["kind"]
-        )
-    kind = headers["kind"][0]
+    for name in required:
+        if name not in headers:
+            raise ParseError("missing %r header" % (name,))
     if len(headers["states"]) != 1:
         raise ParseError("states header takes one value", line=header_lines["states"])
     n = _parse_int(headers["states"][0], "state count", header_lines["states"])
     if n < 1:
         raise ValidationError("state count must be at least 1")
+    return headers, header_lines, n, body
+
+
+def parse_automaton(text):
+    """Parse one automaton document; the `kind:` header picks the type
+    (wa, nba or iba)."""
+    headers, header_lines, n, trans_lines = _read_document(
+        text, ("kind", "alphabet", "states", "initial", "final"), ("field",), "trans"
+    )
+    for lineno, toks in trans_lines:
+        if len(toks) != 4:
+            raise ParseError("trans lines take exactly letter, from, to, weight", line=lineno)
+    if len(headers["kind"]) != 1 or headers["kind"][0] not in ("wa", "nba", "iba"):
+        raise ParseError(
+            "kind must be one of wa, nba, iba", line=header_lines["kind"]
+        )
+    kind = headers["kind"][0]
     alphabet = tuple(headers["alphabet"])
     if not alphabet:
         raise ValidationError("alphabet must be nonempty")
@@ -134,7 +142,7 @@ def parse_automaton(text):
 
     def read_transitions(weight_field):
         seen = {}
-        for lineno, letter, si, sj, sw in trans_lines:
+        for lineno, (letter, si, sj, sw) in trans_lines:
             if letter not in alphabet:
                 raise ValidationError(
                     "line %d: letter %r is not in the alphabet" % (lineno, letter)
@@ -229,29 +237,9 @@ def serialize_automaton(obj):
 def parse_markov_chain(text):
     """Parse one Markov chain document: states, alphabet, initial
     distribution, per-state labels and one `row:` line per state."""
-    headers = {}
-    header_lines = {}
-    rows = []
-    for lineno, toks in _content_lines(text):
-        key = toks[0]
-        if key == "row:":
-            rows.append((lineno, toks[1:]))
-        elif key in ("states:", "alphabet:", "initial:", "labels:"):
-            name = key[:-1]
-            if name in headers:
-                raise ParseError("duplicate %r header" % (name,), line=lineno)
-            headers[name] = toks[1:]
-            header_lines[name] = lineno
-        else:
-            raise ParseError("unrecognized line starting with %r" % (key,), line=lineno)
-    for required in ("states", "alphabet", "initial", "labels"):
-        if required not in headers:
-            raise ParseError("missing %r header" % (required,))
-    if len(headers["states"]) != 1:
-        raise ParseError("states header takes one value", line=header_lines["states"])
-    n = _parse_int(headers["states"][0], "state count", header_lines["states"])
-    if n < 1:
-        raise ValidationError("state count must be at least 1")
+    headers, header_lines, n, rows = _read_document(
+        text, ("states", "alphabet", "initial", "labels"), (), "row:"
+    )
     alphabet = tuple(headers["alphabet"])
     if len(rows) != n:
         raise ValidationError("expected %d row: lines, got %d" % (n, len(rows)))

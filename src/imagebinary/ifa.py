@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, SemanticError
 from .fields import F2, QQ
 from .matrix import CoordBasis, Matrix
 from .wa import (
@@ -26,7 +26,8 @@ from .wa import (
     span_explore,
     _col_sparse,
     _distinct_letters,
-    _dot_col,
+    _dot,
+    _join_word,
     _mat_vec,
     _row_sparse,
     _vec_mat,
@@ -37,6 +38,7 @@ __all__ = [
     "Nfa",
     "HankelBlock",
     "is_image_binary",
+    "require_image_binary",
     "complement",
     "intersect",
     "union",
@@ -137,6 +139,7 @@ def is_image_binary(automaton):
     if a.field is not QQ:
         raise InputError("image-binary analysis is defined over the rationals")
     n = a.n
+    final = _col_sparse(a.final)
 
     def step(v, letter):
         return _vec_mat(v, a.matrix(letter))
@@ -150,13 +153,21 @@ def is_image_binary(automaton):
         return combined
 
     def observe(v):
-        val = _dot_col(v, a.final)
+        val = _dot(v, final, QQ.zero)
         return val - val * val
 
     _, _, _, witness = span_explore(
         QQ, _row_sparse(a.init), a.alphabet, step, to_vector, observe
     )
     return (witness is None), witness
+
+
+def require_image_binary(automaton):
+    """Raise SemanticError, naming a shortest word whose value is outside
+    {0, 1}, unless the automaton is image-binary."""
+    ok, witness = is_image_binary(automaton)
+    if not ok:
+        raise SemanticError("not image-binary (witness word %s)" % (_join_word(witness),))
 
 
 def complement(automaton):
@@ -195,18 +206,10 @@ def ifa_to_dfa(automaton):
     zero, one = field.zero, field.one
 
     def signature(v):
-        parts = []
-        for g in bvecs:
-            acc = zero
-            for i, c in v.items():
-                x = g.get(i)
-                if x is not None:
-                    acc = acc + c * x
-            parts.append(acc)
-        return tuple(parts)
+        return tuple(_dot(v, g, zero) for g in bvecs)
 
     def accepting_value(v):
-        val = _dot_col(v, a.final)
+        val = _dot(v, bwd, zero)
         if val != zero and val != one:
             raise InternalInvariantError(
                 "value %r outside {0,1}; input was not image-binary" % (val,)
@@ -313,20 +316,7 @@ def hankel_block(automaton, row_len, col_len):
             # column words extend on the left of the final vector
             bwd[w] = _mat_vec(a.matrix(w[0]), bwd[w[1:]])
     zero = a.field.zero
-    entries = []
-    for x in rows:
-        vx = fwd[x]
-        line = []
-        for y in cols:
-            gy = bwd[y]
-            small, big = (vx, gy) if len(vx) <= len(gy) else (gy, vx)
-            acc = zero
-            for i, c in small.items():
-                d = big.get(i)
-                if d is not None:
-                    acc = acc + c * d
-            line.append(acc)
-        entries.append(line)
+    entries = [[_dot(fwd[x], bwd[y], zero) for y in cols] for x in rows]
     return HankelBlock(rows, cols, Matrix(a.field, entries))
 
 

@@ -1,12 +1,14 @@
 """Immutable exact matrices over QQ or F2, plus the linear algebra the
-automata algorithms need: products, Kronecker products, rank and
-inversion by exact Gaussian elimination, and unique solving by
-fraction-free (Bareiss) elimination.
+automata algorithms need: products, Kronecker products, and rank,
+inversion and unique solving through one fraction-free (Bareiss)
+elimination.
 
 A matrix is frozen at construction: rows are tuples, and the sparse view
 ``nonzero_rows`` is computed once, on first use.  Vectors travelling
 through the span-exploration algorithms are kept as sparse dicts
-{index: scalar}; the incremental basis helper lives here too.
+{index: scalar}; ``CoordBasis``, the incremental basis with coordinate
+recovery that those algorithms grow one vector at a time, lives here
+too.
 """
 
 from __future__ import annotations
@@ -169,42 +171,21 @@ class Matrix:
     # --- elimination based routines ---
 
     def rank(self):
-        """Rank by incremental row reduction (exact in either field)."""
-        basis = CoordBasis(self.field)
-        for row in self.nonzero_rows():
-            basis.add(row)
-        return len(basis)
+        """Rank by fraction-free elimination (exact in either field)."""
+        return _eliminate(self.field, self.rows, self.ncols)[1]
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise InputError("only square matrices can be inverted")
-        n = self.nrows
-        field = self.field
-        zero, one = field.zero, field.one
-        work = [
-            list(r) + [one if i == j else zero for j in range(n)]
-            for i, r in enumerate(self.rows)
-        ]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col]), None)
-            if piv is None:
-                raise InputError("matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            inv = one / work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return Matrix(field, [row[n:] for row in work])
+        n, field = self.nrows, self.field
+        ident = Matrix.identity(field, n).rows
+        work, rank = _eliminate(field, [[*r, *e] for r, e in zip(self.rows, ident)], n)
+        if rank < n:
+            raise InputError("matrix is singular")
+        return Matrix(field, zip(*(_back_substitute(field, work, n, n + k) for k in range(n))))
 
     def solve_unique(self, rhs):
         """Solve self * x = rhs where self may have extra rows.
-
-        Fraction-free (Bareiss) elimination: rational rows are scaled to
-        integers by the lcm of their denominators, and each update
-        (p * row - f * pivot_row) // previous pivot divides exactly.  Back
-        substitution is in the field; over F2 every pivot is one.
 
         Requires full column rank and a consistent system; anything else
         raises InternalInvariantError since callers only assemble systems
@@ -212,50 +193,64 @@ class Matrix:
         """
         if rhs.nrows != self.nrows or rhs.ncols != 1:
             raise InputError("right hand side shape mismatch")
-        field = self.field
-        n = self.ncols
-        work = [list(r) + [b[0]] for r, b in zip(self.rows, rhs.rows)]
-        prev = field.one
-        if field is QQ:
-            work = [_integral(r) for r in work]
-            prev = 1
-        m = len(work)
-        pivots = []
-        row_at = 0
-        for col in range(n):
-            piv = next((r for r in range(row_at, m) if work[r][col]), None)
-            if piv is None:
-                continue
-            work[row_at], work[piv] = work[piv], work[row_at]
-            prow = work[row_at]
-            p = prow[col]
-            tail = prow[col:]
-            for r in range(row_at + 1, m):
-                row = work[r]
-                f = row[col]
-                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
-            prev = p
-            pivots.append(col)
-            row_at += 1
-        if len(pivots) < n:
+        n, field = self.ncols, self.field
+        work, rank = _eliminate(field, [[*r, *b] for r, b in zip(self.rows, rhs.rows)], n)
+        if rank < n:
             raise InternalInvariantError("linear system does not have full column rank")
-        for r in range(row_at, m):
-            if work[r][n]:
-                raise InternalInvariantError("inconsistent linear system")
-        x = [None] * n
-        for r in range(n - 1, -1, -1):
+        if any(row[n] for row in work[n:]):
+            raise InternalInvariantError("inconsistent linear system")
+        return Matrix.col_vector(field, _back_substitute(field, work, n, n))
+
+
+def _eliminate(field, rows, ncols):
+    """Fraction-free (Bareiss) forward elimination on the first ``ncols``
+    columns of ``rows``, carrying any later columns along; returns the
+    echelon rows and the rank, pivot k sitting in row k.
+
+    Rational rows are scaled to integers by the lcm of their denominators,
+    and each update (p * row - f * pivot_row) // previous pivot divides
+    exactly; over F2 every pivot is one.
+    """
+    if field is QQ:
+        work, prev = [_integral(r) for r in rows], 1
+    else:
+        work, prev = [list(r) for r in rows], field.one
+    m = len(work)
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, m) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        p = prow[col]
+        tail = prow[col:]
+        for r in range(rank + 1, m):
             row = work[r]
-            acc = field.of(row[n])
-            for j in range(r + 1, n):
-                if row[j]:
-                    acc = acc - row[j] * x[j]
-            x[r] = acc / row[r]
-        return Matrix.col_vector(field, x)
+            f = row[col]
+            row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
+        prev = p
+        rank += 1
+    return work, rank
+
+
+def _back_substitute(field, work, n, k):
+    """The x, in the field, that solves the first n echelon rows (pivots
+    on the diagonal) against their column k."""
+    x = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = work[r]
+        acc = field.of(row[k])
+        for j in range(r + 1, n):
+            if row[j]:
+                acc = acc - row[j] * x[j]
+        x[r] = acc / row[r]
+    return x
 
 
 def _integral(row):
     """A rational row times the lcm of its denominators: a row of ints."""
-    den = lcm(*(x.denominator for x in row))
+    den = lcm(*{x.denominator for x in row})
     return [x.numerator * (den // x.denominator) for x in row]
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, InternalInvariantError, SemanticError
+from .errors import InputError, InternalInvariantError
 from .fields import F2, QQ
 from .matrix import Matrix
 from .wa import WeightedAutomaton, minimize
-from .ifa import dfa_to_ifa, ifa_to_dfa, is_image_binary
+from .ifa import dfa_to_ifa, ifa_to_dfa, require_image_binary
 
 __all__ = [
     "LfsrSpec",
@@ -116,11 +116,7 @@ def ifa_to_mod2(automaton):
     """Minimal GF(2) automaton for the language of an image-binary
     automaton: extract the DFA, reinterpret its 0/1 structure over GF(2)
     and minimise.  The result has at most as many states as the input."""
-    ok, witness = is_image_binary(automaton)
-    if not ok:
-        raise SemanticError(
-            "not image-binary (witness word %r)" % ("".join(map(str, witness)),)
-        )
+    require_image_binary(automaton)
     dfa = ifa_to_dfa(automaton)
     out = minimize(dfa_to_ifa(dfa, F2))
     if out.n > automaton.n:

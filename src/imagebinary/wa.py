@@ -94,6 +94,16 @@ def as_word(word):
     return tuple(word)
 
 
+def _join_word(word):
+    """Text form of a word: letters run together when each is a single
+    character, comma separated otherwise; the empty word is ``""``."""
+    if not word:
+        return '""'
+    if all(len(a) == 1 for a in word):
+        return "".join(word)
+    return ",".join(word)
+
+
 def _distinct_letters(alphabet):
     """The alphabet as a tuple; a repeated letter could not be serialised."""
     alphabet = tuple(alphabet)
@@ -121,12 +131,12 @@ def _check_shapes(field, alphabet, trans, init):
 # --- sparse vector helpers (dicts {index: nonzero scalar}) ---
 
 
-def _row_sparse(mat, row=0):
-    return dict(mat.nonzero_rows()[row])
+def _row_sparse(mat):
+    return dict(mat.nonzero_rows()[0])
 
 
-def _col_sparse(mat, col=0):
-    return {i: r[col] for i, r in enumerate(mat.rows) if r[col]}
+def _col_sparse(mat):
+    return {i: r[0] for i, r in enumerate(mat.rows) if r[0]}
 
 
 def _vec_mat(v, mat):
@@ -155,11 +165,14 @@ def _mat_vec(mat, v):
     return acc
 
 
-def _dot_col(v, mat, col=0):
-    acc = mat.field.zero
-    for i, c in v.items():
-        x = mat.rows[i][col]
-        if x:
+def _dot(u, v, zero):
+    """Dot product of two sparse vectors, walking the shorter one."""
+    if len(u) > len(v):
+        u, v = v, u
+    acc = zero
+    for i, c in u.items():
+        x = v.get(i)
+        if x is not None:
             acc = acc + c * x
     return acc
 
@@ -169,17 +182,18 @@ def eval_word(automaton, word):
     v = _row_sparse(automaton.init)
     for a in as_word(word):
         v = _vec_mat(v, automaton.matrix(a))
-    return _dot_col(v, automaton.final)
+    return _dot(v, _col_sparse(automaton.final), automaton.field.zero)
 
 
 def language_table(automaton, max_len):
     """Values of every word of length <= max_len, via one breadth-first
     sweep over the word tree (much cheaper than per-word evaluation)."""
     out = {}
+    final, zero = _col_sparse(automaton.final), automaton.field.zero
     queue = deque([((), _row_sparse(automaton.init))])
     while queue:
         word, v = queue.popleft()
-        out[word] = _dot_col(v, automaton.final)
+        out[word] = _dot(v, final, zero)
         if len(word) < max_len:
             for a in automaton.alphabet:
                 queue.append((word + (a,), _vec_mat(v, automaton.matrix(a))))
@@ -253,6 +267,7 @@ def equivalent(a, b):
     """
     _require_compatible(a, b)
     na = a.n
+    fa, fb, zero = _col_sparse(a.final), _col_sparse(b.final), a.field.zero
 
     def step(state, letter):
         va, vb = state
@@ -267,7 +282,7 @@ def equivalent(a, b):
 
     def observe(state):
         va, vb = state
-        return _dot_col(va, a.final) - _dot_col(vb, b.final)
+        return _dot(va, fa, zero) - _dot(vb, fb, zero)
 
     init = (_row_sparse(a.init), _row_sparse(b.init))
     _, _, _, witness = span_explore(a.field, init, a.alphabet, step, to_vector, observe)
@@ -285,6 +300,7 @@ def minimize(automaton):
     """
     a = automaton
     field = a.field
+    zero = field.zero
     fwd = _row_sparse(a.init)
     if not fwd:
         return zero_automaton(a.alphabet, field)
@@ -302,7 +318,8 @@ def minimize(automaton):
             rows.append(coords)
         trans1[letter] = Matrix(field, rows)
     init1 = Matrix.row_vector(field, fbasis.coords(fwd))
-    final1 = Matrix.col_vector(field, [_dot_col(v, a.final) for v in fvecs])
+    final = _col_sparse(a.final)
+    final1 = Matrix.col_vector(field, [_dot(v, final, zero) for v in fvecs])
 
     bwd = _col_sparse(final1)
     if not bwd:
@@ -310,7 +327,6 @@ def minimize(automaton):
     _, bvecs, bbasis, _ = span_explore(
         field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v)
     )
-    zero = field.zero
     trans2 = {}
     for letter in a.alphabet:
         m = trans1[letter]
@@ -322,13 +338,8 @@ def minimize(automaton):
             cols.append(coords)
         trans2[letter] = Matrix(field, zip(*cols))
     eta2 = bbasis.coords(bwd)
-    alpha1 = init1.rows[0]
-    alpha2 = []
-    for v in bvecs:
-        acc = zero
-        for i, c in v.items():
-            acc = acc + alpha1[i] * c
-        alpha2.append(acc)
+    alpha1 = _row_sparse(init1)
+    alpha2 = [_dot(alpha1, v, zero) for v in bvecs]
     return WeightedAutomaton(
         field,
         a.alphabet,

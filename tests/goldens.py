@@ -7,7 +7,9 @@ independent ground truth.  The reference lasso analysis is the separate
 stem-layer / cycle-graph / tail-count path the library's lasso engine
 replaced, and the reference solvers at the end are the Gauss-Jordan
 elimination and the global dense product solve that the SCC-by-SCC,
-fraction-free solve replaced; all are kept as oracles.
+fraction-free solve replaced, plus the Gauss-Jordan inverse and the
+incremental-basis rank that fraction-free elimination replaced; all are
+kept as oracles.
 """
 
 import itertools
@@ -15,7 +17,9 @@ from collections import deque
 from fractions import Fraction
 
 from imagebinary import (
+    CoordBasis,
     Iba,
+    InputError,
     InternalInvariantError,
     Lasso,
     MarkovChain,
@@ -390,6 +394,40 @@ def reference_solve_unique(matrix, rhs):
     for r, col in enumerate(pivots):
         x[col] = work[r][n]
     return Matrix.col_vector(field, x)
+
+
+def reference_rank(matrix):
+    """Rank as the size of an incremental basis of the nonzero rows."""
+    basis = CoordBasis(matrix.field)
+    for row in matrix.nonzero_rows():
+        basis.add(row)
+    return len(basis)
+
+
+def reference_inverse(matrix):
+    """Gauss-Jordan inversion over the field, row by row against the
+    identity; InputError for non-square or singular input."""
+    if matrix.nrows != matrix.ncols:
+        raise InputError("only square matrices can be inverted")
+    n = matrix.nrows
+    field = matrix.field
+    zero, one = field.zero, field.one
+    work = [
+        list(r) + [one if i == j else zero for j in range(n)]
+        for i, r in enumerate(matrix.rows)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            raise InputError("matrix is singular")
+        work[col], work[piv] = work[piv], work[col]
+        inv = one / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return Matrix(field, [row[n:] for row in work])
 
 
 def reference_solve_values(ps):

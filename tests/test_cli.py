@@ -291,6 +291,38 @@ def test_modelcheck_rejects_non_binary(run, tmp_path):
     assert "not image-binary (lasso :a has value 2)" in err
 
 
+def test_modelcheck_refusal_prints_a_lasso_that_reads_back(run, tmp_path):
+    doc = (
+        "kind: iba\nalphabet: xx y\nstates: 3\ninitial: 1 0 0\nfinal: 3\n"
+        "trans y 1 2 1/2\ntrans xx 2 3 1\ntrans xx 3 3 1\ntrans y 3 3 1\n"
+    )
+    bad = tmp_path / "bad.iba"
+    bad.write_text(doc)
+    chain = tmp_path / "chain.mc"
+    chain.write_text("states: 1\nalphabet: xx y\ninitial: 1\nlabels: xx\nrow: 1\n")
+    code, _, err = run("modelcheck", str(bad), str(chain))
+    assert code == 3
+    lasso = err.split("lasso ")[1].split(" has")[0]
+    assert run("lasso-eval", str(bad), lasso) == (0, "1/2\n", "")
+    assert err == "error: not image-binary (lasso :y,xx has value 1/2)\n"
+
+
+def test_every_refusal_names_the_witness_word_alike(run, tmp_path):
+    doubling = doubling_path(tmp_path)
+    twice = tmp_path / "twice.wa"
+    twice.write_text("kind: wa\nalphabet: a\nstates: 1\ninitial: 2\nfinal: 1\ntrans a 1 1 1\n")
+    out = str(tmp_path / "out.wa")
+    for path, word in ((doubling, "a"), (str(twice), '""')):
+        expected = "error: not image-binary (witness word %s)\n" % word
+        for argv in (
+            ("complement", path, out),
+            ("intersect", path, path, out),
+            ("to-dfa", path, out),
+            ("to-mod2", path, out),
+        ):
+            assert run(*argv) == (3, "", expected), argv
+
+
 # === Exit codes and JSON ===
 
 

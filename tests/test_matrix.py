@@ -16,7 +16,7 @@ from imagebinary import (
 from imagebinary.fixtures import random_invertible_int_matrix
 from imagebinary.matrix import CoordBasis
 
-from goldens import reference_solve_unique
+from goldens import reference_inverse, reference_rank, reference_solve_unique
 
 
 def mat(rows):
@@ -148,6 +148,56 @@ def test_inverse_singular():
 def test_inverse_gf2():
     m = Matrix.from_ints(F2, [[1, 1], [0, 1]])
     assert m * m.inverse() == Matrix.identity(F2, 2)
+
+
+def random_field_rows(rng, field, nrows, ncols):
+    if field is QQ:
+        return random_rational_rows(rng, nrows, ncols)
+    return [[F2.of(rng.randint(0, 1)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def inverse_outcome(invert, matrix):
+    try:
+        return invert(matrix)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def test_rank_and_inverse_match_reference_on_random_matrices():
+    """Square, tall, wide, rank-deficient, zero-row and 1 x 1 matrices over
+    QQ and F2: the same rank as an incremental basis, and the same inverse
+    or the same InputError as Gauss-Jordan elimination."""
+    rng = random.Random(31)
+    kinds = ("square", "tall", "wide", "wide, dependent rows", "deficient", "zero row", "1x1")
+    counts = {}
+    for trial in range(560):
+        field, kind = (QQ, F2)[trial % 2], kinds[trial // 2 % len(kinds)]
+        n = 1 if kind == "1x1" else rng.randint(2, 7)
+        nrows = n + rng.randint(1, 3) if kind == "tall" else n
+        ncols = n + rng.randint(1, 3) if kind.startswith("wide") else n
+        rows = random_field_rows(rng, field, nrows, ncols)
+        if kind == "wide, dependent rows":
+            rows[-1] = rows[0]
+        if kind == "deficient":
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[-2])]
+        if kind == "zero row":
+            rows[rng.randrange(n)] = [field.zero] * n
+        m = Matrix(field, rows)
+        assert m.rank() == reference_rank(m), (field, rows)
+        got = inverse_outcome(Matrix.inverse, m)
+        assert got == inverse_outcome(reference_inverse, m), (field, rows)
+        if isinstance(got, Matrix):
+            assert m * got == Matrix.identity(field, n)
+        verdict = "inverted" if isinstance(got, Matrix) else got[1]
+        counts[field, kind, verdict] = counts.get((field, kind, verdict), 0) + 1
+    for field in (QQ, F2):
+        assert counts[field, "square", "inverted"] > 5
+        assert counts[field, "1x1", "inverted"] > 5
+        assert counts[field, "1x1", "matrix is singular"] > 5
+        for kind in ("tall", "wide", "wide, dependent rows"):
+            assert counts[field, kind, "only square matrices can be inverted"] == 40
+        for kind in ("deficient", "zero row"):
+            assert counts[field, kind, "matrix is singular"] == 40
 
 
 def test_solve_unique_golden():
