@@ -84,7 +84,6 @@ from .mc import (
     fiber_step,
     model_check,
     solve_values,
-    spectral_spot_check,
 )
 from .formats import (
     load_automaton,

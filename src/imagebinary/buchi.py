@@ -21,7 +21,7 @@ from .fields import QQ
 from .graphs import nodes_on_cycles, reachable_from, reaches_any, strongly_connected_components
 from .ifa import _transition_relation, words_up_to
 from .matrix import Matrix
-from .wa import _check_shapes, _distinct_letters, _LetterMatrices
+from .wa import _check_shapes, _distinct_letters, _join_word, _LetterMatrices
 
 __all__ = [
     "Nba",
@@ -94,6 +94,13 @@ class Lasso:
 
     def __repr__(self):
         return "Lasso(%r, %r)" % ("".join(map(str, self.stem)), "".join(map(str, self.cycle)))
+
+
+def _join_lasso(lasso, alphabet):
+    """Text form stem:cycle of a lasso over ``alphabet``, as the CLI's
+    ``lasso-eval`` reads it back; an empty stem stays empty."""
+    stem = _join_word(lasso.stem, alphabet) if lasso.stem else ""
+    return "%s:%s" % (stem, _join_word(lasso.cycle, alphabet))
 
 
 class Iba(_LetterMatrices):
@@ -357,7 +364,9 @@ def iba_lasso_eval(iba, lasso):
     when infinitely many final paths exist."""
     total = _lasso_sum(*_stable_weights(iba), lasso, iba.final)
     if total is None:
-        raise SemanticError("infinitely many final paths on %r" % (lasso,))
+        raise SemanticError(
+            "infinitely many final paths on %s" % (_join_lasso(lasso, iba.alphabet),)
+        )
     return QQ.of(total)
 
 
@@ -375,7 +384,10 @@ def binariness_witness(iba, max_stem, max_cycle):
     start, rows = _stable_weights(iba)
     for stem, cycle, total in _lasso_sweep(start, rows, iba.final, max_stem, max_cycle):
         if total is None:
-            raise SemanticError("infinitely many final paths on %r" % (Lasso(stem, cycle),))
+            raise SemanticError(
+                "infinitely many final paths on %s"
+                % (_join_lasso(Lasso(stem, cycle), iba.alphabet),)
+            )
         if total != 0 and total != 1:
             return Lasso(stem, cycle), QQ.of(total)
     return None

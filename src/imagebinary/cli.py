@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import buchi, formats, ifa, mc, mod2, wa
-from .buchi import Iba, Lasso, Nba
+from .buchi import Iba, Lasso, Nba, _join_lasso
 from .errors import (
     InputError,
     ParseError,
@@ -60,11 +60,6 @@ def _parse_lasso(alphabet, text):
         raise InputError("lasso words are written stem:cycle")
     stem_text, cycle_text = text.split(":", 1)
     return Lasso(_parse_word(alphabet, stem_text), _parse_word(alphabet, cycle_text))
-
-
-def _join_lasso(lasso):
-    stem = _join_word(lasso.stem) if lasso.stem else ""
-    return "%s:%s" % (stem, _join_word(lasso.cycle))
 
 
 def _parse_bits(text, what):
@@ -115,7 +110,7 @@ def _cmd_equiv(args):
         return {"equivalent": True, "witness": None}, ["equivalent"], []
     return (
         {"equivalent": False, "witness": list(witness)},
-        ["not equivalent (witness word %s)" % _join_word(witness)],
+        ["not equivalent (witness word %s)" % _join_word(witness, a.alphabet)],
         [],
     )
 
@@ -138,7 +133,7 @@ def _cmd_check_ifa(args):
         return {"image_binary": True, "witness": None}, ["yes"], []
     return (
         {"image_binary": False, "witness": list(witness)},
-        ["no (witness word %s)" % _join_word(witness)],
+        ["no (witness word %s)" % _join_word(witness, automaton.alphabet)],
         [],
     )
 
@@ -283,7 +278,8 @@ def _cmd_modelcheck(args):
     if bad is not None:
         lasso, value = bad
         raise SemanticError(
-            "not image-binary (lasso %s has value %s)" % (_join_lasso(lasso), value)
+            "not image-binary (lasso %s has value %s)"
+            % (_join_lasso(lasso, automaton.alphabet), value)
         )
     prob = mc.model_check(automaton, chain)
     text = _fmt_rational(prob)

@@ -3,7 +3,9 @@
 Rational scalars are plain ``fractions.Fraction`` values (arbitrary
 precision, always in lowest terms).  GF(2) scalars are ``GF2`` instances
 with xor/and arithmetic.  A field object bundles zero, one, conversion and
-text parsing so that matrix and automaton code stays field generic.
+text parsing so that matrix and automaton code stays field generic;
+``frac`` maps a quotient of ints into the field, which is how the
+integer kernels in ``matrix`` and ``wa`` hand back scalars.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ class Rationals:
         return Fraction(x)
 
     @staticmethod
+    def frac(num: int, den: int) -> Fraction:
+        """The scalar num/den for ints num and den != 0."""
+        return Fraction(num, den)
+
+    @staticmethod
     def parse(text: str) -> Fraction:
         text = text.strip()
         try:
@@ -105,6 +112,13 @@ class BinaryField:
         if x in (0, 1):
             return GF2(x)
         raise ParseError("GF(2) scalar must be 0 or 1, got %r" % (x,))
+
+    @staticmethod
+    def frac(num: int, den: int) -> GF2:
+        """The scalar num/den for ints num and den; den must be odd."""
+        if not den & 1:
+            raise ZeroDivisionError("division by zero in GF(2)")
+        return GF2(num)
 
     @staticmethod
     def parse(text: str) -> GF2:

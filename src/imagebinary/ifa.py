@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InputError, InternalInvariantError, SemanticError
 from .fields import F2, QQ
-from .matrix import CoordBasis, Matrix
+from .matrix import Matrix
 from .wa import (
     WeightedAutomaton,
     add,
@@ -24,12 +25,14 @@ from .wa import (
     hadamard,
     negate,
     span_explore,
-    _col_sparse,
+    _col_vec,
     _distinct_letters,
     _dot,
+    _idot,
     _join_word,
     _mat_vec,
-    _row_sparse,
+    _row_vec,
+    _scaled,
     _vec_mat,
 )
 
@@ -139,26 +142,29 @@ def is_image_binary(automaton):
     if a.field is not QQ:
         raise InputError("image-binary analysis is defined over the rationals")
     n = a.n
-    final = _col_sparse(a.final)
+    f, fp, fq = _col_vec(a.final)
 
     def step(v, letter):
         return _vec_mat(v, a.matrix(letter))
 
     def to_vector(v):
-        combined = dict(v)
-        for i, ci in v.items():
+        # (v, v (x) v) for v = (p/q) u, times q^2/p
+        u, p, q = v
+        combined = {i: q * c for i, c in u.items()}
+        for i, ci in u.items():
             base = n + i * n
-            for j, cj in v.items():
-                combined[base + j] = ci * cj
+            pci = p * ci
+            for j, cj in u.items():
+                combined[base + j] = pci * cj
         return combined
 
     def observe(v):
-        val = _dot(v, final, QQ.zero)
-        return val - val * val
+        # the value is p * t * fp / (q * fq)
+        u, p, q = v
+        t = _idot(u, f)
+        return t and p * t * fp != q * fq
 
-    _, _, _, witness = span_explore(
-        QQ, _row_sparse(a.init), a.alphabet, step, to_vector, observe
-    )
+    _, _, _, witness = span_explore(QQ, _row_vec(a.init), a.alphabet, step, to_vector, observe)
     return (witness is None), witness
 
 
@@ -167,7 +173,9 @@ def require_image_binary(automaton):
     {0, 1}, unless the automaton is image-binary."""
     ok, witness = is_image_binary(automaton)
     if not ok:
-        raise SemanticError("not image-binary (witness word %s)" % (_join_word(witness),))
+        raise SemanticError(
+            "not image-binary (witness word %s)" % (_join_word(witness, automaton.alphabet),)
+        )
 
 
 def complement(automaton):
@@ -196,27 +204,33 @@ def ifa_to_dfa(automaton):
     """
     a = automaton
     field = a.field
-    bwd = _col_sparse(a.final)
+    bwd = _col_vec(a.final)
     bvecs = []
-    if bwd:
+    if bwd[0]:
         _, bvecs, _, _ = span_explore(
-            field, bwd, a.alphabet, lambda v, letter: _mat_vec(a.matrix(letter), v)
+            field, bwd, a.alphabet, lambda v, letter: _mat_vec(a.matrix(letter), v), itemgetter(0)
         )
+    # the scales of the backward vectors are common to every signature
+    gs = [g for g, _, _ in bvecs]
     cap = 2 ** a.n
     zero, one = field.zero, field.one
 
     def signature(v):
-        return tuple(_dot(v, g, zero) for g in bvecs)
+        """The dot products with the backward basis, as a scaled vector,
+        which is canonical."""
+        u, p, q = v
+        t, p, q = _scaled(field, {k: _idot(u, g) for k, g in enumerate(gs)}, p, q)
+        return tuple(t.items()), p, q
 
     def accepting_value(v):
-        val = _dot(v, bwd, zero)
+        val = _dot(v, bwd, field)
         if val != zero and val != one:
             raise InternalInvariantError(
                 "value %r outside {0,1}; input was not image-binary" % (val,)
             )
         return val == one
 
-    v0 = _row_sparse(a.init)
+    v0 = _row_vec(a.init)
     ids = {signature(v0): 0}
     accepting = set()
     if accepting_value(v0):
@@ -306,17 +320,16 @@ def hankel_block(automaton, row_len, col_len):
     a = automaton
     rows = words_up_to(a.alphabet, row_len)
     cols = words_up_to(a.alphabet, col_len)
-    fwd = {(): _row_sparse(a.init)}
+    fwd = {(): _row_vec(a.init)}
     for w in rows:
         if w not in fwd:
             fwd[w] = _vec_mat(fwd[w[:-1]], a.matrix(w[-1]))
-    bwd = {(): _col_sparse(a.final)}
+    bwd = {(): _col_vec(a.final)}
     for w in cols:
         if w not in bwd:
             # column words extend on the left of the final vector
             bwd[w] = _mat_vec(a.matrix(w[0]), bwd[w[1:]])
-    zero = a.field.zero
-    entries = [[_dot(fwd[x], bwd[y], zero) for y in cols] for x in rows]
+    entries = [[_dot(fwd[x], bwd[y], a.field) for y in cols] for x in rows]
     return HankelBlock(rows, cols, Matrix(a.field, entries))
 
 

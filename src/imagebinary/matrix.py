@@ -4,16 +4,21 @@ inversion and unique solving through one fraction-free (Bareiss)
 elimination.
 
 A matrix is frozen at construction: rows are tuples, and the sparse view
-``nonzero_rows`` is computed once, on first use.  Vectors travelling
-through the span-exploration algorithms are kept as sparse dicts
-{index: scalar}; ``CoordBasis``, the incremental basis with coordinate
-recovery that those algorithms grow one vector at a time, lives here
-too.
+``nonzero_rows`` and its integer view ``int_rows`` (the nonzero entries
+times one common denominator) are computed once, on first use.  Products
+and the span-exploration kernels run on the integer view and build one
+field scalar per output entry.
+
+``CoordBasis``, the incremental basis with coordinate recovery that the
+span-exploration algorithms grow one vector at a time, lives here too.
+It keeps integer echelon rows: over QQ each is primitive and reduced
+fraction-free, over F2 each holds ones and reduces by symmetric
+difference of supports.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError, InternalInvariantError
 from .fields import QQ
@@ -26,7 +31,7 @@ class Matrix:
     from rows with ``Matrix(field, rows)`` or from its nonzero entries
     with ``Matrix.from_entries``."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_nonzero")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_nonzero", "_ints")
 
     def __init__(self, field, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -40,6 +45,7 @@ class Matrix:
         init(self, "nrows", len(rows))
         init(self, "ncols", ncols)
         init(self, "_nonzero", None)
+        init(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise TypeError("Matrix is immutable")
@@ -84,6 +90,25 @@ class Matrix:
             nz = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.rows)
             object.__setattr__(self, "_nonzero", nz)
         return nz
+
+    def int_rows(self):
+        """(rows, den): ``nonzero_rows`` with every entry x replaced by the
+        int x * den, den the lcm of the entries' denominators; over F2 the
+        entries are 1 and den is 1.  Computed once per matrix."""
+        ints = self._ints
+        if ints is None:
+            nz = self.nonzero_rows()
+            if self.field is QQ:
+                den = lcm(*{x.denominator for row in nz for _, x in row})
+                rows = tuple(
+                    tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+                    for row in nz
+                )
+            else:
+                den, rows = 1, tuple(tuple((j, 1) for j, _ in row) for row in nz)
+            ints = rows, den
+            object.__setattr__(self, "_ints", ints)
+        return ints
 
     def __getitem__(self, ij):
         i, j = ij
@@ -134,17 +159,20 @@ class Matrix:
                 "shape mismatch in product: %dx%d times %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        zero = self.field.zero
+        field = self.field
+        frac, zero = field.frac, field.zero
         ocols = other.ncols
-        brows = other.nonzero_rows()
+        arows, da = self.int_rows()
+        brows, db = other.int_rows()
+        den = da * db
         out = []
-        for arow in self.nonzero_rows():
-            acc = [zero] * ocols
+        for arow in arows:
+            acc = [0] * ocols
             for k, a in arow:
                 for j, b in brows[k]:
-                    acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Matrix(self.field, out)
+                    acc[j] += a * b
+            out.append([frac(x, den) if x else zero for x in acc])
+        return Matrix(field, out)
 
     def kron(self, other):
         """Kronecker product; block (i,j) is self[i,j] * other."""
@@ -257,69 +285,121 @@ def _integral(row):
 class CoordBasis:
     """Incrementally built basis of sparse vectors with coordinate recovery.
 
-    Vectors are dicts {index: nonzero scalar}.  ``add`` returns the new
-    basis index when the vector extends the span and None when it is
-    dependent; ``coords`` expresses a vector as a combination of the
-    vectors that were successfully added.
+    Vectors are dicts {index: nonzero scalar}: ints or Fractions over QQ,
+    GF2 elements or ones over F2.  ``add`` returns the new basis index when
+    the vector extends the span and None when it is dependent; ``coords``
+    expresses a vector as a combination of the vectors that were
+    successfully added, and ``int_coords`` does so in integers for many
+    vectors with one elimination.
+
+    Over QQ an incoming vector is scaled once by the lcm of its
+    denominators.  Against an echelon row b with pivot p it becomes
+    b[p] * v - v[p] * b (both factors divided by their gcd), and a new
+    echelon row is divided by its content, pivot positive.  Over F2 an
+    incoming vector is reduced by symmetric difference of supports.  The
+    echelon rows decide membership only.  Coordinates come from a solve
+    against the added vectors restricted to the pivot columns, where they
+    form an invertible square system.
     """
 
     def __init__(self, field):
         self.field = field
-        self.reduced = []  # reduced vectors, pivot normalised to one
-        self.pivots = []  # pivot index of each reduced vector
-        self.exprs = []  # reduced[i] as {basis index: coefficient}
+        self._rows = []  # echelon rows, int dicts
+        self._pivots = []  # pivot index of each echelon row
+        self._added = []  # (ints, den): an added vector is ints / den
 
     def __len__(self):
-        return len(self.reduced)
+        return len(self._added)
 
-    def _reduce(self, vec):
-        """Write vec as residual + sum(used[k] * basis[k]); return both."""
-        v = dict(vec)
-        used = {}
-        zero = self.field.zero
-        for i, p in enumerate(self.pivots):
+    def _ints(self, vec):
+        """(ints, den) with vec = ints / den: den is the lcm of the
+        denominators over QQ and 1 over F2, where every entry is 1."""
+        if self.field is QQ:
+            den = lcm(*{x.denominator for x in vec.values()})
+            return {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}, den
+        return {j: 1 for j, x in vec.items() if x}, 1
+
+    def _reduce(self, v):
+        """The int dict v (consumed) reduced against the echelon rows; the
+        result is empty iff v lies in their span."""
+        rows, pivots = self._rows, self._pivots
+        if self.field is not QQ:
+            for b, p in zip(rows, pivots):
+                if p in v:
+                    v = dict.fromkeys(v.keys() ^ b.keys(), 1)
+            return v
+        for b, p in zip(rows, pivots):
             c = v.get(p)
-            if not c:
+            if c is None:
                 continue
-            for j, x in self.reduced[i].items():
-                nv = v.get(j, zero) - c * x
-                if not nv:
-                    v.pop(j, None)
+            bp = b[p]
+            if bp != 1:
+                g = gcd(bp, c)
+                bp //= g
+                c //= g
+                if bp != 1:
+                    v = {j: bp * x for j, x in v.items()}
+            for j, x in b.items():
+                y = v.get(j, 0) - c * x
+                if y:
+                    v[j] = y
                 else:
-                    v[j] = nv
-            for k, x in self.exprs[i].items():
-                nv = used.get(k, zero) + c * x
-                if not nv:
-                    used.pop(k, None)
-                else:
-                    used[k] = nv
-        return v, used
+                    del v[j]
+        return v
 
     def add(self, vec):
-        residual, used = self._reduce(vec)
-        if not residual:
+        ints, den = self._ints(vec)
+        row = self._reduce(dict(ints))
+        if not row:
             return None
-        m = len(self.reduced)
-        pivot = min(residual)
-        inv = self.field.one / residual[pivot]
-        self.reduced.append({j: x * inv for j, x in residual.items()})
-        self.pivots.append(pivot)
-        # residual = vec - sum(used); scale by inv and solve for vec's slot
-        expr = {k: -inv * x for k, x in used.items() if -inv * x}
-        expr[m] = inv
-        self.exprs.append(expr)
-        return m
+        pivot = min(row)
+        if self.field is QQ:
+            g = gcd(*row.values())
+            if row[pivot] < 0:
+                g = -g
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
+        self._rows.append(row)
+        self._pivots.append(pivot)
+        self._added.append((ints, den))
+        return len(self._added) - 1
 
     def contains(self, vec):
-        residual, _ = self._reduce(vec)
-        return not residual
+        return not self._reduce(self._ints(vec)[0])
+
+    def int_coords(self, vecs):
+        """For each int dict w in vecs: None when w is outside the span,
+        else (ys, d) with d * w = sum(ys[k] * ints_k), ints_k the k-th
+        added vector times its den.  Over F2 d is odd and the coordinates
+        are the ys mod 2 (the pivot block has odd determinant)."""
+        m = len(self._added)
+        added = [a for a, _ in self._added]
+        rows = [[a.get(p, 0) for a in added] + [w.get(p, 0) for w in vecs] for p in self._pivots]
+        work, _ = _eliminate(QQ, rows, m)
+        d = work[m - 1][m - 1] if m else 1
+        out = []
+        for t, w in enumerate(vecs, m):
+            if self._reduce(dict(w)):
+                out.append(None)
+                continue
+            # fraction-free back substitution: y = d * x is integral
+            ys = [0] * m
+            for r in range(m - 1, -1, -1):
+                row = work[r]
+                acc = d * row[t]
+                for j in range(r + 1, m):
+                    if row[j]:
+                        acc -= row[j] * ys[j]
+                ys[r] = acc // row[r]
+            out.append((ys, d))
+        return out
 
     def coords(self, vec):
         """Coordinates of vec w.r.t. the added basis vectors, or None."""
-        residual, used = self._reduce(vec)
-        if residual:
+        ints, den = self._ints(vec)
+        sol = self.int_coords([ints])[0]
+        if sol is None:
             return None
-        out = [self.field.zero] * len(self.reduced)
-        for k, x in used.items():
-            out[k] = x
-        return out
+        ys, d = sol
+        frac, zero = self.field.frac, self.field.zero
+        return [frac(y * dk, d * den) if y else zero for y, (_, dk) in zip(ys, self._added)]

@@ -34,7 +34,6 @@ __all__ = [
     "classify_scc",
     "solve_values",
     "model_check",
-    "spectral_spot_check",
 ]
 
 
@@ -315,42 +314,3 @@ def model_check(iba, chain):
     if total < 0 or total > 1:
         raise SemanticError("input not image-binary")
     return total
-
-
-def spectral_spot_check(ps, tol=1e-6):
-    """Float sanity check of the exact classification: the spectral
-    radius of B restricted to a recurrent component is 1, and restricted
-    to the union of non-recurrent components it is strictly below 1.
-    Returns (per-recurrent-component radii, transient radius or None).
-    Needs numpy, which is an optional (test) dependency."""
-    import numpy
-
-    def radius(idxs):
-        sub = numpy.array(
-            [[float(ps.B.rows[i][j]) for j in idxs] for i in idxs], dtype=float
-        )
-        if sub.size == 0:
-            return 0.0
-        return float(max(abs(numpy.linalg.eigvals(sub))))
-
-    recurrent_radii = []
-    transient = []
-    for cls in ps.classes:
-        idxs = [ps.index[x] for x in cls.nodes]
-        if cls.recurrent:
-            rho = radius(idxs)
-            if abs(rho - 1.0) > tol:
-                raise InternalInvariantError(
-                    "recurrent component has spectral radius %r" % (rho,)
-                )
-            recurrent_radii.append(rho)
-        else:
-            transient.extend(idxs)
-    transient_radius = None
-    if transient:
-        transient_radius = radius(sorted(transient))
-        if transient_radius >= 1.0 - tol:
-            raise InternalInvariantError(
-                "transient part has spectral radius %r" % (transient_radius,)
-            )
-    return recurrent_radii, transient_radius

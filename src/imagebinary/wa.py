@@ -5,11 +5,24 @@ the scalar init * M(w) * final.  This module provides evaluation, the
 breadth-first span exploration behind equivalence testing and
 minimisation, the forward-conjugacy check, and the algebraic combinators
 (sum, negation, Hadamard product, constants).
+
+Vectors pushed through the matrices are integer-scaled: a triple
+(u, p, q) stands for the vector (p/q) * u, where u is a dict
+{index: nonzero int}.  Over QQ u is primitive (its entries have gcd 1)
+and p, q are positive and coprime, so u carries the signs and the
+triple is canonical for the vector (the zero vector is ({}, 1, 1)).
+Over F2 every entry of u is 1 and p = q = 1.  Products run on the
+integer views of the matrices (``Matrix.int_rows``), so the span
+algorithms carry one rational scale per vector instead of one
+``Fraction`` per entry, and build a field scalar only where a value is
+read.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import gcd
+from operator import itemgetter
 
 from .errors import InputError, InternalInvariantError
 from .fields import QQ
@@ -94,12 +107,13 @@ def as_word(word):
     return tuple(word)
 
 
-def _join_word(word):
-    """Text form of a word: letters run together when each is a single
+def _join_word(word, alphabet):
+    """Text form of a word over ``alphabet``, as the CLI reads it back:
+    letters run together when every letter of the alphabet is a single
     character, comma separated otherwise; the empty word is ``""``."""
     if not word:
         return '""'
-    if all(len(a) == 1 for a in word):
+    if all(len(a) == 1 for a in alphabet):
         return "".join(word)
     return ",".join(word)
 
@@ -128,72 +142,99 @@ def _check_shapes(field, alphabet, trans, init):
     return n
 
 
-# --- sparse vector helpers (dicts {index: nonzero scalar}) ---
+# --- integer-scaled vectors (u, p, q), see the module docstring ---
 
 
-def _row_sparse(mat):
-    return dict(mat.nonzero_rows()[0])
+def _scaled(field, acc, p, q):
+    """The vector (p/q) * acc as a triple (u, p, q); acc maps indices to
+    ints, zeros allowed, and p, q > 0."""
+    if field is not QQ:
+        return {j: 1 for j, x in acc.items() if x & 1}, 1, 1
+    u = {j: x for j, x in acc.items() if x}
+    if not u:
+        return u, 1, 1
+    g = gcd(*u.values())
+    if g > 1:
+        u = {j: x // g for j, x in u.items()}
+        p *= g
+    h = gcd(p, q)
+    return u, p // h, q // h
 
 
-def _col_sparse(mat):
-    return {i: r[0] for i, r in enumerate(mat.rows) if r[0]}
+def _row_vec(mat):
+    """A 1 x n matrix as a scaled vector."""
+    rows, den = mat.int_rows()
+    return _scaled(mat.field, dict(rows[0]), 1, den)
+
+
+def _col_vec(mat):
+    """An n x 1 matrix as a scaled vector."""
+    rows, den = mat.int_rows()
+    return _scaled(mat.field, {i: r[0][1] for i, r in enumerate(rows) if r}, 1, den)
 
 
 def _vec_mat(v, mat):
-    """Sparse row vector times matrix, over the matrix's nonzero entries."""
-    zero = mat.field.zero
-    rows = mat.nonzero_rows()
+    """Scaled row vector times matrix, over the matrix's nonzero entries."""
+    u, p, q = v
+    rows, den = mat.int_rows()
     acc = {}
-    for i, c in v.items():
+    for i, c in u.items():
         for j, x in rows[i]:
-            acc[j] = acc.get(j, zero) + c * x
-    return {j: x for j, x in acc.items() if x}
+            acc[j] = acc.get(j, 0) + c * x
+    return _scaled(mat.field, acc, p, q * den)
 
 
 def _mat_vec(mat, v):
-    """Matrix times sparse column vector, over the matrix's nonzero entries."""
-    zero = mat.field.zero
+    """Matrix times scaled column vector, over the matrix's nonzero entries."""
+    u, p, q = v
+    rows, den = mat.int_rows()
     acc = {}
-    for i, row in enumerate(mat.nonzero_rows()):
-        y = zero
+    for i, row in enumerate(rows):
+        y = 0
         for j, x in row:
-            c = v.get(j)
+            c = u.get(j)
             if c is not None:
-                y = y + x * c
+                y += x * c
         if y:
             acc[i] = y
-    return acc
+    return _scaled(mat.field, acc, p, q * den)
 
 
-def _dot(u, v, zero):
-    """Dot product of two sparse vectors, walking the shorter one."""
-    if len(u) > len(v):
-        u, v = v, u
-    acc = zero
+def _idot(u, w):
+    """Dot product of two int dicts, walking the shorter one."""
+    if len(u) > len(w):
+        u, w = w, u
+    acc = 0
     for i, c in u.items():
-        x = v.get(i)
+        x = w.get(i)
         if x is not None:
-            acc = acc + c * x
+            acc += c * x
     return acc
+
+
+def _dot(v, w, field):
+    """Dot product of two scaled vectors, as a field scalar."""
+    (u, p, q), (t, r, s) = v, w
+    return field.frac(_idot(u, t) * p * r, q * s)
 
 
 def eval_word(automaton, word):
     """Exact value init * M(word) * final."""
-    v = _row_sparse(automaton.init)
+    v = _row_vec(automaton.init)
     for a in as_word(word):
         v = _vec_mat(v, automaton.matrix(a))
-    return _dot(v, _col_sparse(automaton.final), automaton.field.zero)
+    return _dot(v, _col_vec(automaton.final), automaton.field)
 
 
 def language_table(automaton, max_len):
     """Values of every word of length <= max_len, via one breadth-first
     sweep over the word tree (much cheaper than per-word evaluation)."""
     out = {}
-    final, zero = _col_sparse(automaton.final), automaton.field.zero
-    queue = deque([((), _row_sparse(automaton.init))])
+    final, field = _col_vec(automaton.final), automaton.field
+    queue = deque([((), _row_vec(automaton.init))])
     while queue:
         word, v = queue.popleft()
-        out[word] = _dot(v, final, zero)
+        out[word] = _dot(v, final, field)
         if len(word) < max_len:
             for a in automaton.alphabet:
                 queue.append((word + (a,), _vec_mat(v, automaton.matrix(a))))
@@ -263,29 +304,21 @@ def equivalent(a, b):
     """Exact language equivalence.
 
     Returns (True, None) or (False, w) where w is a shortest word with
-    differing values (its length is below the summed state counts).
+    differing values (its length is below the summed state counts).  The
+    exploration runs on the difference automaton a - b, whose forward
+    vectors are the pairs (v_a, -v_b).
     """
     _require_compatible(a, b)
-    na = a.n
-    fa, fb, zero = _col_sparse(a.final), _col_sparse(b.final), a.field.zero
-
-    def step(state, letter):
-        va, vb = state
-        return _vec_mat(va, a.matrix(letter)), _vec_mat(vb, b.matrix(letter))
-
-    def to_vector(state):
-        va, vb = state
-        combined = dict(va)
-        for j, c in vb.items():
-            combined[na + j] = c
-        return combined
-
-    def observe(state):
-        va, vb = state
-        return _dot(va, fa, zero) - _dot(vb, fb, zero)
-
-    init = (_row_sparse(a.init), _row_sparse(b.init))
-    _, _, _, witness = span_explore(a.field, init, a.alphabet, step, to_vector, observe)
+    diff = add(a, negate(b))
+    final, field = _col_vec(diff.final), diff.field
+    _, _, _, witness = span_explore(
+        field,
+        _row_vec(diff.init),
+        diff.alphabet,
+        lambda v, letter: _vec_mat(v, diff.matrix(letter)),
+        itemgetter(0),
+        lambda v: _dot(v, final, field),
+    )
     if witness is None:
         return True, None
     return False, witness
@@ -300,53 +333,60 @@ def minimize(automaton):
     """
     a = automaton
     field = a.field
-    zero = field.zero
-    fwd = _row_sparse(a.init)
-    if not fwd:
+    fwd = _row_vec(a.init)
+    if not fwd[0]:
         return zero_automaton(a.alphabet, field)
     _, fvecs, fbasis, _ = span_explore(
-        field, fwd, a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter))
+        field, fwd, a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter)), itemgetter(0)
     )
-    trans1 = {}
-    for letter in a.alphabet:
-        m = a.matrix(letter)
-        rows = []
-        for v in fvecs:
-            coords = fbasis.coords(_vec_mat(v, m))
-            if coords is None:
-                raise InternalInvariantError("forward space not closed under step")
-            rows.append(coords)
-        trans1[letter] = Matrix(field, rows)
-    init1 = Matrix.row_vector(field, fbasis.coords(fwd))
-    final = _col_sparse(a.final)
-    final1 = Matrix.col_vector(field, [_dot(v, final, zero) for v in fvecs])
+    images = [_vec_mat(v, a.matrix(letter)) for letter in a.alphabet for v in fvecs]
+    rows = _basis_coords(field, fbasis, fvecs, images + [fwd], "forward")
+    m = len(fvecs)
+    trans1 = {
+        letter: Matrix(field, rows[k * m:(k + 1) * m]) for k, letter in enumerate(a.alphabet)
+    }
+    init1 = Matrix.row_vector(field, rows[-1])
+    final = _col_vec(a.final)
+    final1 = Matrix.col_vector(field, [_dot(v, final, field) for v in fvecs])
 
-    bwd = _col_sparse(final1)
-    if not bwd:
+    bwd = _col_vec(final1)
+    if not bwd[0]:
         return zero_automaton(a.alphabet, field)
     _, bvecs, bbasis, _ = span_explore(
-        field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v)
+        field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v), itemgetter(0)
     )
-    trans2 = {}
-    for letter in a.alphabet:
-        m = trans1[letter]
-        cols = []
-        for v in bvecs:
-            coords = bbasis.coords(_mat_vec(m, v))
-            if coords is None:
-                raise InternalInvariantError("backward space not closed under step")
-            cols.append(coords)
-        trans2[letter] = Matrix(field, zip(*cols))
-    eta2 = bbasis.coords(bwd)
-    alpha1 = _row_sparse(init1)
-    alpha2 = [_dot(alpha1, v, zero) for v in bvecs]
+    images = [_mat_vec(trans1[letter], v) for letter in a.alphabet for v in bvecs]
+    cols = _basis_coords(field, bbasis, bvecs, images + [bwd], "backward")
+    m = len(bvecs)
+    trans2 = {
+        letter: Matrix(field, zip(*cols[k * m:(k + 1) * m])) for k, letter in enumerate(a.alphabet)
+    }
+    alpha1 = _row_vec(init1)
+    alpha2 = [_dot(alpha1, v, field) for v in bvecs]
     return WeightedAutomaton(
         field,
         a.alphabet,
         trans2,
         Matrix.row_vector(field, alpha2),
-        Matrix.col_vector(field, eta2),
+        Matrix.col_vector(field, cols[-1]),
     )
+
+
+def _basis_coords(field, basis, vecs, targets, side):
+    """Coordinates of each scaled target against the scaled basis vectors
+    ``vecs`` whose u parts were added to ``basis``, from one solve; one
+    field scalar per entry."""
+    frac, zero = field.frac, field.zero
+    out = []
+    for (_, p, q), sol in zip(targets, basis.int_coords([t[0] for t in targets])):
+        if sol is None:
+            raise InternalInvariantError("%s space not closed under step" % side)
+        ys, d = sol
+        # target = (p/q) * sum(ys[k] / d * u_k) and u_k = (q_k/p_k) * vecs[k]
+        out.append([
+            frac(y * p * qk, d * q * pk) if y else zero for y, (_, pk, qk) in zip(ys, vecs)
+        ])
+    return out
 
 
 def check_forward_conjugate(original, conjugate, base):

@@ -9,7 +9,10 @@ replaced, and the reference solvers at the end are the Gauss-Jordan
 elimination and the global dense product solve that the SCC-by-SCC,
 fraction-free solve replaced, plus the Gauss-Jordan inverse and the
 incremental-basis rank that fraction-free elimination replaced; all are
-kept as oracles.
+kept as oracles.  So are the ``Fraction``-per-entry coordinate basis and
+span algorithms (``span_explore``, ``equivalent``, ``minimize``,
+``is_image_binary``, ``ifa_to_dfa``) that the integer kernels replaced,
+and the float spectral spot check of a model-checking product.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from collections import deque
 from fractions import Fraction
 
 from imagebinary import (
-    CoordBasis,
+    Dfa,
     Iba,
     InputError,
     InternalInvariantError,
@@ -29,6 +32,7 @@ from imagebinary import (
     QQ,
     SemanticError,
     WeightedAutomaton,
+    zero_automaton,
 )
 from imagebinary.graphs import nodes_on_cycles, reachable_from, reaches_any
 
@@ -398,7 +402,7 @@ def reference_solve_unique(matrix, rhs):
 
 def reference_rank(matrix):
     """Rank as the size of an incremental basis of the nonzero rows."""
-    basis = CoordBasis(matrix.field)
+    basis = ReferenceCoordBasis(matrix.field)
     for row in matrix.nonzero_rows():
         basis.add(row)
     return len(basis)
@@ -469,3 +473,343 @@ def reference_solve_values(ps):
         if v < 0 or v > 1:
             raise SemanticError("input not image-binary")
     return z
+
+
+# === Reference span algorithms: one Fraction (or GF2) per vector entry ===
+
+
+class ReferenceCoordBasis:
+    """Incrementally built basis of sparse vectors with coordinate recovery.
+
+    Vectors are dicts {index: nonzero scalar}.  ``add`` returns the new
+    basis index when the vector extends the span and None when it is
+    dependent; ``coords`` expresses a vector as a combination of the
+    vectors that were successfully added.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.reduced = []  # reduced vectors, pivot normalised to one
+        self.pivots = []  # pivot index of each reduced vector
+        self.exprs = []  # reduced[i] as {basis index: coefficient}
+
+    def __len__(self):
+        return len(self.reduced)
+
+    def _reduce(self, vec):
+        """Write vec as residual + sum(used[k] * basis[k]); return both."""
+        v = dict(vec)
+        used = {}
+        zero = self.field.zero
+        for i, p in enumerate(self.pivots):
+            c = v.get(p)
+            if not c:
+                continue
+            for j, x in self.reduced[i].items():
+                nv = v.get(j, zero) - c * x
+                if not nv:
+                    v.pop(j, None)
+                else:
+                    v[j] = nv
+            for k, x in self.exprs[i].items():
+                nv = used.get(k, zero) + c * x
+                if not nv:
+                    used.pop(k, None)
+                else:
+                    used[k] = nv
+        return v, used
+
+    def add(self, vec):
+        residual, used = self._reduce(vec)
+        if not residual:
+            return None
+        m = len(self.reduced)
+        pivot = min(residual)
+        inv = self.field.one / residual[pivot]
+        self.reduced.append({j: x * inv for j, x in residual.items()})
+        self.pivots.append(pivot)
+        # residual = vec - sum(used); scale by inv and solve for vec's slot
+        expr = {k: -inv * x for k, x in used.items() if -inv * x}
+        expr[m] = inv
+        self.exprs.append(expr)
+        return m
+
+    def contains(self, vec):
+        residual, _ = self._reduce(vec)
+        return not residual
+
+    def coords(self, vec):
+        """Coordinates of vec w.r.t. the added basis vectors, or None."""
+        residual, used = self._reduce(vec)
+        if residual:
+            return None
+        out = [self.field.zero] * len(self.reduced)
+        for k, x in used.items():
+            out[k] = x
+        return out
+
+
+def _row_sparse(mat):
+    return dict(mat.nonzero_rows()[0])
+
+
+def _col_sparse(mat):
+    return {i: r[0] for i, r in enumerate(mat.rows) if r[0]}
+
+
+def _vec_mat(v, mat):
+    zero = mat.field.zero
+    rows = mat.nonzero_rows()
+    acc = {}
+    for i, c in v.items():
+        for j, x in rows[i]:
+            acc[j] = acc.get(j, zero) + c * x
+    return {j: x for j, x in acc.items() if x}
+
+
+def _mat_vec(mat, v):
+    zero = mat.field.zero
+    acc = {}
+    for i, row in enumerate(mat.nonzero_rows()):
+        y = zero
+        for j, x in row:
+            c = v.get(j)
+            if c is not None:
+                y = y + x * c
+        if y:
+            acc[i] = y
+    return acc
+
+
+def _dot(u, v, zero):
+    acc = zero
+    for i, c in u.items():
+        x = v.get(i)
+        if x is not None:
+            acc = acc + c * x
+    return acc
+
+
+def reference_span_explore(field, init_state, letters, step, to_vector=None, observe=None):
+    """Breadth-first span exploration over ``ReferenceCoordBasis``;
+    returns (basis_words, basis_states, coord_basis, witness)."""
+    if to_vector is None:
+        to_vector = lambda s: s
+    basis = ReferenceCoordBasis(field)
+    words, states = [], []
+    witness = None
+
+    def consider(word, state):
+        nonlocal witness
+        if observe is not None and witness is None:
+            if observe(state):
+                witness = word
+                return None
+        if basis.add(to_vector(state)) is not None:
+            words.append(word)
+            states.append(state)
+            return True
+        return False
+
+    if not consider((), init_state):
+        return words, states, basis, witness
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        word, state = words[i], states[i]
+        for a in letters:
+            child = step(state, a)
+            res = consider(word + (a,), child)
+            if res is None:
+                return words, states, basis, witness
+            if res:
+                queue.append(len(words) - 1)
+    return words, states, basis, witness
+
+
+def reference_forward_words(automaton):
+    """Basis words of the forward space of an automaton."""
+    a = automaton
+    return reference_span_explore(
+        a.field, _row_sparse(a.init), a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter))
+    )[0]
+
+
+def reference_equivalent(a, b):
+    """(True, None) or (False, shortest word with differing values)."""
+    na = a.n
+    fa, fb, zero = _col_sparse(a.final), _col_sparse(b.final), a.field.zero
+
+    def step(state, letter):
+        va, vb = state
+        return _vec_mat(va, a.matrix(letter)), _vec_mat(vb, b.matrix(letter))
+
+    def to_vector(state):
+        va, vb = state
+        combined = dict(va)
+        for j, c in vb.items():
+            combined[na + j] = c
+        return combined
+
+    def observe(state):
+        va, vb = state
+        return _dot(va, fa, zero) - _dot(vb, fb, zero)
+
+    init = (_row_sparse(a.init), _row_sparse(b.init))
+    witness = reference_span_explore(a.field, init, a.alphabet, step, to_vector, observe)[3]
+    return witness is None, witness
+
+
+def reference_minimize(automaton):
+    """Forward then backward reduction with per-vector coordinates."""
+    a = automaton
+    field = a.field
+    zero = field.zero
+    fwd = _row_sparse(a.init)
+    if not fwd:
+        return zero_automaton(a.alphabet, field)
+    _, fvecs, fbasis, _ = reference_span_explore(
+        field, fwd, a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter))
+    )
+    trans1 = {
+        letter: Matrix(field, [fbasis.coords(_vec_mat(v, a.matrix(letter))) for v in fvecs])
+        for letter in a.alphabet
+    }
+    init1 = Matrix.row_vector(field, fbasis.coords(fwd))
+    final = _col_sparse(a.final)
+    final1 = Matrix.col_vector(field, [_dot(v, final, zero) for v in fvecs])
+    bwd = _col_sparse(final1)
+    if not bwd:
+        return zero_automaton(a.alphabet, field)
+    _, bvecs, bbasis, _ = reference_span_explore(
+        field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v)
+    )
+    trans2 = {
+        letter: Matrix(field, zip(*[bbasis.coords(_mat_vec(trans1[letter], v)) for v in bvecs]))
+        for letter in a.alphabet
+    }
+    alpha1 = _row_sparse(init1)
+    return WeightedAutomaton(
+        field,
+        a.alphabet,
+        trans2,
+        Matrix.row_vector(field, [_dot(alpha1, v, zero) for v in bvecs]),
+        Matrix.col_vector(field, bbasis.coords(bwd)),
+    )
+
+
+def reference_is_image_binary(automaton):
+    """(True, None) or (False, shortest word valued outside {0, 1})."""
+    a = automaton
+    n = a.n
+    final = _col_sparse(a.final)
+
+    def to_vector(v):
+        combined = dict(v)
+        for i, ci in v.items():
+            for j, cj in v.items():
+                combined[n + i * n + j] = ci * cj
+        return combined
+
+    def observe(v):
+        val = _dot(v, final, QQ.zero)
+        return val - val * val
+
+    witness = reference_span_explore(
+        QQ,
+        _row_sparse(a.init),
+        a.alphabet,
+        lambda v, letter: _vec_mat(v, a.matrix(letter)),
+        to_vector,
+        observe,
+    )[3]
+    return witness is None, witness
+
+
+def reference_ifa_to_dfa(automaton):
+    """Signature DFA with one Fraction per signature entry."""
+    a = automaton
+    field = a.field
+    bwd = _col_sparse(a.final)
+    bvecs = []
+    if bwd:
+        bvecs = reference_span_explore(
+            field, bwd, a.alphabet, lambda v, letter: _mat_vec(a.matrix(letter), v)
+        )[1]
+    zero, one = field.zero, field.one
+
+    def signature(v):
+        return tuple(_dot(v, g, zero) for g in bvecs)
+
+    v0 = _row_sparse(a.init)
+    ids = {signature(v0): 0}
+    accepting = {0} if _dot(v0, bwd, zero) == one else set()
+    delta = {}
+    queue = deque([(0, v0)])
+    while queue:
+        i, v = queue.popleft()
+        for letter in a.alphabet:
+            v2 = _vec_mat(v, a.matrix(letter))
+            sig = signature(v2)
+            j = ids.get(sig)
+            if j is None:
+                j = ids[sig] = len(ids)
+                if _dot(v2, bwd, zero) == one:
+                    accepting.add(j)
+                queue.append((j, v2))
+            delta[i, letter] = j
+    return Dfa(len(ids), a.alphabet, delta, 0, accepting)
+
+
+def reference_product(a, b):
+    """Matrix product with one field operation per term."""
+    zero = a.field.zero
+    return Matrix(
+        a.field,
+        [
+            [sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)), zero) for j in range(b.ncols)]
+            for i in range(a.nrows)
+        ],
+    )
+
+
+# === Float spot check of a model-checking product ===
+
+
+def spectral_spot_check(ps, tol=1e-6):
+    """Float sanity check of the exact classification: the spectral
+    radius of B restricted to a recurrent component is 1, and restricted
+    to the union of non-recurrent components it is strictly below 1.
+    Returns (per-recurrent-component radii, transient radius or None).
+    Needs numpy, which is an optional (test) dependency."""
+    import numpy
+
+    def radius(idxs):
+        sub = numpy.array(
+            [[float(ps.B.rows[i][j]) for j in idxs] for i in idxs], dtype=float
+        )
+        if sub.size == 0:
+            return 0.0
+        return float(max(abs(numpy.linalg.eigvals(sub))))
+
+    recurrent_radii = []
+    transient = []
+    for cls in ps.classes:
+        idxs = [ps.index[x] for x in cls.nodes]
+        if cls.recurrent:
+            rho = radius(idxs)
+            if abs(rho - 1.0) > tol:
+                raise InternalInvariantError(
+                    "recurrent component has spectral radius %r" % (rho,)
+                )
+            recurrent_radii.append(rho)
+        else:
+            transient.extend(idxs)
+    transient_radius = None
+    if transient:
+        transient_radius = radius(sorted(transient))
+        if transient_radius >= 1.0 - tol:
+            raise InternalInvariantError(
+                "transient part has spectral radius %r" % (transient_radius,)
+            )
+    return recurrent_radii, transient_radius

@@ -35,7 +35,6 @@ from imagebinary import (
     nba_lasso_accepts,
     shift_register_rank_report,
     solve_values,
-    spectral_spot_check,
     union,
 )
 from imagebinary.fixtures import bounded_ambiguity_nba, conjugated_ifa, random_dfa
@@ -49,6 +48,7 @@ from goldens import (
     fanout_unary_nba,
     first_letter_a_dba,
     ones_lower_triangle,
+    spectral_spot_check,
     thirds_chain,
     unary_chain,
 )

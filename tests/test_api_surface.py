@@ -5,7 +5,10 @@ that moves or renames one of them fails here instead of in
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import imagebinary
@@ -45,3 +48,19 @@ def test_every_listed_name_exists():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_package_does_not_import_numpy():
+    """Every decision is exact; numpy serves only the test oracles.  A
+    fresh interpreter, since the test process may have numpy loaded."""
+    code = (
+        "import importlib, pkgutil, sys, imagebinary\n"
+        "for info in pkgutil.iter_modules(imagebinary.__path__):\n"
+        "    importlib.import_module('imagebinary.' + info.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(imagebinary.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -307,6 +307,40 @@ def test_modelcheck_refusal_prints_a_lasso_that_reads_back(run, tmp_path):
     assert err == "error: not image-binary (lasso :y,xx has value 1/2)\n"
 
 
+def test_witness_words_over_a_long_letter_read_back(run, tmp_path):
+    """Every letter here is one character, but the alphabet has a longer
+    one, so the witness must be comma separated for eval to read it."""
+    path = tmp_path / "yy.wa"
+    path.write_text(
+        "kind: wa\nalphabet: xx y\nstates: 3\ninitial: 1 0 0\nfinal: 0 0 1\n"
+        "trans y 1 2 1\ntrans y 2 3 2\n"
+    )
+    zero = tmp_path / "zero.wa"
+    zero.write_text("kind: wa\nalphabet: xx y\nstates: 1\ninitial: 0\nfinal: 1\n")
+    out = str(tmp_path / "out.wa")
+    assert run("check-ifa", str(path)) == (0, "no (witness word y,y)\n", "")
+    assert run("equiv", str(path), str(zero)) == (
+        0, "not equivalent (witness word y,y)\n", "")
+    assert run("complement", str(path), out) == (
+        3, "", "error: not image-binary (witness word y,y)\n")
+    assert run("eval", str(path), "y,y") == (0, "2/1\n", "")
+
+
+def test_infinite_final_paths_name_the_lasso_as_lasso_eval_reads_it(run, tmp_path):
+    """State 1 lies on two distinct y-cycles, so :y has infinitely many
+    final paths; both refusals print the lasso in stem:cycle form."""
+    bad = tmp_path / "two.iba"
+    bad.write_text(
+        "kind: iba\nalphabet: xx y\nstates: 2\ninitial: 1 0\nfinal: 1\n"
+        "trans y 1 1 1\ntrans y 1 2 1\ntrans y 2 1 1\n"
+    )
+    chain = tmp_path / "chain.mc"
+    chain.write_text("states: 1\nalphabet: xx y\ninitial: 1\nlabels: y\nrow: 1\n")
+    expected = (3, "", "error: infinitely many final paths on :y\n")
+    assert run("lasso-eval", str(bad), ":y") == expected
+    assert run("modelcheck", str(bad), str(chain)) == expected
+
+
 def test_every_refusal_names_the_witness_word_alike(run, tmp_path):
     doubling = doubling_path(tmp_path)
     twice = tmp_path / "twice.wa"

@@ -1,0 +1,229 @@
+"""The integer kernels of span exploration (the integer-echelon
+``CoordBasis``, integer-scaled vectors and the integer-view matrix
+product) checked against the one-``Fraction``-per-entry algorithms they
+replaced, kept in ``goldens``."""
+
+import random
+from fractions import Fraction
+from operator import itemgetter
+
+from hypothesis import given, settings, strategies as st
+
+from imagebinary import (
+    F2,
+    Matrix,
+    QQ,
+    WeightedAutomaton,
+    add,
+    conjugated_ifa,
+    dfa_to_ifa,
+    equivalent,
+    hadamard,
+    ifa_to_dfa,
+    is_image_binary,
+    minimize,
+    random_dfa,
+    serialize_automaton,
+)
+from imagebinary.matrix import CoordBasis
+from imagebinary.wa import _row_vec, _vec_mat, span_explore
+
+from goldens import (
+    ReferenceCoordBasis,
+    reference_equivalent,
+    reference_forward_words,
+    reference_ifa_to_dfa,
+    reference_is_image_binary,
+    reference_minimize,
+    reference_product,
+)
+
+ALPHABET = ("a", "b")
+SCALES = [Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3, 4)]
+
+
+# === CoordBasis against the Fraction basis ===
+
+
+def same_basis_answers(field, vectors):
+    """Feed the vectors to both bases; every answer must agree."""
+    basis, oracle = CoordBasis(field), ReferenceCoordBasis(field)
+    for v in vectors:
+        assert basis.add(v) == oracle.add(v)
+    assert len(basis) == len(oracle)
+    for v in vectors:
+        assert basis.contains(v) == oracle.contains(v)
+        assert basis.coords(v) == oracle.coords(v)
+
+
+rational_entries = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4)
+)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.lists(rational_entries, min_size=5, max_size=5), min_size=1, max_size=8),
+    st.lists(st.lists(rational_entries, min_size=5, max_size=5), max_size=3),
+)
+def test_coordbasis_matches_fraction_basis(vectors, probes):
+    sparse = [{j: x for j, x in enumerate(v) if x} for v in vectors + probes]
+    basis, oracle = CoordBasis(QQ), ReferenceCoordBasis(QQ)
+    for v in sparse[: len(vectors)]:
+        assert basis.add(v) == oracle.add(v)
+    for v in sparse:
+        assert basis.coords(v) == oracle.coords(v)
+
+
+def test_coordbasis_matches_fraction_basis_on_seeded_vectors():
+    rng = random.Random(61)
+    for _ in range(300):
+        field = rng.choice((QQ, F2))
+        n = rng.randint(1, 9)
+        base = [random_vector(rng, field, n) for _ in range(rng.randint(1, 5))]
+        # combinations of earlier vectors exercise the dependent branch
+        vectors = base + [combine(rng, field, base) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(vectors)
+        same_basis_answers(field, vectors)
+
+
+def random_vector(rng, field, n):
+    if field is F2:
+        return {j: F2.one for j in range(n) if rng.random() < 0.5}
+    return {j: rng.choice(SCALES) for j in range(n) if rng.random() < 0.6}
+
+
+def combine(rng, field, vectors):
+    out = {}
+    for v in vectors:
+        c = field.one if field is F2 else rng.choice(SCALES)
+        if field is F2 and rng.random() < 0.5:
+            continue
+        for j, x in v.items():
+            out[j] = out.get(j, field.zero) + c * x
+    return {j: x for j, x in out.items() if x}
+
+
+# === Span algorithms on automata with non-unit denominators ===
+
+
+def diagonal_conjugate(rng, a):
+    """The same language behind a random rational diagonal change of
+    basis D: M(x) -> D M(x) D^-1, init -> init D^-1, final -> D final."""
+    d = [rng.choice(SCALES) for _ in range(a.n)]
+    trans = {
+        x: Matrix(a.field, [[d[i] * m[i, j] / d[j] for j in range(a.n)] for i in range(a.n)])
+        for x, m in a.trans.items()
+    }
+    init = Matrix.row_vector(a.field, [a.init[0, j] / d[j] for j in range(a.n)])
+    final = Matrix.col_vector(a.field, [d[i] * a.final[i, 0] for i in range(a.n)])
+    return WeightedAutomaton(a.field, a.alphabet, trans, init, final)
+
+
+def binary_automaton(rng, n):
+    dfa = random_dfa(rng, n, ALPHABET)
+    return dfa, diagonal_conjugate(rng, conjugated_ifa(rng, dfa))
+
+
+def random_rational_automaton(rng, n):
+    """Arbitrary rational weights: mostly not image-binary."""
+    pick = lambda: rng.choice(SCALES) if rng.random() < 0.5 else Fraction(0)
+    trans = {x: Matrix(QQ, [[pick() for _ in range(n)] for _ in range(n)]) for x in ALPHABET}
+    init = Matrix.row_vector(QQ, [pick() for _ in range(n)])
+    final = Matrix.col_vector(QQ, [pick() for _ in range(n)])
+    return WeightedAutomaton(QQ, ALPHABET, trans, init, final)
+
+
+def forward_words(a):
+    v0 = _row_vec(a.init)
+    if not v0[0]:
+        return []
+    return span_explore(
+        a.field, v0, a.alphabet, lambda v, x: _vec_mat(v, a.matrix(x)), itemgetter(0)
+    )[0]
+
+
+def check_against_references(a, b):
+    assert forward_words(a) == reference_forward_words(a)
+    assert serialize_automaton(minimize(a)) == serialize_automaton(reference_minimize(a))
+    assert equivalent(a, b) == reference_equivalent(a, b)
+    if a.field is QQ:
+        ok, witness = is_image_binary(a)
+        assert (ok, witness) == reference_is_image_binary(a)
+        if ok:
+            got, want = ifa_to_dfa(a), reference_ifa_to_dfa(a)
+            assert (got.state_count, got.delta, got.accepting) == (
+                want.state_count, want.delta, want.accepting)
+            assert serialize_automaton(dfa_to_ifa(got)) == serialize_automaton(dfa_to_ifa(want))
+
+
+def test_span_algorithms_match_references_on_seeded_automata():
+    rng = random.Random(977)
+    for _ in range(12):
+        d1, a1 = binary_automaton(rng, rng.randint(1, 4))
+        d2, a2 = binary_automaton(rng, rng.randint(1, 3))
+        r = random_rational_automaton(rng, rng.randint(1, 3))
+        cases = [
+            (a1, a2),
+            (a1, diagonal_conjugate(rng, a1)),
+            (add(a1, a2), a1),  # a sum of languages: value 2 where both accept
+            (hadamard(a1, a2), a2),
+            (hadamard(a1, diagonal_conjugate(rng, a1)), a1),  # binary, equal to a1
+            (r, a1),
+            (dfa_to_ifa(d1, F2), dfa_to_ifa(d2, F2)),
+            (minimize(dfa_to_ifa(d1, F2)), dfa_to_ifa(d1, F2)),
+        ]
+        for a, b in cases:
+            check_against_references(a, b)
+
+
+def test_hadamard_square_tells_scales_of_one_direction_apart():
+    """The vectors of the empty word and of a point the same way, 1 and
+    1/2 times (1, 0); (v, v (x) v) still tells them apart, so a is
+    explored and the witness ab (value 1/2) is found."""
+    half = Fraction(1, 2)
+    a = WeightedAutomaton(
+        QQ,
+        ALPHABET,
+        {"a": Matrix.from_ints(QQ, [[half, 0], [0, 0]]), "b": Matrix.from_ints(QQ, [[0, 1], [0, 0]])},
+        Matrix.from_ints(QQ, [[1, 0]]),
+        Matrix.from_ints(QQ, [[0], [1]]),
+    )
+    assert is_image_binary(a) == reference_is_image_binary(a) == (False, ("a", "b"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_span_algorithms_match_references_property(seed):
+    rng = random.Random(seed)
+    _, a = binary_automaton(rng, rng.randint(1, 3))
+    _, b = binary_automaton(rng, rng.randint(1, 3))
+    check_against_references(add(a, b), hadamard(a, b))
+    check_against_references(random_rational_automaton(rng, rng.randint(1, 3)), a)
+
+
+# === Integer-view product ===
+
+
+def test_product_matches_fraction_product():
+    rng = random.Random(5)
+    for _ in range(200):
+        field = rng.choice((QQ, F2))
+        n, m, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = random_matrix(rng, field, n, m), random_matrix(rng, field, m, p)
+        assert a * b == reference_product(a, b)
+    # zero rows, and rows whose denominators share nothing
+    a = Matrix(QQ, [[Fraction(1, 3), Fraction(0), Fraction(2, 5)], [0, 0, 0], [Fraction(7, 4), 1, 0]])
+    b = Matrix(QQ, [[Fraction(1, 7), 0], [0, 0], [Fraction(-3, 11), Fraction(5, 2)]])
+    assert a * b == reference_product(a, b)
+    assert Matrix.zeros(QQ, 2, 3) * b == Matrix.zeros(QQ, 2, 2)
+
+
+def random_matrix(rng, field, nrows, ncols):
+    density = rng.choice((0.0, 0.3, 0.7, 1.0))
+    pick = (lambda: F2.one) if field is F2 else (lambda: rng.choice(SCALES))
+    return Matrix(
+        field,
+        [[pick() if rng.random() < density else field.zero for _ in range(ncols)]
+         for _ in range(nrows)],
+    )

@@ -24,7 +24,6 @@ from imagebinary import (
     kdis,
     model_check,
     solve_values,
-    spectral_spot_check,
     trim_iba,
 )
 from imagebinary.fixtures import bounded_ambiguity_nba, random_mc
@@ -36,6 +35,7 @@ from goldens import (
     fanout_unary_nba,
     first_letter_a_dba,
     reference_solve_values,
+    spectral_spot_check,
     thirds_chain,
     unary_chain,
 )

@@ -25,7 +25,7 @@ from imagebinary import (
 )
 from imagebinary.fixtures import bounded_ambiguity_nba
 from imagebinary.graphs import nodes_on_cycles, reachable_from
-from imagebinary.wa import _mat_vec, _vec_mat
+from imagebinary.wa import _col_vec, _mat_vec, _row_vec, _vec_mat
 
 from goldens import all_lassos, fanout_unary_nba, tail_counts
 
@@ -137,6 +137,18 @@ def sparse_vector(rng, field, n, density):
     return {j: x for j, x in enumerate(row) if x != field.zero}
 
 
+def scaled(field, v, n):
+    """The plain vector v as the package's integer-scaled vector."""
+    return _row_vec(Matrix(field, [[v.get(j, field.zero) for j in range(n)]]))
+
+
+def plain(field, v):
+    """An integer-scaled vector (u, p, q) as {index: field scalar}."""
+    u, p, q = v
+    out = {j: field.frac(x * p, q) for j, x in u.items()}
+    return {j: x for j, x in out.items() if x != field.zero}
+
+
 @pytest.mark.parametrize("field", [QQ, F2])
 def test_products_match_dense_loops(field):
     rng = random.Random(2013)
@@ -147,9 +159,11 @@ def test_products_match_dense_loops(field):
         b = random_matrix(rng, field, m, p, rng.choice((0.2, 0.6, 1.0)))
         assert a * b == dense_product(a, b)
         v = sparse_vector(rng, field, n, density)
-        assert _vec_mat(v, a) == dense_vec_mat(v, a)
+        assert plain(field, _vec_mat(scaled(field, v, n), a)) == dense_vec_mat(v, a)
         w = sparse_vector(rng, field, m, density)
-        assert _mat_vec(a, w) == dense_mat_vec(a, w)
+        assert plain(field, _mat_vec(a, scaled(field, w, m))) == dense_mat_vec(a, w)
+        col = Matrix(field, [[w.get(j, field.zero)] for j in range(m)])
+        assert _col_vec(col) == scaled(field, w, m)
 
 
 # === Lasso analysis against the dense oracle ===
@@ -213,7 +227,9 @@ def dense_lasso_analysis(iba, lasso):
     cyc = nodes_on_cycles(graph)
     live, counts = tail_counts(graph, [n for n in graph if n[0] in iba.final], cyc)
     if counts is None:
-        raise SemanticError("infinitely many final paths on %r" % (lasso,))
+        # stem:cycle, as lasso-eval reads it (every letter here is one character)
+        text = "%s:%s" % ("".join(lasso.stem), "".join(lasso.cycle))
+        raise SemanticError("infinitely many final paths on %s" % (text,))
 
     def weight(x):
         if x in cyc:
