@@ -140,7 +140,7 @@ class Iba(_LetterMatrices):
         if self._edges is None:
             succs = [set() for _ in range(self.n)]
             for m in self.trans.values():
-                for q, row in enumerate(m.nonzero_rows()):
+                for q, row in enumerate(m.int_rows()[0]):
                     succs[q].update(q2 for q2, _w in row)
             self._edges = MappingProxyType({q: tuple(sorted(s)) for q, s in enumerate(succs)})
         return self._edges
@@ -341,9 +341,9 @@ def is_ultimately_stable(iba):
             for q in nodes:
                 comp[q] = d
         iba._stable = not any(
-            w != 1 and comp[q] == comp[q2]
-            for m in iba.trans.values()
-            for q, row in enumerate(m.nonzero_rows())
+            w != den and comp[q] == comp[q2]
+            for rows, den in (m.int_rows() for m in iba.trans.values())
+            for q, row in enumerate(rows)
             for q2, w in row
         )
     return iba._stable
@@ -398,24 +398,21 @@ def trim_iba(iba):
     reach a cycle through a final state.  Returns the trimmed automaton
     (same ``untrimmed_state_count``) and the kept indices, possibly []."""
     graph = iba.nonzero_edge_graph()
-    support = iba.init.nonzero_rows()[0]
     cyc = nodes_on_cycles(graph)
     anchors = [f for f in sorted(iba.final) if f in cyc]
-    keep = sorted(reachable_from(graph, [q for q, _w in support]) & reaches_any(graph, anchors))
+    start = [q for q, _w in iba.init.int_rows()[0][0]]
+    keep = sorted(reachable_from(graph, start) & reaches_any(graph, anchors))
     if not keep:
         return None, []
     remap = {old: new for new, old in enumerate(keep)}
-    m = len(keep)
-    trans = {}
-    for a in iba.alphabet:
-        entries = {}
-        for old_i, row in enumerate(iba.trans[a].nonzero_rows()):
-            if old_i in remap:
-                for old_j, w in row:
-                    if old_j in remap:
-                        entries[remap[old_i], remap[old_j]] = w
-        trans[a] = Matrix.from_entries(QQ, m, m, entries)
-    init = Matrix.from_entries(QQ, 1, m, {(0, remap[q]): w for q, w in support if q in remap})
+
+    def restrict(mat, kept_rows):
+        rows, den = mat.int_rows()
+        out = [[(remap[j], w) for j, w in rows[i] if j in remap] for i in kept_rows]
+        return Matrix.from_int_rows(QQ, len(keep), out, den)
+
+    trans = {a: restrict(iba.trans[a], keep) for a in iba.alphabet}
+    init = restrict(iba.init, [0])
     final = frozenset(remap[f] for f in iba.final if f in remap)
     labels = [iba.state_labels[old] for old in keep] if iba.state_labels else None
     return Iba(iba.alphabet, trans, init, final, labels, iba.untrimmed_state_count), keep

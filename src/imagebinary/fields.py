@@ -5,12 +5,14 @@ precision, always in lowest terms).  GF(2) scalars are ``GF2`` instances
 with xor/and arithmetic.  A field object bundles zero, one, conversion and
 text parsing so that matrix and automaton code stays field generic;
 ``frac`` maps a quotient of ints into the field, which is how the
-integer kernels in ``matrix`` and ``wa`` hand back scalars.
+integer kernels hand back scalars, and ``ratio``, the one tokenizer that
+``parse`` and the document parsers share, reads a reduced (num, den).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
@@ -76,17 +78,23 @@ class Rationals:
         return Fraction(num, den)
 
     @staticmethod
-    def parse(text: str) -> Fraction:
-        text = text.strip()
+    def ratio(text: str) -> tuple:
+        """The scalar written in ``text``, an integer or ``p/q`` with no
+        inner whitespace, as (num, den) in lowest terms with den > 0."""
         try:
-            if any(c.isspace() for c in text):
+            (tok,) = text.split()
+            num, slash, den = tok.partition("/")
+            num, den = int(num), int(den) if slash else 1
+            if not den:
                 raise ValueError
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return Fraction(int(num), int(den))
-            return Fraction(int(text))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("bad rational scalar %r" % text) from None
+        except ValueError:
+            raise ParseError("bad rational scalar %r" % text.strip()) from None
+        g = -gcd(num, den) if den < 0 else gcd(num, den)
+        return num // g, den // g
+
+    @staticmethod
+    def parse(text: str) -> Fraction:
+        return Fraction(*Rationals.ratio(text))
 
     @staticmethod
     def format(x: Fraction) -> str:
@@ -121,13 +129,16 @@ class BinaryField:
         return GF2(num)
 
     @staticmethod
-    def parse(text: str) -> GF2:
+    def ratio(text: str) -> tuple:
+        """The scalar written in ``text``, 0 or 1, as (num, 1)."""
         text = text.strip()
-        if text == "0":
-            return GF2(0)
-        if text == "1":
-            return GF2(1)
-        raise ParseError("bad GF(2) scalar %r" % text)
+        if text not in ("0", "1"):
+            raise ParseError("bad GF(2) scalar %r" % text)
+        return int(text), 1
+
+    @staticmethod
+    def parse(text: str) -> GF2:
+        return GF2(BinaryField.ratio(text)[0])
 
     @staticmethod
     def format(x: GF2) -> str:

@@ -10,6 +10,9 @@ parse(serialize(x)) reproduces x.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .buchi import CountVector, Iba, Nba
 from .errors import ParseError, ValidationError
 from .fields import F2, QQ, field_by_name
@@ -50,11 +53,19 @@ def _parse_index(tok, n, lineno):
     return i - 1
 
 
-def _parse_scalar(field, tok, lineno):
+def _parse_ratio(field, tok, lineno):
     try:
-        return field.parse(tok)
+        return field.ratio(tok)
     except ParseError as exc:
         raise ParseError(str(exc), line=lineno) from None
+
+
+def _int_matrix(field, ncols, rows):
+    """The matrix with the (column, (num, den)) pairs of rows[i], in column
+    order and nonzero, in row i, built straight into its integer view."""
+    den = lcm(*(d for row in rows for _j, (_num, d) in row))
+    ints = [[(j, num * (den // d)) for j, (num, d) in row] for row in rows]
+    return Matrix.from_int_rows(field, ncols, ints, den)
 
 
 def _parse_index_line(toks, n, lineno, what):
@@ -138,7 +149,8 @@ def parse_automaton(text):
             raise ValidationError(
                 "line %d: %s needs exactly %d entries, got %d" % (lineno, name, n, len(toks))
             )
-        return [_parse_scalar(field, t, lineno) for t in toks]
+        ratios = (_parse_ratio(field, t, lineno) for t in toks)
+        return [(j, r) for j, r in enumerate(ratios) if r[0]]
 
     def read_transitions(weight_field):
         seen = {}
@@ -153,32 +165,33 @@ def parse_automaton(text):
                 raise ValidationError(
                     "line %d: duplicate transition %s %d %d" % (lineno, letter, i + 1, j + 1)
                 )
-            w = _parse_scalar(weight_field, sw, lineno)
-            seen[(letter, i, j)] = (lineno, w)
+            seen[(letter, i, j)] = (lineno, _parse_ratio(weight_field, sw, lineno))
         return seen
 
     def read_matrices(weight_field):
-        entries = {a: {} for a in alphabet}
-        for (letter, i, j), (_lineno, w) in read_transitions(weight_field).items():
-            entries[letter][i, j] = w
-        return {a: Matrix.from_entries(weight_field, n, n, e) for a, e in entries.items()}
+        rows = {a: [[] for _ in range(n)] for a in alphabet}
+        for (letter, i, j), (_lineno, r) in sorted(read_transitions(weight_field).items()):
+            if r[0]:
+                rows[letter][i].append((j, r))
+        return {a: _int_matrix(weight_field, n, r) for a, r in rows.items()}
 
     if kind == "wa":
-        init = Matrix.row_vector(field, scalar_row("initial"))
-        final = Matrix.col_vector(field, scalar_row("final"))
+        init = _int_matrix(field, n, [scalar_row("initial")])
+        final = dict(scalar_row("final"))
+        final = _int_matrix(field, 1, [[(0, final[i])] if i in final else [] for i in range(n)])
         return WeightedAutomaton(field, alphabet, read_matrices(field), init, final)
 
     if kind == "nba":
         initial = _parse_index_line(headers["initial"], n, header_lines["initial"], "initial")
         final = _parse_index_line(headers["final"], n, header_lines["final"], "final")
         triples = []
-        for (letter, i, j), (lineno, w) in read_transitions(QQ).items():
-            if w != QQ.one:
+        for (letter, i, j), (lineno, r) in read_transitions(QQ).items():
+            if r != (1, 1):
                 raise ValidationError("line %d: nba transition weight must be 1" % (lineno,))
             triples.append((i, letter, j))
         return Nba(n, alphabet, triples, initial, final)
 
-    init = Matrix.row_vector(QQ, scalar_row("initial"))
+    init = _int_matrix(QQ, n, [scalar_row("initial")])
     final = _parse_index_line(headers["final"], n, header_lines["final"], "final")
     return Iba(alphabet, read_matrices(QQ), init, frozenset(final))
 
@@ -236,26 +249,28 @@ def serialize_automaton(obj):
 
 def parse_markov_chain(text):
     """Parse one Markov chain document: states, alphabet, initial
-    distribution, per-state labels and one `row:` line per state."""
+    distribution, per-state labels and one `row:` line per state.  The
+    rows are read straight into the integer view of the matrix."""
     headers, header_lines, n, rows = _read_document(
         text, ("states", "alphabet", "initial", "labels"), (), "row:"
     )
     alphabet = tuple(headers["alphabet"])
+    if len(set(alphabet)) != len(alphabet):
+        raise ValidationError("alphabet letters must be distinct")
     if len(rows) != n:
         raise ValidationError("expected %d row: lines, got %d" % (n, len(rows)))
     if len(headers["initial"]) != n:
         raise ValidationError("initial distribution needs exactly %d entries" % (n,))
     if len(headers["labels"]) != n:
         raise ValidationError("labels line needs exactly %d letters" % (n,))
-    init = [
-        _parse_scalar(QQ, t, header_lines["initial"]) for t in headers["initial"]
-    ]
+    init = [Fraction(*_parse_ratio(QQ, t, header_lines["initial"])) for t in headers["initial"]]
     matrix_rows = []
     for lineno, toks in rows:
         if len(toks) != n:
             raise ValidationError("line %d: row needs exactly %d entries" % (lineno, n))
-        matrix_rows.append([_parse_scalar(QQ, t, lineno) for t in toks])
-    return MarkovChain(Matrix(QQ, matrix_rows), init, headers["labels"], alphabet)
+        ratios = (_parse_ratio(QQ, t, lineno) for t in toks)
+        matrix_rows.append([(j, r) for j, r in enumerate(ratios) if r[0]])
+    return MarkovChain(_int_matrix(QQ, n, matrix_rows), init, headers["labels"], alphabet)
 
 
 def serialize_markov_chain(chain):

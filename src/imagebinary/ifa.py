@@ -343,20 +343,13 @@ def block_rank(block, field=None):
     if field is None or field is m.field:
         return m.rank()
     if field is F2 and m.field is QQ:
-        rows = []
-        for r in m.rows:
-            line = []
-            for x in r:
-                if x == QQ.zero:
-                    line.append(F2.zero)
-                elif x == QQ.one:
-                    line.append(F2.one)
-                else:
+        for row in m.nonzero_rows():
+            for _j, x in row:
+                if x != 1:
                     raise InputError(
                         "entry %s is not binary; GF(2) rank undefined" % QQ.format(x)
                     )
-            rows.append(line)
-        return Matrix(F2, rows).rank()
-    if field is QQ and m.field is F2:
-        return Matrix(QQ, [[QQ.of(x.v) for x in r] for r in m.rows]).rank()
+    if {field, m.field} == {QQ, F2}:
+        # the entries are 0 and 1 in either field: one integer view
+        return Matrix.from_int_rows(field, m.ncols, m.int_rows()[0], 1).rank()
     raise InputError("unsupported field for block rank")

@@ -3,11 +3,11 @@ automata algorithms need: products, Kronecker products, and rank,
 inversion and unique solving through one fraction-free (Bareiss)
 elimination.
 
-A matrix is frozen at construction: rows are tuples, and the sparse view
-``nonzero_rows`` and its integer view ``int_rows`` (the nonzero entries
-times one common denominator) are computed once, on first use.  Products
-and the span-exploration kernels run on the integer view and build one
-field scalar per output entry.
+A matrix is frozen at construction and stored sparse, as its nonzero
+rows or as its integer view (the nonzero entries times one common
+denominator).  Products and Kronecker products run on the integer view
+and return one; ``solve_rows`` is the checked unique solve that
+``solve_unique`` and the model checker's block solve share.
 
 ``CoordBasis``, the incremental basis with coordinate recovery that the
 span-exploration algorithms grow one vector at a time, lives here too.
@@ -27,25 +27,28 @@ __all__ = ["Matrix", "CoordBasis"]
 
 
 class Matrix:
-    """Immutable row-major matrix with entries from one field.  Build it
-    from rows with ``Matrix(field, rows)`` or from its nonzero entries
-    with ``Matrix.from_entries``."""
+    """Immutable row-major matrix with entries from one field, built from
+    dense rows (``Matrix(field, rows)``), nonzero entries (``from_entries``)
+    or an integer view (``from_int_rows``).  Of ``nonzero_rows``,
+    ``int_rows`` and the dense ``rows``, the constructor's form is stored
+    and the others are built on first read and cached.  Equality and
+    hashing compare the canonical integer view."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_nonzero", "_ints")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_nonzero", "_ints")
 
     def __init__(self, field, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = [tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise InputError("ragged matrix rows")
-        init = object.__setattr__
-        init(self, "field", field)
-        init(self, "rows", rows)
-        init(self, "nrows", len(rows))
-        init(self, "ncols", ncols)
-        init(self, "_nonzero", None)
-        init(self, "_ints", None)
+        nz = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
+        self._fill(field=field, nrows=len(rows), ncols=ncols, _rows=tuple(rows), _nonzero=nz)
+
+    def _fill(self, **slots):
+        for name in self.__slots__:
+            object.__setattr__(self, name, slots.get(name))
+        return self
 
     def __setattr__(self, name, value):
         raise TypeError("Matrix is immutable")
@@ -60,10 +63,28 @@ class Matrix:
     @classmethod
     def from_entries(cls, field, nrows, ncols, entries):
         """Build from {(i, j): x}; entries not given are zero."""
-        rows = [[field.zero] * ncols for _ in range(nrows)]
+        rows = [[] for _ in range(nrows)]
         for (i, j), x in entries.items():
-            rows[i][j] = x
-        return cls(field, rows)
+            if x:
+                rows[i].append((j, x))
+        nz = tuple(tuple(sorted(r)) for r in rows)
+        return object.__new__(cls)._fill(field=field, nrows=nrows, ncols=ncols, _nonzero=nz)
+
+    @classmethod
+    def from_int_rows(cls, field, ncols, rows, den):
+        """Build from an integer view: per row, the (column, int) pairs of
+        its nonzero entries in column order, each entry standing for
+        int / den with den > 0.  Over QQ the view is brought to lowest
+        terms; over F2 den is odd and the ints count mod 2."""
+        if field is QQ:
+            g = gcd(den, *(x for row in rows for _, x in row))
+            if g > 1:
+                rows, den = [[(j, x // g) for j, x in row] for row in rows], den // g
+            rows = tuple(map(tuple, rows))
+        else:
+            rows, den = tuple(tuple((j, 1) for j, x in row if x & 1) for row in rows), 1
+        ints = rows, den
+        return object.__new__(cls)._fill(field=field, nrows=len(rows), ncols=ncols, _ints=ints)
 
     @classmethod
     def identity(cls, field, n):
@@ -82,12 +103,25 @@ class Matrix:
     def col_vector(cls, field, entries):
         return cls(field, [[e] for e in entries])
 
+    @property
+    def rows(self):
+        """The dense rows, as tuples; built once per matrix."""
+        if self._rows is None:
+            dense = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
+            for row, nz in zip(dense, self.nonzero_rows()):
+                for j, x in nz:
+                    row[j] = x
+            object.__setattr__(self, "_rows", tuple(map(tuple, dense)))
+        return self._rows
+
     def nonzero_rows(self):
         """Per row, the tuple of (column, entry) pairs with a nonzero
         entry, in column order; computed once per matrix."""
         nz = self._nonzero
         if nz is None:
-            nz = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.rows)
+            rows, den = self._ints
+            frac = self.field.frac
+            nz = tuple(tuple((j, frac(x, den)) for j, x in row) for row in rows)
             object.__setattr__(self, "_nonzero", nz)
         return nz
 
@@ -97,7 +131,7 @@ class Matrix:
         entries are 1 and den is 1.  Computed once per matrix."""
         ints = self._ints
         if ints is None:
-            nz = self.nonzero_rows()
+            nz = self._nonzero
             if self.field is QQ:
                 den = lcm(*{x.denominator for row in nz for _, x in row})
                 rows = tuple(
@@ -112,18 +146,19 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return (self._rows or self.rows)[i][j]
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
+            and self.field is other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.int_rows() == other.int_rows()
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, self.int_rows()))
 
     def __repr__(self):
         return "Matrix(%r, %r)" % (self.field, self.rows)
@@ -146,7 +181,9 @@ class Matrix:
         )
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
+        rows, den = self.int_rows()
+        neg = [[(j, -x) for j, x in r] for r in rows]
+        return Matrix.from_int_rows(self.field, self.ncols, neg, den)
 
     def scale(self, c):
         return Matrix(self.field, [[c * a for a in r] for r in self.rows])
@@ -159,38 +196,32 @@ class Matrix:
                 "shape mismatch in product: %dx%d times %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        field = self.field
-        frac, zero = field.frac, field.zero
         ocols = other.ncols
         arows, da = self.int_rows()
         brows, db = other.int_rows()
-        den = da * db
         out = []
         for arow in arows:
             acc = [0] * ocols
             for k, a in arow:
                 for j, b in brows[k]:
                     acc[j] += a * b
-            out.append([frac(x, den) if x else zero for x in acc])
-        return Matrix(field, out)
+            out.append([(j, x) for j, x in enumerate(acc) if x])
+        return Matrix.from_int_rows(self.field, ocols, out, da * db)
 
     def kron(self, other):
         """Kronecker product; block (i,j) is self[i,j] * other."""
-        zero = self.field.zero
-        out = []
-        for arow in self.rows:
-            for brow in other.rows:
-                line = []
-                for a in arow:
-                    if not a:
-                        line.extend([zero] * other.ncols)
-                    else:
-                        line.extend([a * b for b in brow])
-                out.append(line)
-        return Matrix(self.field, out)
+        arows, da = self.int_rows()
+        brows, db = other.int_rows()
+        nc = other.ncols
+        out = [
+            [(j * nc + k, a * b) for j, a in arow for k, b in brow]
+            for arow in arows
+            for brow in brows
+        ]
+        return Matrix.from_int_rows(self.field, self.ncols * nc, out, da * db)
 
     def is_zero(self):
-        return not any(self.nonzero_rows())
+        return not any(self.int_rows()[0])
 
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -213,21 +244,25 @@ class Matrix:
         return Matrix(field, zip(*(_back_substitute(field, work, n, n + k) for k in range(n))))
 
     def solve_unique(self, rhs):
-        """Solve self * x = rhs where self may have extra rows.
-
-        Requires full column rank and a consistent system; anything else
-        raises InternalInvariantError since callers only assemble systems
-        that are provably uniquely solvable.
-        """
+        """Solve self * x = rhs where self may have extra rows, through
+        ``solve_rows`` and its checks."""
         if rhs.nrows != self.nrows or rhs.ncols != 1:
             raise InputError("right hand side shape mismatch")
-        n, field = self.ncols, self.field
-        work, rank = _eliminate(field, [[*r, *b] for r, b in zip(self.rows, rhs.rows)], n)
-        if rank < n:
-            raise InternalInvariantError("linear system does not have full column rank")
-        if any(row[n] for row in work[n:]):
-            raise InternalInvariantError("inconsistent linear system")
-        return Matrix.col_vector(field, _back_substitute(field, work, n, n))
+        rows = [[*r, *b] for r, b in zip(self.rows, rhs.rows)]
+        return Matrix.col_vector(self.field, solve_rows(self.field, rows, self.ncols))
+
+
+def solve_rows(field, rows, n):
+    """The unique x, in the field, with A x = b for augmented rows [A | b]
+    (A has n columns and maybe extra rows; over QQ, ints or Fractions).
+    Without full column rank or consistency it raises
+    InternalInvariantError: callers only assemble uniquely solvable systems."""
+    work, rank = _eliminate(field, rows, n)
+    if rank < n:
+        raise InternalInvariantError("linear system does not have full column rank")
+    if any(row[n] for row in work[n:]):
+        raise InternalInvariantError("inconsistent linear system")
+    return _back_substitute(field, work, n, n)
 
 
 def _eliminate(field, rows, ncols):

@@ -9,6 +9,11 @@ all die), cuts normalize the system, and it is solved one SCC at a time
 from the sinks (the cut-and-fiber method of Baier, Kiefer, Klein,
 Klueppelholz, Mueller and Worrell, "Markov chains and unambiguous Buchi
 automata", CAV 2016).
+
+All of it runs on integer views (``Matrix.int_rows``): chain rows are
+checked on the chain's, B is built as B^ = den * B from chain ints times
+label ints, each SCC block is solved from integer rows, and the solution
+is checked exactly over the common denominator of its values.
 """
 
 from __future__ import annotations
@@ -16,12 +21,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .buchi import is_ultimately_stable, trim_iba
 from .errors import InputError, InternalInvariantError, SemanticError, ValidationError
 from .fields import QQ
 from .graphs import reaches_any, strongly_connected_components
-from .matrix import Matrix
+from .matrix import Matrix, solve_rows
+from .wa import _distinct_letters
 
 __all__ = [
     "MarkovChain",
@@ -39,7 +46,8 @@ __all__ = [
 
 class MarkovChain:
     """Finite Markov chain with rational transition matrix, initial
-    distribution and a letter label per state."""
+    distribution and a letter label per state.  On the matrix's integer
+    view, entries must be >= 0 and each row must sum to the denominator."""
 
     def __init__(self, matrix, init, labels, alphabet=None):
         if matrix.field is not QQ:
@@ -55,19 +63,19 @@ class MarkovChain:
         if len(self.labels) != n:
             raise ValidationError("labeling must have one letter per state")
         zero, one = Fraction(0), Fraction(1)
-        for i in range(n):
-            row = matrix.rows[i]
-            if any(x < zero for x in row):
-                raise ValidationError("row %d of the transition matrix has a negative entry" % (i + 1,))
-            if sum(row, zero) != one:
-                raise ValidationError("row %d of the transition matrix does not sum to 1" % (i + 1,))
+        rows, den = matrix.int_rows()
+        for i, row in enumerate(rows, 1):
+            if any(x < 0 for _j, x in row):
+                raise ValidationError("row %d of the transition matrix has a negative entry" % (i,))
+            if sum(x for _j, x in row) != den:
+                raise ValidationError("row %d of the transition matrix does not sum to 1" % (i,))
         if any(x < zero for x in self.init):
             raise ValidationError("initial distribution has a negative entry")
         if sum(self.init, zero) != one:
             raise ValidationError("initial distribution does not sum to 1")
         if alphabet is None:
             alphabet = sorted(set(self.labels))
-        self.alphabet = tuple(alphabet)
+        self.alphabet = _distinct_letters(alphabet)
         for lab in self.labels:
             if lab not in self.alphabet:
                 raise ValidationError("label %r is not in the alphabet" % (lab,))
@@ -141,7 +149,8 @@ class ProductSystem:
 def build_product(iba, chain):
     """Assemble the value matrix B over automaton-state x chain-state
     pairs, keep only nodes that can reach a cycle through a final state,
-    and classify every SCC."""
+    and classify every SCC.  B is built as its integer view: chain ints
+    times label ints over one common denominator."""
     for lab in chain.labels:
         if lab not in iba.alphabet:
             raise InputError("chain label %r is outside the automaton alphabet" % (lab,))
@@ -151,9 +160,13 @@ def build_product(iba, chain):
     if not is_ultimately_stable(aut):
         raise InputError("automaton is not ultimately stable")
     ns = chain.state_count
-    # label_rows[s][q]: nonzero automaton row of q under chain state s's label
-    label_rows = [aut.matrix(lab).nonzero_rows() for lab in chain.labels]
-    chain_rows = chain.matrix.nonzero_rows()
+    # label_rows[s][q]: integer automaton row of q under chain state s's
+    # label, and label_scale[s] the factor that brings it to lden
+    views = {lab: aut.matrix(lab).int_rows() for lab in set(chain.labels)}
+    lden = lcm(*(d for _rows, d in views.values()))
+    label_rows = [views[lab][0] for lab in chain.labels]
+    label_scale = [lden // views[lab][1] for lab in chain.labels]
+    chain_rows, cden = chain.matrix.int_rows()
     graph = {}
     for q in range(aut.n):
         for s in range(ns):
@@ -174,16 +187,17 @@ def build_product(iba, chain):
     if not keep:
         return ProductSystem(aut, chain, (), Matrix.zeros(QQ, 0, 0), (), ())
     index = {x: i for i, x in enumerate(keep)}
-    n = len(keep)
-    entries = {}
-    for x in keep:
-        q, s = x
+    rows = []
+    for q, s in keep:
+        f = label_scale[s]
+        row = []
         for s2, p in chain_rows[s]:
             for q2, w in label_rows[s][q]:
                 j = index.get((q2, s2))
                 if j is not None:
-                    entries[index[x], j] = p * w
-    B = Matrix.from_entries(QQ, n, n, entries)
+                    row.append((j, p * w * f))
+        rows.append(sorted(row))
+    B = Matrix.from_int_rows(QQ, len(keep), rows, cden * lden)
     ps = ProductSystem(aut, chain, keep, B, sccs, ())
     ps.classes = tuple(classify_scc(ps, d) for d in range(len(sccs)))
     return ps
@@ -193,9 +207,9 @@ def fiber_step(ps, fiber, t):
     """One move of the tracked-run subset: follow nonzero automaton edges
     under the source state's label into chain state t, staying inside the
     fiber's SCC.  Returns None when the chain cannot move to t."""
-    if not ps.chain.matrix.rows[fiber.s][t]:
+    if all(j != t for j, _p in ps.chain.matrix.int_rows()[0][fiber.s]):
         return None
-    rows = ps.automaton.matrix(ps.chain.labels[fiber.s]).nonzero_rows()
+    rows = ps.automaton.matrix(ps.chain.labels[fiber.s]).int_rows()[0]
     comp = ps.scc_sets[fiber.scc]
     states = frozenset(q2 for q in fiber.states for q2, _w in rows[q] if (q2, t) in comp)
     return Fiber(fiber.scc, t, states)
@@ -205,11 +219,16 @@ def classify_scc(ps, d):
     """Search the finite fiber graph of the component: the component is
     recurrent exactly when some fiber reachable from a singleton can
     never be driven to the empty fiber; the first such fiber found is
-    returned as the cut."""
+    returned as the cut.  A single node without a self-loop is
+    transient, which the search would find, so it is returned at once."""
     comp = ps.sccs[d]
     accepting = any(q in ps.automaton.final for (q, _s) in comp)
+    if len(comp) == 1:
+        i = ps.index[comp[0]]
+        if all(j != i for j, _w in ps.B.int_rows()[0][i]):
+            return SccClass(nodes=comp, accepting=accepting, recurrent=False, cut=None)
     seeds = [Fiber(d, s, frozenset([q])) for (q, s) in comp]
-    chain_rows = ps.chain.matrix.nonzero_rows()
+    chain_rows = ps.chain.matrix.int_rows()[0]
     order = []
     succs = {}
     queue = deque(seeds)
@@ -229,11 +248,7 @@ def classify_scc(ps, d):
                 queue.append(nxt)
         succs[fiber] = out
     doomed = reaches_any(succs, [f for f in order if f.empty])
-    cut = None
-    for fiber in order:
-        if fiber not in doomed:
-            cut = fiber
-            break
+    cut = next((f for f in order if f not in doomed), None)
     return SccClass(nodes=comp, accepting=accepting, recurrent=cut is not None, cut=cut)
 
 
@@ -243,13 +258,19 @@ def solve_values(ps):
     are known.  A non-accepting recurrent C gets z_C = 0; any other C
     solves (I - B_CC) z_C = B_C,out z_out, and an accepting recurrent C
     adds its cut normalizer row (cut entries sum to 1), which pins the
-    one-dimensional kernel of I - B_CC.  The solved vector is checked
-    to be a fixed point of the whole B with all entries in [0, 1]."""
+    one-dimensional kernel of I - B_CC.
+
+    Node i's row is den * e_i - B^_iC | sum_j B^_ij z_j over the known
+    z_j, in ints divided by their content.  A single transient node
+    takes z_i = sum_j B^_ij z_j / (den - B^_ii); a larger block goes to
+    ``solve_rows`` with its rank and consistency checks.  With
+    Z = z * lcm(denominators of z), Z is checked to be a fixed point of
+    the whole B (sum_j B^_ij Z_j == den * Z_i) in [0, 1] (0 <= Z_i <= lcm)."""
     n = ps.node_count
     if n == 0:
         ps.z = ()
         return ()
-    brows = ps.B.nonzero_rows()
+    brows, den = ps.B.int_rows()
     z = [None] * n
     for cls in ps.classes:
         idx = [ps.index[x] for x in cls.nodes]
@@ -257,39 +278,42 @@ def solve_values(ps):
             for i in idx:
                 z[i] = QQ.zero
             continue
+        m = len(idx)
         local = {i: k for k, i in enumerate(idx)}
         rows = []
-        rhs = []
         for k, i in enumerate(idx):
-            row = [QQ.zero] * len(idx)
-            row[k] = QQ.one
-            b = QQ.zero
+            row = [0] * (m + 1)
+            row[k] = den
+            known = []
             for j, w in brows[i]:
                 c = local.get(j)
                 if c is not None:
                     row[c] -= w
                 elif z[j] is None:
                     raise InternalInvariantError("successor value read before it is solved")
-                else:
-                    b += w * z[j]
+                elif z[j]:
+                    known.append((w, z[j]))
+            scale = lcm(*(v.denominator for _w, v in known))
+            row = [x * scale for x in row]
+            row[m] = sum(w * v.numerator * (scale // v.denominator) for w, v in known)
             rows.append(row)
-            rhs.append(b)
+        if m == 1 and not cls.recurrent and rows[0][0]:
+            z[idx[0]] = Fraction(rows[0][1], rows[0][0])
+            continue
         if cls.recurrent:
-            row = [QQ.zero] * len(idx)
-            for q in cls.cut.states:
-                row[local[ps.index[(q, cls.cut.s)]]] = QQ.one
-            rows.append(row)
-            rhs.append(QQ.one)
-        sol = Matrix(QQ, rows).solve_unique(Matrix.col_vector(QQ, rhs))
-        for i, (v,) in zip(idx, sol.rows):
+            cut = {local[ps.index[(q, cls.cut.s)]] for q in cls.cut.states}
+            rows.append([int(k in cut) for k in range(m)] + [1])
+        rows = [[x // g for x in row] if (g := gcd(*row)) > 1 else row for row in rows]
+        for i, v in zip(idx, solve_rows(QQ, rows, m)):
             z[i] = v
     z = tuple(z)
-    for i in range(n):
-        if sum((w * z[j] for j, w in brows[i]), QQ.zero) != z[i]:
+    top = lcm(*(v.denominator for v in z))
+    ints = [v.numerator * (top // v.denominator) for v in z]
+    for i, row in enumerate(brows):
+        if sum(w * ints[j] for j, w in row) != den * ints[i]:
             raise InternalInvariantError("solved vector is not a fixed point of B")
-    for v in z:
-        if v < 0 or v > 1:
-            raise SemanticError("input not image-binary")
+    if any(x < 0 or x > top for x in ints):
+        raise SemanticError("input not image-binary")
     ps.z = z
     return z
 

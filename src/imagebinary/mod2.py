@@ -164,14 +164,14 @@ def shift_register_rank_report(spec):
     bits = lfsr_sequence(spec, 2 * size)
     h = Matrix(QQ, [[Fraction(bits[i + j]) for j in range(size)] for i in range(size)])
     rank = h.rank()
-    square = h * h
-    diag = square[0, 0]
-    off = square[0, 1] if size > 1 else None
-    for i in range(size):
-        for j in range(size):
-            expected = diag if i == j else off
-            if square[i, j] != expected:
-                raise InternalInvariantError("H^2 is not of the I/J form")
+    # H^2 is compared on its integer view: one int on the diagonal, one off it
+    rows, den = (h * h).int_rows()
+    on, off_diag = (dict(rows[0]).get(j, 0) for j in (0, 1))
+    diag = Fraction(on, den)
+    off = Fraction(off_diag, den) if size > 1 else None
+    for i, row in enumerate(rows):
+        if row != tuple((j, x) for j in range(size) if (x := on if i == j else off_diag)):
+            raise InternalInvariantError("H^2 is not of the I/J form")
     inv_diag = Fraction(2) ** (2 - d) - Fraction(2) ** (2 - 2 * d)
     inv_off = -(Fraction(2) ** (2 - 2 * d))
     # (aI + bJ)(cI + eJ) = acI + (ae + bc + size * be)J since J^2 = size * J;

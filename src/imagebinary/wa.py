@@ -21,7 +21,7 @@ read.
 from __future__ import annotations
 
 from collections import deque
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import InputError, InternalInvariantError
@@ -413,20 +413,21 @@ def check_forward_conjugate(original, conjugate, base):
 def add(a, b):
     """Automaton for the pointwise sum, by disjoint (block) union."""
     _require_compatible(a, b)
-    field = a.field
-    zero = field.zero
-    n, m = a.n, b.n
-    trans = {}
-    for letter in a.alphabet:
-        ma, mb = a.matrix(letter), b.matrix(letter)
-        rows = [list(r) + [zero] * m for r in ma.rows]
-        rows += [[zero] * n + list(r) for r in mb.rows]
-        trans[letter] = Matrix(field, rows)
-    init = Matrix.row_vector(field, list(a.init.rows[0]) + list(b.init.rows[0]))
-    final = Matrix.col_vector(
-        field, [r[0] for r in a.final.rows] + [r[0] for r in b.final.rows]
-    )
-    return WeightedAutomaton(field, a.alphabet, trans, init, final)
+    n = a.n
+
+    def place(ma, mb, di, dj):
+        # ma, and mb with its top left corner at (di, dj), on one integer view
+        den = lcm(ma.int_rows()[1], mb.int_rows()[1])
+        rows = [[] for _ in range(di + mb.nrows)]
+        for m, oi, oj in ((ma, 0, 0), (mb, di, dj)):
+            mrows, d = m.int_rows()
+            for i, row in enumerate(mrows, oi):
+                rows[i] += [(j + oj, x * (den // d)) for j, x in row]
+        return Matrix.from_int_rows(a.field, dj + mb.ncols, rows, den)
+
+    trans = {letter: place(a.matrix(letter), b.matrix(letter), n, n) for letter in a.alphabet}
+    init, final = place(a.init, b.init, 0, n), place(a.final, b.final, n, 0)
+    return WeightedAutomaton(a.field, a.alphabet, trans, init, final)
 
 
 def negate(a):

@@ -12,7 +12,10 @@ incremental-basis rank that fraction-free elimination replaced; all are
 kept as oracles.  So are the ``Fraction``-per-entry coordinate basis and
 span algorithms (``span_explore``, ``equivalent``, ``minimize``,
 ``is_image_binary``, ``ifa_to_dfa``) that the integer kernels replaced,
-and the float spectral spot check of a model-checking product.
+and the float spectral spot check of a model-checking product.  The
+full fiber search of ``classify_scc`` (before single transient nodes
+were returned at once) and the per-field scalar parsers (before the
+shared ``ratio`` tokenizer) are kept the same way.
 """
 
 import itertools
@@ -21,6 +24,8 @@ from fractions import Fraction
 
 from imagebinary import (
     Dfa,
+    F2,
+    Fiber,
     Iba,
     InputError,
     InternalInvariantError,
@@ -29,7 +34,9 @@ from imagebinary import (
     Matrix,
     Nba,
     OVERFLOW,
+    ParseError,
     QQ,
+    SccClass,
     SemanticError,
     WeightedAutomaton,
     zero_automaton,
@@ -432,6 +439,62 @@ def reference_inverse(matrix):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return Matrix(field, [row[n:] for row in work])
+
+
+def reference_classify_scc(ps, d):
+    """The fiber search over every SCC: the component is recurrent
+    exactly when some fiber reachable from a singleton can never be
+    driven to the empty fiber, and the first such fiber is the cut.  Each
+    step reads the dense chain row and the automaton's nonzero rows."""
+    comp = ps.sccs[d]
+    accepting = any(q in ps.automaton.final for (q, _s) in comp)
+
+    def step(fiber, t):
+        if not ps.chain.matrix.rows[fiber.s][t]:
+            return None
+        rows = ps.automaton.matrix(ps.chain.labels[fiber.s]).nonzero_rows()
+        states = frozenset(
+            q2 for q in fiber.states for q2, _w in rows[q] if (q2, t) in ps.scc_sets[d]
+        )
+        return Fiber(d, t, states)
+
+    order, succs = [], {}
+    queue = deque(Fiber(d, s, frozenset([q])) for (q, s) in comp)
+    seen = set(queue)
+    while queue:
+        fiber = queue.popleft()
+        order.append(fiber)
+        succs[fiber] = []
+        if fiber.empty:
+            continue
+        for t, _p in ps.chain.matrix.nonzero_rows()[fiber.s]:
+            nxt = step(fiber, t)
+            succs[fiber].append(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    doomed = reaches_any(succs, [f for f in order if f.empty])
+    cut = next((f for f in order if f not in doomed), None)
+    return SccClass(nodes=comp, accepting=accepting, recurrent=cut is not None, cut=cut)
+
+
+def reference_parse_scalar(field, text):
+    """A scalar literal as the field parsers read it before the shared
+    tokenizer: a Fraction or GF2 element, ParseError otherwise."""
+    text = text.strip()
+    if field is F2:
+        if text in ("0", "1"):
+            return F2.of(int(text))
+        raise ParseError("bad GF(2) scalar %r" % text)
+    try:
+        if any(c.isspace() for c in text):
+            raise ValueError
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("bad rational scalar %r" % text) from None
 
 
 def reference_solve_values(ps):

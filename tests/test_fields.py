@@ -1,11 +1,14 @@
 """Scalar arithmetic: exact rationals and GF(2)."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from imagebinary import F2, GF2, ParseError, QQ, field_by_name
+
+from goldens import reference_parse_scalar
 
 
 # === Rationals ===
@@ -84,3 +87,52 @@ def test_field_by_name():
     assert field_by_name("gf2") is F2
     with pytest.raises(ParseError):
         field_by_name("real")
+
+
+# === The shared tokenizer against the parsers it replaced ===
+
+TOKEN_CORPUS = [
+    "1_0", "+3", "-0/5", "1/-2", "2/4", "0/0", "1/2/3", "٣", "", " ", "7", " -4/8 ",
+    "1/", "/2", "+", "-", "0", "1", "01", "1 /2", "1 ", "²", "1e3", "0x1", "1.0",
+    "_1", "1__0", "3/٣", "-0", "+1", "1/+2", "\t1\n", "1/0", "10/-4",
+]
+
+scalar_texts = st.one_of(
+    st.sampled_from(TOKEN_CORPUS),
+    st.from_regex(r"\s?[+-]?[0-9_٣]{0,3}(/[+-]?[0-9_٣]{0,3})?\s?", fullmatch=True),
+    st.text(max_size=8),
+)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError:
+        return ParseError
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["QQ", "F2"])
+@settings(max_examples=300)
+@given(scalar_texts)
+def test_ratio_accepts_what_the_old_parsers_accept(field, text):
+    expected = _outcome(lambda t: reference_parse_scalar(field, t), text)
+    ratio = _outcome(field.ratio, text)
+    assert _outcome(field.parse, text) == expected
+    if expected is ParseError:
+        assert ratio is ParseError
+        return
+    num, den = ratio
+    assert den > 0 and gcd(num, den) == 1
+    assert field.frac(num, den) == expected
+
+
+def test_ratio_corpus_values():
+    assert [QQ.ratio(t) for t in ("1_0", "+3", "-0/5", "1/-2", "2/4", "٣")] == [
+        (10, 1), (3, 1), (0, 1), (-1, 2), (1, 2), (3, 1)
+    ]
+    for bad in ("0/0", "1/2/3"):
+        with pytest.raises(ParseError):
+            QQ.ratio(bad)
+    assert [F2.ratio(t) for t in ("0", " 1 ")] == [(0, 1), (1, 1)]
+    with pytest.raises(ParseError):
+        F2.ratio("2")

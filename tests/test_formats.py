@@ -1,15 +1,18 @@
 """Text document formats: canonical serialization, roundtrips and
 line-numbered rejection of malformed input."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imagebinary import (
     F2,
     Dfa,
     Iba,
     InputError,
+    MarkovChain,
     Matrix,
     Nba,
     Nfa,
@@ -198,10 +201,13 @@ def test_every_constructor_rejects_repeated_letters():
         lambda ab: Nba(1, ab, [(0, "a", 0)], [0], [0]),
         lambda ab: Nfa(1, ab, [(0, "a", 0)], [0], [0]),
         lambda ab: Dfa(1, ab, {(0, "a"): 0}, 0, [0]),
+        lambda ab: MarkovChain(one, [1], ["a"], ab),
     ]
     for build in builders:
         obj = build(("a",))
-        if not isinstance(obj, (Nfa, Dfa)):
+        if isinstance(obj, MarkovChain):
+            assert parse_markov_chain(serialize_markov_chain(obj)) == obj
+        elif not isinstance(obj, (Nfa, Dfa)):
             assert parse_automaton(serialize_automaton(obj)) == obj
         with pytest.raises(InputError, match="distinct"):
             build(("a", "a"))
@@ -260,8 +266,108 @@ def test_chain_document_errors():
         parse_markov_chain("matrix:\n" + good)
     with pytest.raises(ValidationError, match="row 1 .* does not sum to 1"):
         parse_markov_chain(good.replace("row: 1/3 1/3 1/3", "row: 1/3 1/3 1/2", 1))
+    with pytest.raises(ValidationError, match="distinct"):
+        parse_markov_chain(good.replace("alphabet: a b", "alphabet: a b a"))
+
+
+def test_chain_rows_are_checked_exactly():
+    # a row summing to 1 + 1/p, p prime, against rows summing to 1
+    p = 2 ** 61 - 1
+    good = "states: 2\nalphabet: a\ninitial: 1 0\nlabels: a a\nrow: 1 0\n"
+    assert parse_markov_chain(good + "row: 1/%d %d/%d\n" % (p, p - 1, p)).state_count == 2
+    with pytest.raises(ValidationError, match="row 2 .* does not sum to 1"):
+        parse_markov_chain(good + "row: 2/%d %d/%d\n" % (p, p - 1, p))
+    with pytest.raises(ValidationError, match="row 2 .* negative"):
+        parse_markov_chain(good + "row: -1/%d %d/%d\n" % (p, p + 1, p))
 
 
 def test_serialize_rejects_foreign_objects():
     with pytest.raises(ValidationError, match="cannot serialize"):
         serialize_automaton(thirds_chain())
+
+
+# === Robustness: any text parses or is refused, and what parses roundtrips ===
+
+IBA_DOC = serialize_automaton(kdis(fanout_unary_nba(), 2))
+NBA_DOC = serialize_automaton(fanout_unary_nba())
+GF2_DOC = "kind: wa\nfield: gf2\nalphabet: a\nstates: 2\ninitial: 1 0\nfinal: 0 1\ntrans a 1 2 1\n"
+CHAIN_DOC = (
+    "states: 2\nalphabet: a b\ninitial: 1/2 1/2\nlabels: a b\nrow: 1/3 2/3\nrow: 0 1\n"
+)
+FUZZ_TOKENS = [
+    "0", "1", "2", "-1", "1/2", "2/4", "1/0", "-0/5", "1_0", "+3", "٣", "x", "a", "b",
+    "a,b", "b:c", "wa", "nba", "iba", "gf2", "rational", "trans", "row:", "states:",
+    "alphabet:", "initial:", "final:", "labels:", "kind:", "field:", "#", "1.5",
+]
+
+
+def edited(draw, doc):
+    """``doc`` with up to two line edits: drop, repeat, or replace one
+    token of a line, or insert a line of tokens, drawn from the document
+    and a vocabulary of valid and invalid ones."""
+    lines = doc.splitlines()
+    pool = sorted(set(FUZZ_TOKENS + doc.split()))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("drop", "repeat", "token", "insert")))
+        if op == "insert" or k == len(lines):
+            words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+            lines.insert(k, " ".join(words))
+        elif op == "drop":
+            del lines[k]
+        elif op == "repeat":
+            lines.insert(k, lines[k])
+        else:
+            words = lines[k].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(pool))
+            lines[k] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def parse_or_refuse(text):
+    """Each parser returns an object that survives a roundtrip or raises
+    ParseError or ValidationError; how many of them parsed."""
+    parsed = 0
+    for parse, serialize in (
+        (parse_automaton, serialize_automaton),
+        (parse_markov_chain, serialize_markov_chain),
+    ):
+        try:
+            obj = parse(text)
+        except (ParseError, ValidationError):
+            continue
+        assert parse(serialize(obj)) == obj
+        parsed += 1
+    return parsed
+
+
+@pytest.mark.parametrize(
+    "doc", [WA_DOC, IBA_DOC, NBA_DOC, GF2_DOC, CHAIN_DOC], ids=["wa", "iba", "nba", "gf2", "chain"]
+)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_edited_documents_parse_or_refuse(doc, data):
+    parse_or_refuse(edited(data.draw, doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=80))
+def test_any_text_parses_or_is_refused(text):
+    parse_or_refuse(text)
+
+
+def test_parse_reads_no_dense_matrix():
+    # 1,500 states and two transitions: dense rows would hold 2 * 1500^2
+    # entries (tens of MB); the integer view holds the two
+    n = 1500
+    doc = "kind: wa\nalphabet: a b\nstates: %d\ninitial: 1%s\nfinal:%s 1\n" % (
+        n, " 0" * (n - 1), " 0" * (n - 1))
+    doc += "trans a 1 2 1/2\ntrans b %d 1 -3\n" % n
+    tracemalloc.start()
+    try:
+        wa = parse_automaton(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, peak
+    assert wa.matrix("b").nonzero_rows()[n - 1] == ((0, Fraction(-3)),)

@@ -26,6 +26,7 @@ from imagebinary import (
     solve_values,
     trim_iba,
 )
+from imagebinary import mc
 from imagebinary.fixtures import bounded_ambiguity_nba, random_mc
 from imagebinary.graphs import nodes_on_cycles, reaches_any, strongly_connected_components
 
@@ -34,6 +35,7 @@ from goldens import (
     dba_suite,
     fanout_unary_nba,
     first_letter_a_dba,
+    reference_classify_scc,
     reference_solve_values,
     spectral_spot_check,
     thirds_chain,
@@ -390,10 +392,23 @@ def test_disambiguation_pipeline_end_to_end():
 
 
 def matches_global_solve(ps):
+    """The SCC-by-SCC solve against the global dense solve, and every SCC
+    class against the full fiber search."""
+    assert ps.classes == tuple(reference_classify_scc(ps, d) for d in range(len(ps.sccs)))
     z = solve_values(ps)
     assert z == reference_solve_values(ps)
     assert ps.z == z
     return z
+
+
+def single_transient_nodes(ps):
+    """SCCs of one node without a self-loop: classified without a fiber
+    search and solved in closed form."""
+    brows = ps.B.nonzero_rows()
+    return sum(
+        1 for c in ps.classes
+        if len(c.nodes) == 1 and all(j != ps.index[c.nodes[0]] for j, _w in brows[ps.index[c.nodes[0]]])
+    )
 
 
 def test_product_keeps_sccs_reaching_accepting_cycles_sinks_first():
@@ -424,14 +439,18 @@ def test_product_keeps_sccs_reaching_accepting_cycles_sinks_first():
 
 def test_solve_matches_global_solve_on_suite():
     chains = seeded_chains(5, random.Random(101))  # the c09 chains
+    fast = 0
     for dba in dba_suite():
         for chain in chains:
-            matches_global_solve(build_product(dba.to_iba(), chain))
+            ps = build_product(dba.to_iba(), chain)
+            matches_global_solve(ps)
+            fast += single_transient_nodes(ps)
+    assert fast > 0
 
 
 def test_solve_matches_global_solve_on_kdis_products():
     rng = random.Random(33)  # products of 15 to 147 nodes
-    sizes = []
+    sizes, fast = [], 0
     while len(sizes) < 12:
         k = rng.choice((1, 2))
         iba = kdis(bounded_ambiguity_nba(rng, k, rng.randint(2, 4), ALPHABET), k)
@@ -439,7 +458,8 @@ def test_solve_matches_global_solve_on_kdis_products():
         if 0 < ps.node_count <= 200:
             matches_global_solve(ps)
             sizes.append(ps.node_count)
-    assert max(sizes) >= 100
+            fast += single_transient_nodes(ps)
+    assert max(sizes) >= 100 and fast > 0
 
 
 def test_solve_matches_global_solve_on_closed_block_chains():
@@ -456,6 +476,43 @@ def test_solve_matches_global_solve_on_closed_block_chains():
         chain = closed_block_chain(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4))
         fractional += sum(1 for v in matches_global_solve(build_product(iba, chain)) if 0 < v < 1)
     assert fractional > 0
+
+
+def test_corrupted_value_fails_the_fixed_point_check(monkeypatch):
+    # one solved value off by 1/7, in each block of several nodes and in
+    # the closed form of each single transient node: the check over the
+    # whole B sees it
+    factor_ab = next(d for d in dba_suite() if d.name == "contains the factor ab")
+    ps = build_product(factor_ab.to_iba(), thirds_chain())
+    assert any(len(c.nodes) > 1 for c in ps.classes)
+    assert single_transient_nodes(ps)
+    solve_rows = mc.solve_rows
+    monkeypatch.setattr(
+        mc, "solve_rows", lambda *a: [v + F(k == 0, 7) for k, v in enumerate(solve_rows(*a))]
+    )
+    with pytest.raises(InternalInvariantError, match="not a fixed point"):
+        solve_values(ps)
+    monkeypatch.undo()
+    monkeypatch.setattr(mc, "Fraction", lambda num, den: F(num, den) + F(1, 7))
+    with pytest.raises(InternalInvariantError, match="not a fixed point"):
+        solve_values(ps)
+
+
+def test_values_outside_zero_one_are_semantic():
+    # z = 2 on a doubling automaton, and z = 1 + 1/p or -1/p one edge
+    # before an accepting loop: the [0, 1] check is exact
+    with pytest.raises(SemanticError, match="not image-binary"):
+        solve_values(build_product(doubling_iba(), unary_chain()))
+    p = 2 ** 61 - 1
+    for w, ok in ((F(p - 1, p), True), (F(p + 1, p), False), (F(-1, p), False)):
+        m = Matrix.from_entries(QQ, 2, 2, {(0, 1): w, (1, 1): F(1)})
+        iba = Iba(("a",), {"a": m}, Matrix.from_ints(QQ, [[1, 0]]), [1])
+        ps = build_product(iba, unary_chain())
+        if ok:
+            assert solve_values(ps) == (w, F(1))
+        else:
+            with pytest.raises(SemanticError, match="not image-binary"):
+                solve_values(ps)
 
 
 def test_solve_refuses_to_read_unsolved_successors():

@@ -4,6 +4,7 @@ the dense loops they replaced on seeded instances."""
 import random
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,6 +22,7 @@ from imagebinary import (
     iba_lasso_eval,
     is_ultimately_stable,
     kdis,
+    parse_automaton,
     random_mc,
 )
 from imagebinary.fixtures import bounded_ambiguity_nba
@@ -65,6 +67,73 @@ def test_from_entries_and_nonzero_rows():
     assert m.nonzero_rows() == (((2, Fraction(-1, 2)),), ((0, Fraction(3)),))
     assert m.nonzero_rows() is m.nonzero_rows()
     assert Matrix.zeros(F2, 2, 2).nonzero_rows() == ((), ())
+
+
+# === Sparse storage: one matrix, whichever constructor built it ===
+
+
+def built_every_way(rng, field, n, entries):
+    """The n x n matrix with the given {(i, j): x} entries (explicit zeros
+    allowed) from the dense rows, from its entries, from a non-reduced
+    integer view and from a wa document."""
+    dense = [[field.zero] * n for _ in range(n)]
+    for (i, j), x in entries.items():
+        dense[i][j] = x
+    if field is QQ:
+        # a common denominator that is not the least one
+        den = lcm(*(x.denominator for x in entries.values())) * rng.randint(1, 6)
+        ints = [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(r) if x]
+                for r in dense]
+    else:
+        # over F2 an odd int stands for 1 and an even one vanishes
+        den = rng.choice((1, 3))
+        ints = [[(j, 3 if x else 2) for j, x in enumerate(r) if x or rng.random() < 0.3]
+                for r in dense]
+    doc = "kind: wa\nfield: %s\nalphabet: a\nstates: %d\ninitial: %s\nfinal: %s\n" % (
+        field.name, n, " ".join(["1"] + ["0"] * (n - 1)), " ".join(["1"] * n))
+    doc += "".join(
+        "trans a %d %d %s\n" % (i + 1, j + 1, field.format(x)) for (i, j), x in entries.items()
+    )
+    return dense, [
+        Matrix(field, dense),
+        Matrix.from_entries(field, n, n, entries),
+        Matrix.from_int_rows(field, n, ints, den),
+        parse_automaton(doc).trans["a"],
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, F2])
+def test_every_constructor_builds_the_same_matrix(field):
+    rng = random.Random(77)
+    pick = {QQ: lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+            F2: lambda: F2.of(rng.randint(0, 1))}[field]
+    zero_rows = explicit_zeros = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        density = rng.choice((0.0, 0.3, 0.7, 1.0))
+        entries = {(i, j): pick() for i in range(n) for j in range(n) if rng.random() < density}
+        dense, built = built_every_way(rng, field, n, entries)
+        expected_nz = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in dense)
+        for m in built:
+            assert m.rows == tuple(map(tuple, dense))
+            assert m.nonzero_rows() == expected_nz
+            assert m.int_rows() == built[0].int_rows()
+            assert (m.nrows, m.ncols) == (n, n)
+        for a in built:
+            for b in built:
+                assert a == b and hash(a) == hash(b)
+        assert len(set(built)) == 1
+        zero_rows += sum(1 for r in expected_nz if not r)
+        explicit_zeros += sum(1 for x in entries.values() if not x)
+    assert zero_rows and explicit_zeros
+
+
+def test_matrices_of_other_fields_or_shapes_differ():
+    assert Matrix.zeros(QQ, 2, 2) != Matrix.zeros(F2, 2, 2)
+    assert Matrix.zeros(QQ, 2, 3) != Matrix.zeros(QQ, 3, 2)
+    half = Matrix.from_int_rows(QQ, 2, [[(0, 3)], []], 6)
+    assert half == Matrix.from_entries(QQ, 2, 2, {(0, 0): Fraction(1, 2)})
+    assert half.int_rows() == ((((0, 1),), ()), 2)
 
 
 def test_iba_transitions_are_read_only():
