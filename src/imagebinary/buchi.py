@@ -181,7 +181,7 @@ class _UnitRows(dict):
         self.rows = rows
 
     def __missing__(self, q):
-        row = self[q] = tuple((q2, 1) for q2, _w in self.rows[q])
+        row = self[q] = tuple([(q2, 1) for q2, _w in self.rows[q]])
         return row
 
 
@@ -214,7 +214,7 @@ def _cycle_sum(layer, cycle_rows, final):
         if node not in edges:
             q, i = node
             nxt = i + 1 if i + 1 < clen else 0
-            edges[node] = succs = tuple(((q2, nxt), x) for q2, x in cycle_rows[i][q])
+            edges[node] = succs = tuple([((q2, nxt), x) for q2, x in cycle_rows[i][q]])
             queue.extend(s for s, _x in succs if s not in edges)
     graph = {x: [y for y, _w in succs] for x, succs in edges.items()}
     tails = {}  # live node -> weighted sum over its final tails

@@ -42,7 +42,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise InputError("ragged matrix rows")
-        nz = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
+        nz = tuple([tuple([(j, x) for j, x in enumerate(r) if x]) for r in rows])
         self._fill(field=field, nrows=len(rows), ncols=ncols, _rows=tuple(rows), _nonzero=nz)
 
     def _fill(self, **slots):
@@ -67,7 +67,7 @@ class Matrix:
         for (i, j), x in entries.items():
             if x:
                 rows[i].append((j, x))
-        nz = tuple(tuple(sorted(r)) for r in rows)
+        nz = tuple([tuple(sorted(r)) for r in rows])
         return object.__new__(cls)._fill(field=field, nrows=nrows, ncols=ncols, _nonzero=nz)
 
     @classmethod
@@ -80,9 +80,9 @@ class Matrix:
             g = gcd(den, *(x for row in rows for _, x in row))
             if g > 1:
                 rows, den = [[(j, x // g) for j, x in row] for row in rows], den // g
-            rows = tuple(map(tuple, rows))
+            rows = tuple([tuple(row) for row in rows])
         else:
-            rows, den = tuple(tuple((j, 1) for j, x in row if x & 1) for row in rows), 1
+            rows, den = tuple([tuple([(j, 1) for j, x in row if x & 1]) for row in rows]), 1
         ints = rows, den
         return object.__new__(cls)._fill(field=field, nrows=len(rows), ncols=ncols, _ints=ints)
 
@@ -111,7 +111,7 @@ class Matrix:
             for row, nz in zip(dense, self.nonzero_rows()):
                 for j, x in nz:
                     row[j] = x
-            object.__setattr__(self, "_rows", tuple(map(tuple, dense)))
+            object.__setattr__(self, "_rows", tuple([tuple(row) for row in dense]))
         return self._rows
 
     def nonzero_rows(self):
@@ -121,7 +121,7 @@ class Matrix:
         if nz is None:
             rows, den = self._ints
             frac = self.field.frac
-            nz = tuple(tuple((j, frac(x, den)) for j, x in row) for row in rows)
+            nz = tuple([tuple([(j, frac(x, den)) for j, x in row]) for row in rows])
             object.__setattr__(self, "_nonzero", nz)
         return nz
 
@@ -134,12 +134,12 @@ class Matrix:
             nz = self._nonzero
             if self.field is QQ:
                 den = lcm(*{x.denominator for row in nz for _, x in row})
-                rows = tuple(
-                    tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+                rows = tuple([
+                    tuple([(j, x.numerator * (den // x.denominator)) for j, x in row])
                     for row in nz
-                )
+                ])
             else:
-                den, rows = 1, tuple(tuple((j, 1) for j, _ in row) for row in nz)
+                den, rows = 1, tuple([tuple([(j, 1) for j, _ in row]) for row in nz])
             ints = rows, den
             object.__setattr__(self, "_ints", ints)
         return ints

@@ -56,7 +56,7 @@ class MarkovChain:
         if matrix.ncols != n:
             raise ValidationError("transition matrix must be square")
         self.matrix = matrix
-        self.init = tuple(Fraction(x) for x in init)
+        self.init = tuple([Fraction(x) for x in init])
         self.labels = tuple(labels)
         if len(self.init) != n:
             raise ValidationError("initial distribution must have one entry per state")
@@ -129,8 +129,8 @@ class ProductSystem:
         self.nodes = tuple(nodes)
         self.index = {x: i for i, x in enumerate(self.nodes)}
         self.B = B
-        self.sccs = tuple(tuple(c) for c in sccs)
-        self.scc_sets = tuple(frozenset(c) for c in self.sccs)
+        self.sccs = tuple([tuple(c) for c in sccs])
+        self.scc_sets = tuple([frozenset(c) for c in self.sccs])
         self._scc_id = {x: d for d, comp in enumerate(self.sccs) for x in comp}
         self.classes = tuple(classes)
         self.z = None
@@ -199,7 +199,7 @@ def build_product(iba, chain):
         rows.append(sorted(row))
     B = Matrix.from_int_rows(QQ, len(keep), rows, cden * lden)
     ps = ProductSystem(aut, chain, keep, B, sccs, ())
-    ps.classes = tuple(classify_scc(ps, d) for d in range(len(sccs)))
+    ps.classes = tuple([classify_scc(ps, d) for d in range(len(sccs))])
     return ps
 
 

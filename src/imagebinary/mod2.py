@@ -170,7 +170,7 @@ def shift_register_rank_report(spec):
     diag = Fraction(on, den)
     off = Fraction(off_diag, den) if size > 1 else None
     for i, row in enumerate(rows):
-        if row != tuple((j, x) for j in range(size) if (x := on if i == j else off_diag)):
+        if row != tuple([(j, x) for j in range(size) if (x := on if i == j else off_diag)]):
             raise InternalInvariantError("H^2 is not of the I/J form")
     inv_diag = Fraction(2) ** (2 - d) - Fraction(2) ** (2 - 2 * d)
     inv_off = -(Fraction(2) ** (2 - 2 * d))

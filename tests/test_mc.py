@@ -137,6 +137,26 @@ def test_trim_removes_unstable_dead_branch():
     assert model_check(iba, unary_chain()) == 1
 
 
+def test_product_matrix_matches_dense_construction():
+    # letters with different denominators (1/2 under a, 1/3 and 2/3
+    # under b, on edges that no cycle passes) and a chain over 1/5s: B,
+    # built from integer views over one denominator, against the dense
+    # entries P[s][t] * M_label(s)[q][r] of the kept nodes
+    m_a = Matrix(QQ, [[F(0), F(1, 2), F(1, 2)], [F(0), F(1), F(0)], [F(0), F(1), F(0)]])
+    m_b = Matrix(QQ, [[F(0), F(1, 3), F(2, 3)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]])
+    iba = Iba(("a", "b"), {"a": m_a, "b": m_b}, Matrix.from_ints(QQ, [[1, 0, 0]]), [1])
+    rows = [[F(1, 5), F(4, 5), F(0)], [F(0), F(2, 5), F(3, 5)], [F(1, 5), F(1, 5), F(3, 5)]]
+    chain = MarkovChain(Matrix(QQ, rows), [F(1), F(0), F(0)], ["a", "b", "b"], ALPHABET)
+    ps = build_product(iba, chain)
+    assert ps.node_count >= 6
+    P, aut = chain.matrix.rows, ps.automaton
+    for i, (q, s) in enumerate(ps.nodes):
+        m = aut.matrix(chain.labels[s]).rows
+        assert ps.B.rows[i] == tuple(P[s][t] * m[q][r] for r, t in ps.nodes)
+    assert matches_global_solve(ps)
+    assert model_check(iba, chain) == matches_global_solve(ps)[ps.index[(0, 0)]]
+
+
 def test_fiber_step_respects_chain_support():
     ps = build_product(accept_all_iba(), two_state_chain())
     node = (0, 0)
