@@ -61,10 +61,10 @@ def _parse_ratio(field, tok, lineno):
 
 
 def _int_matrix(field, ncols, rows):
-    """The matrix with the (column, (num, den)) pairs of rows[i], in column
-    order and nonzero, in row i, built straight into its integer view."""
+    """The matrix with the entries of rows[i], (column, (num, den)) pairs
+    in column order, in row i, built straight into its integer view."""
     den = lcm(*(d for row in rows for _j, (_num, d) in row))
-    ints = [[(j, num * (den // d)) for j, (num, d) in row] for row in rows]
+    ints = [[(j, num * (den // d)) for j, (num, d) in row if num] for row in rows]
     return Matrix.from_int_rows(field, ncols, ints, den)
 
 
@@ -149,8 +149,7 @@ def parse_automaton(text):
             raise ValidationError(
                 "line %d: %s needs exactly %d entries, got %d" % (lineno, name, n, len(toks))
             )
-        ratios = (_parse_ratio(field, t, lineno) for t in toks)
-        return [(j, r) for j, r in enumerate(ratios) if r[0]]
+        return [_parse_ratio(field, t, lineno) for t in toks]
 
     def read_transitions(weight_field):
         seen = {}
@@ -171,14 +170,12 @@ def parse_automaton(text):
     def read_matrices(weight_field):
         rows = {a: [[] for _ in range(n)] for a in alphabet}
         for (letter, i, j), (_lineno, r) in sorted(read_transitions(weight_field).items()):
-            if r[0]:
-                rows[letter][i].append((j, r))
+            rows[letter][i].append((j, r))
         return {a: _int_matrix(weight_field, n, r) for a, r in rows.items()}
 
     if kind == "wa":
-        init = _int_matrix(field, n, [scalar_row("initial")])
-        final = dict(scalar_row("final"))
-        final = _int_matrix(field, 1, [[(0, final[i])] if i in final else [] for i in range(n)])
+        init = _int_matrix(field, n, [list(enumerate(scalar_row("initial")))])
+        final = _int_matrix(field, 1, [[(0, r)] for r in scalar_row("final")])
         return WeightedAutomaton(field, alphabet, read_matrices(field), init, final)
 
     if kind == "nba":
@@ -191,7 +188,7 @@ def parse_automaton(text):
             triples.append((i, letter, j))
         return Nba(n, alphabet, triples, initial, final)
 
-    init = _int_matrix(QQ, n, [scalar_row("initial")])
+    init = _int_matrix(QQ, n, [list(enumerate(scalar_row("initial")))])
     final = _parse_index_line(headers["final"], n, header_lines["final"], "final")
     return Iba(alphabet, read_matrices(QQ), init, frozenset(final))
 
@@ -268,8 +265,7 @@ def parse_markov_chain(text):
     for lineno, toks in rows:
         if len(toks) != n:
             raise ValidationError("line %d: row needs exactly %d entries" % (lineno, n))
-        ratios = (_parse_ratio(QQ, t, lineno) for t in toks)
-        matrix_rows.append([(j, r) for j, r in enumerate(ratios) if r[0]])
+        matrix_rows.append(list(enumerate(_parse_ratio(QQ, t, lineno) for t in toks)))
     return MarkovChain(_int_matrix(QQ, n, matrix_rows), init, headers["labels"], alphabet)
 
 

@@ -72,10 +72,9 @@ class Matrix:
 
     @classmethod
     def from_int_rows(cls, field, ncols, rows, den):
-        """Build from an integer view: per row, the (column, int) pairs of
-        its nonzero entries in column order, each entry standing for
-        int / den with den > 0.  Over QQ the view is brought to lowest
-        terms; over F2 den is odd and the ints count mod 2."""
+        """Build from an integer view: per row, (column, int) pairs in
+        column order for int / den (den > 0), zeros left out.  Over QQ the
+        view is brought to lowest terms; over F2 den is odd, ints mod 2."""
         if field is QQ:
             g = gcd(den, *(x for row in rows for _, x in row))
             if g > 1:

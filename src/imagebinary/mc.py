@@ -265,7 +265,8 @@ def solve_values(ps):
     takes z_i = sum_j B^_ij z_j / (den - B^_ii); a larger block goes to
     ``solve_rows`` with its rank and consistency checks.  With
     Z = z * lcm(denominators of z), Z is checked to be a fixed point of
-    the whole B (sum_j B^_ij Z_j == den * Z_i) in [0, 1] (0 <= Z_i <= lcm)."""
+    the whole B (sum_j B^_ij Z_j == den * Z_i) that meets every cut
+    normaliser (its Z sum to lcm), in [0, 1] (0 <= Z_i <= lcm)."""
     n = ps.node_count
     if n == 0:
         ps.z = ()
@@ -312,6 +313,9 @@ def solve_values(ps):
     for i, row in enumerate(brows):
         if sum(w * ints[j] for j, w in row) != den * ints[i]:
             raise InternalInvariantError("solved vector is not a fixed point of B")
+    for c in (c for c in ps.classes if c.recurrent and c.accepting):
+        if sum(ints[ps.index[(q, c.cut.s)]] for q in c.cut.states) != top:
+            raise InternalInvariantError("solved vector misses a cut normaliser")
     if any(x < 0 or x > top for x in ints):
         raise SemanticError("input not image-binary")
     ps.z = z

@@ -266,8 +266,15 @@ def test_chain_document_errors():
         parse_markov_chain("matrix:\n" + good)
     with pytest.raises(ValidationError, match="row 1 .* does not sum to 1"):
         parse_markov_chain(good.replace("row: 1/3 1/3 1/3", "row: 1/3 1/3 1/2", 1))
+
+
+def test_chain_parser_rejects_repeated_letters():
+    # the automaton parser refuses them; a chain serialised them back
+    good = serialize_markov_chain(thirds_chain())
     with pytest.raises(ValidationError, match="distinct"):
         parse_markov_chain(good.replace("alphabet: a b", "alphabet: a b a"))
+    with pytest.raises(ValidationError, match="distinct"):
+        parse_markov_chain(good.replace("alphabet: a b", "alphabet: a a b"))
 
 
 def test_chain_rows_are_checked_exactly():

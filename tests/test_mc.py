@@ -518,6 +518,19 @@ def test_corrupted_value_fails_the_fixed_point_check(monkeypatch):
         solve_values(ps)
 
 
+def test_shifted_recurrent_block_fails_the_cut_check(monkeypatch):
+    # every value of a single accepting recurrent block down by 1/7: the
+    # block moves along the kernel of I - B_CC, so z stays a fixed point
+    # in [0, 1], and only the cut normaliser tells
+    all_words = next(d for d in dba_suite() if d.name == "all words")
+    ps = build_product(all_words.to_iba(), thirds_chain())
+    assert [(c.recurrent, c.accepting) for c in ps.classes] == [(True, True)]
+    solve_rows = mc.solve_rows
+    monkeypatch.setattr(mc, "solve_rows", lambda *a: [v - F(1, 7) for v in solve_rows(*a)])
+    with pytest.raises(InternalInvariantError, match="cut normaliser"):
+        solve_values(ps)
+
+
 def test_values_outside_zero_one_are_semantic():
     # z = 2 on a doubling automaton, and z = 1 + 1/p or -1/p one edge
     # before an accepting loop: the [0, 1] check is exact
