@@ -153,8 +153,8 @@ def test_product_matrix_matches_dense_construction():
     for i, (q, s) in enumerate(ps.nodes):
         m = aut.matrix(chain.labels[s]).rows
         assert ps.B.rows[i] == tuple(P[s][t] * m[q][r] for r, t in ps.nodes)
-    assert matches_global_solve(ps)
-    assert model_check(iba, chain) == matches_global_solve(ps)[ps.index[(0, 0)]]
+    z = matches_global_solve(ps)
+    assert model_check(iba, chain) == z[ps.index[(0, 0)]]
 
 
 def test_fiber_step_respects_chain_support():
@@ -425,10 +425,8 @@ def single_transient_nodes(ps):
     """SCCs of one node without a self-loop: classified without a fiber
     search and solved in closed form."""
     brows = ps.B.nonzero_rows()
-    return sum(
-        1 for c in ps.classes
-        if len(c.nodes) == 1 and all(j != ps.index[c.nodes[0]] for j, _w in brows[ps.index[c.nodes[0]]])
-    )
+    singles = [ps.index[c.nodes[0]] for c in ps.classes if len(c.nodes) == 1]
+    return sum(1 for i in singles if all(j != i for j, _w in brows[i]))
 
 
 def test_product_keeps_sccs_reaching_accepting_cycles_sinks_first():
