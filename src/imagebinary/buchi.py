@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 from .errors import InputError, InternalInvariantError, SemanticError
 from .fields import QQ
-from .graphs import nodes_on_cycles, reachable_from, reaches_any, strongly_connected_components
+from .graphs import live_components, reachable_from, strongly_connected_components
 from .ifa import _transition_relation, words_up_to
 from .matrix import Matrix
 from .wa import _check_shapes, _distinct_letters, _join_word, _LetterMatrices
@@ -302,11 +302,8 @@ def diamond_on_loop(nba):
     graph = {q: set() for q in range(nba.state_count)}
     for (q, _a), succs in nba.delta.items():
         graph[q].update(succs)
-    graph = {q: sorted(s) for q, s in graph.items()}
-    cyc = nodes_on_cycles(graph)
-    useful = reachable_from(graph, sorted(nba.initial)) & reaches_any(
-        graph, [f for f in nba.final if f in cyc]
-    )
+    live = set().union(*live_components(graph, nba.final.__contains__))
+    useful = reachable_from(graph, sorted(nba.initial)) & live
     for q in sorted(useful):
         # search pairs of runs from (q, q); flag records divergence so far
         start = (q, q, False)
@@ -398,10 +395,9 @@ def trim_iba(iba):
     reach a cycle through a final state.  Returns the trimmed automaton
     (same ``untrimmed_state_count``) and the kept indices, possibly []."""
     graph = iba.nonzero_edge_graph()
-    cyc = nodes_on_cycles(graph)
-    anchors = [f for f in sorted(iba.final) if f in cyc]
     start = [q for q, _w in iba.init.int_rows()[0][0]]
-    keep = sorted(reachable_from(graph, start) & reaches_any(graph, anchors))
+    live = set().union(*live_components(graph, iba.final.__contains__))
+    keep = sorted(reachable_from(graph, start) & live)
     if not keep:
         return None, []
     remap = {old: new for new, old in enumerate(keep)}

@@ -43,8 +43,6 @@ class GF2:
             raise ZeroDivisionError("division by zero in GF(2)")
         return GF2(self.v)
 
-    __floordiv__ = __truediv__
-
     def __eq__(self, other):
         return isinstance(other, GF2) and self.v == other.v
 

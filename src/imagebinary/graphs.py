@@ -1,14 +1,15 @@
-"""Small directed-graph helpers: strongly connected components and
-reachability.  Graphs are dicts {node: iterable of successor nodes}; nodes
-can be any hashable value.  Everything is deterministic given insertion
-order.
+"""Small directed-graph helpers: strongly connected components,
+reachability and liveness.  Graphs are dicts {node: iterable of successor
+nodes}; nodes can be any hashable value.  Everything is deterministic
+given insertion order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-__all__ = ["strongly_connected_components", "reachable_from", "reaches_any", "nodes_on_cycles"]
+__all__ = ["strongly_connected_components", "reachable_from", "reaches_any", "nodes_on_cycles",
+           "live_components"]
 
 
 def strongly_connected_components(graph):
@@ -65,12 +66,8 @@ def strongly_connected_components(graph):
 
 def reachable_from(graph, starts):
     """All nodes reachable from the start set, including the starts."""
-    seen = set()
-    queue = deque()
-    for s in starts:
-        if s not in seen:
-            seen.add(s)
-            queue.append(s)
+    seen = set(starts)
+    queue = deque(seen)
     while queue:
         node = queue.popleft()
         for succ in graph.get(node, ()):
@@ -89,14 +86,25 @@ def reaches_any(graph, targets):
     return reachable_from(back, targets)
 
 
+def _cyclic(graph, comp):
+    """Whether a strongly connected component holds a cycle."""
+    return len(comp) > 1 or comp[0] in graph.get(comp[0], ())
+
+
 def nodes_on_cycles(graph):
     """Nodes lying on at least one directed cycle (self loops count)."""
-    out = set()
-    for comp in strongly_connected_components(graph):
-        if len(comp) > 1:
-            out.update(comp)
-        else:
-            node = comp[0]
-            if node in graph.get(node, ()):
-                out.add(node)
-    return out
+    return {x for c in strongly_connected_components(graph) if _cyclic(graph, c) for x in c}
+
+
+def live_components(graph, is_final):
+    """The strongly connected components that hold a cycle through a node
+    x with ``is_final(x)`` or reach such a component, sinks first (in the
+    order of ``strongly_connected_components``)."""
+    comps = strongly_connected_components(graph)
+    comp_of = {x: d for d, comp in enumerate(comps) for x in comp}
+    live = [False] * len(comps)
+    for d, comp in enumerate(comps):
+        live[d] = (_cyclic(graph, comp) and any(map(is_final, comp))) or any(
+            live[comp_of[y]] for x in comp for y in graph.get(x, ())
+        )
+    return [comp for d, comp in enumerate(comps) if live[d]]

@@ -1,13 +1,13 @@
 """Immutable exact matrices over QQ or F2, plus the linear algebra the
 automata algorithms need: products, Kronecker products, and rank,
-inversion and unique solving through one fraction-free (Bareiss)
-elimination.
+inversion and unique solving through one elimination (Bareiss over QQ,
+xor over F2) and one fraction-free back substitution.
 
-A matrix is frozen at construction and stored sparse, as its nonzero
-rows or as its integer view (the nonzero entries times one common
-denominator).  Products and Kronecker products run on the integer view
-and return one; ``solve_rows`` is the checked unique solve that
-``solve_unique`` and the model checker's block solve share.
+Every matrix stores its integer view (the nonzero entries times one
+common denominator) from construction, and products, elimination,
+equality and hashing read it; inexact entries are refused.
+``solve_rows`` is the checked unique solve that ``solve_unique`` and the
+model checker's block solve share.
 
 ``CoordBasis``, the incremental basis with coordinate recovery that the
 span-exploration algorithms grow one vector at a time, lives here too.
@@ -18,10 +18,12 @@ difference of supports.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import InputError, InternalInvariantError
-from .fields import QQ
+from .fields import GF2, QQ
 
 __all__ = ["Matrix", "CoordBasis"]
 
@@ -29,25 +31,28 @@ __all__ = ["Matrix", "CoordBasis"]
 class Matrix:
     """Immutable row-major matrix with entries from one field, built from
     dense rows (``Matrix(field, rows)``), nonzero entries (``from_entries``)
-    or an integer view (``from_int_rows``).  Of ``nonzero_rows``,
-    ``int_rows`` and the dense ``rows``, the constructor's form is stored
-    and the others are built on first read and cached.  Equality and
-    hashing compare the canonical integer view."""
+    or an integer view (``from_int_rows``).  Every matrix stores its
+    canonical integer view (``int_rows``) from construction; the sparse
+    ``nonzero_rows`` and the dense ``rows`` are kept when the constructor
+    holds them and otherwise built on first read and cached.  Equality
+    and hashing compare the integer view."""
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_nonzero", "_ints")
 
     def __init__(self, field, rows):
-        rows = [tuple(r) for r in rows]
+        rows = tuple([tuple(r) for r in rows])
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise InputError("ragged matrix rows")
+        _check_scalars(field, chain.from_iterable(rows))
         nz = tuple([tuple([(j, x) for j, x in enumerate(r) if x]) for r in rows])
-        self._fill(field=field, nrows=len(rows), ncols=ncols, _rows=tuple(rows), _nonzero=nz)
+        self._fill(field, len(rows), ncols, _int_view(field, nz), nz, rows)
 
-    def _fill(self, **slots):
-        for name in self.__slots__:
-            object.__setattr__(self, name, slots.get(name))
+    def _fill(self, field, nrows, ncols, ints, nonzero=None, rows=None):
+        """Set the slots once: every matrix gets its integer view here."""
+        for name, value in zip(self.__slots__, (field, nrows, ncols, rows, nonzero, ints)):
+            object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, name, value):
@@ -63,12 +68,13 @@ class Matrix:
     @classmethod
     def from_entries(cls, field, nrows, ncols, entries):
         """Build from {(i, j): x}; entries not given are zero."""
+        _check_scalars(field, entries.values())
         rows = [[] for _ in range(nrows)]
         for (i, j), x in entries.items():
             if x:
                 rows[i].append((j, x))
         nz = tuple([tuple(sorted(r)) for r in rows])
-        return object.__new__(cls)._fill(field=field, nrows=nrows, ncols=ncols, _nonzero=nz)
+        return object.__new__(cls)._fill(field, nrows, ncols, _int_view(field, nz), nz)
 
     @classmethod
     def from_int_rows(cls, field, ncols, rows, den):
@@ -82,8 +88,7 @@ class Matrix:
             rows = tuple([tuple(row) for row in rows])
         else:
             rows, den = tuple([tuple([(j, 1) for j, x in row if x & 1]) for row in rows]), 1
-        ints = rows, den
-        return object.__new__(cls)._fill(field=field, nrows=len(rows), ncols=ncols, _ints=ints)
+        return object.__new__(cls)._fill(field, len(rows), ncols, (rows, den))
 
     @classmethod
     def identity(cls, field, n):
@@ -106,10 +111,7 @@ class Matrix:
     def rows(self):
         """The dense rows, as tuples; built once per matrix."""
         if self._rows is None:
-            dense = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
-            for row, nz in zip(dense, self.nonzero_rows()):
-                for j, x in nz:
-                    row[j] = x
+            dense = _dense(self.nonzero_rows(), self.ncols, self.field.zero)
             object.__setattr__(self, "_rows", tuple([tuple(row) for row in dense]))
         return self._rows
 
@@ -127,21 +129,8 @@ class Matrix:
     def int_rows(self):
         """(rows, den): ``nonzero_rows`` with every entry x replaced by the
         int x * den, den the lcm of the entries' denominators; over F2 the
-        entries are 1 and den is 1.  Computed once per matrix."""
-        ints = self._ints
-        if ints is None:
-            nz = self._nonzero
-            if self.field is QQ:
-                den = lcm(*{x.denominator for row in nz for _, x in row})
-                rows = tuple([
-                    tuple([(j, x.numerator * (den // x.denominator)) for j, x in row])
-                    for row in nz
-                ])
-            else:
-                den, rows = 1, tuple([tuple([(j, 1) for j, _ in row]) for row in nz])
-            ints = rows, den
-            object.__setattr__(self, "_ints", ints)
-        return ints
+        entries are 1 and den is 1."""
+        return self._ints
 
     def __getitem__(self, ij):
         i, j = ij
@@ -229,31 +218,66 @@ class Matrix:
     # --- elimination based routines ---
 
     def rank(self):
-        """Rank by fraction-free elimination (exact in either field)."""
-        return _eliminate(self.field, self.rows, self.ncols)[1]
+        """Rank by forward elimination of the integer view."""
+        return _eliminate(self.field, _dense(self._ints[0], self.ncols), self.ncols)[1]
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise InputError("only square matrices can be inverted")
         n, field = self.nrows, self.field
-        ident = Matrix.identity(field, n).rows
-        work, rank = _eliminate(field, [[*r, *e] for r, e in zip(self.rows, ident)], n)
+        rows, den = self._ints
+        aug = [[*row, (n + i, den)] for i, row in enumerate(rows)]
+        work, rank = _eliminate(field, _dense(aug, 2 * n), n)
         if rank < n:
             raise InputError("matrix is singular")
-        return Matrix(field, zip(*(_back_substitute(field, work, n, n + k) for k in range(n))))
+        cols = [_back_substitute(field, work, n, n + k) for k in range(n)]
+        out = [[(k, ys[i]) for k, (ys, _d) in enumerate(cols) if ys[i]] for i in range(n)]
+        return Matrix.from_int_rows(field, n, out, cols[0][1] if n else 1)
 
     def solve_unique(self, rhs):
         """Solve self * x = rhs where self may have extra rows, through
         ``solve_rows`` and its checks."""
         if rhs.nrows != self.nrows or rhs.ncols != 1:
             raise InputError("right hand side shape mismatch")
-        rows = [[*r, *b] for r, b in zip(self.rows, rhs.rows)]
-        return Matrix.col_vector(self.field, solve_rows(self.field, rows, self.ncols))
+        n = self.ncols
+        (arows, da), (brows, db) = self._ints, rhs._ints
+        aug = [[(j, x * db) for j, x in a] + [(n, x * da) for _, x in b]
+               for a, b in zip(arows, brows)]
+        return Matrix.col_vector(self.field, solve_rows(self.field, _dense(aug, n + 1), n))
+
+
+def _check_scalars(field, entries):
+    """Refuse any entry, zeros included, that is not an exact scalar of
+    the field: an int or a Fraction over QQ, a GF2 over F2."""
+    kinds = (int, Fraction) if field is QQ else GF2
+    for t in set(map(type, entries)):
+        if not issubclass(t, kinds):
+            raise InputError("matrix entry of type %s is not a %r scalar" % (t.__name__, field))
+
+
+def _int_view(field, nz):
+    """The integer view (ints, den) of nonzero rows: over QQ each entry x
+    becomes the int x * den, den the lcm of the denominators; over F2 the
+    ints are 1 and den is 1."""
+    if field is not QQ:
+        return tuple([tuple([(j, 1) for j, _ in row]) for row in nz]), 1
+    den = lcm(*{x.denominator for row in nz for _, x in row})
+    ints = [tuple([(j, x.numerator * (den // x.denominator)) for j, x in row]) for row in nz]
+    return tuple(ints), den
+
+
+def _dense(rows, ncols, zero=0):
+    """Sparse (column, entry) rows as dense lists of ncols entries."""
+    out = [[zero] * ncols for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row:
+            dense[j] = x
+    return out
 
 
 def solve_rows(field, rows, n):
-    """The unique x, in the field, with A x = b for augmented rows [A | b]
-    (A has n columns and maybe extra rows; over QQ, ints or Fractions).
+    """The unique x, in the field, with A x = b for augmented int rows
+    [A | b] (A has n columns and maybe extra rows; over F2, bits).
     Without full column rank or consistency it raises
     InternalInvariantError: callers only assemble uniquely solvable systems."""
     work, rank = _eliminate(field, rows, n)
@@ -261,59 +285,58 @@ def solve_rows(field, rows, n):
         raise InternalInvariantError("linear system does not have full column rank")
     if any(row[n] for row in work[n:]):
         raise InternalInvariantError("inconsistent linear system")
-    return _back_substitute(field, work, n, n)
+    ys, d = _back_substitute(field, work, n, n)
+    return [field.frac(y, d) for y in ys]
 
 
 def _eliminate(field, rows, ncols):
-    """Fraction-free (Bareiss) forward elimination on the first ``ncols``
-    columns of ``rows``, carrying any later columns along; returns the
+    """Forward elimination on the first ``ncols`` columns of the int rows
+    ``rows`` (consumed), carrying any later columns along; returns the
     echelon rows and the rank, pivot k sitting in row k.
 
-    Rational rows are scaled to integers by the lcm of their denominators,
-    and each update (p * row - f * pivot_row) // previous pivot divides
-    exactly; over F2 every pivot is one.
+    Over QQ it is fraction-free (Bareiss): rows are divided by their
+    content, and each update (p * row - f * pivot_row) // previous pivot
+    divides exactly.  Over F2 the rows hold bits, every pivot is one and
+    an update is an xor.
     """
     if field is QQ:
-        work, prev = [_integral(r) for r in rows], 1
-    else:
-        work, prev = [list(r) for r in rows], field.one
-    m = len(work)
-    rank = 0
+        rows = [[x // g for x in r] if (g := gcd(*r)) > 1 else r for r in rows]
+    m, rank, prev = len(rows), 0, 1
     for col in range(ncols):
-        piv = next((r for r in range(rank, m) if work[r][col]), None)
+        piv = next((r for r in range(rank, m) if rows[r][col]), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
         p = prow[col]
         tail = prow[col:]
         for r in range(rank + 1, m):
-            row = work[r]
+            row = rows[r]
             f = row[col]
-            row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
+            if field is QQ:
+                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
+            elif f:
+                row[col:] = [x ^ y for x, y in zip(row[col:], tail)]
         prev = p
         rank += 1
-    return work, rank
+    return rows, rank
 
 
 def _back_substitute(field, work, n, k):
-    """The x, in the field, that solves the first n echelon rows (pivots
-    on the diagonal) against their column k."""
-    x = [None] * n
+    """(ys, d) with d > 0 and ys = d * x for the x that solves the first n
+    echelon rows of ``_eliminate`` against their column k.  Over QQ d is
+    |last pivot|, a determinant, so each division is exact (Cramer's
+    rule); over F2 d is 1 and ys are bits."""
+    d = abs(work[n - 1][n - 1]) if n else 1
+    ys = [0] * n
     for r in range(n - 1, -1, -1):
         row = work[r]
-        acc = field.of(row[k])
+        acc = d * row[k]
         for j in range(r + 1, n):
             if row[j]:
-                acc = acc - row[j] * x[j]
-        x[r] = acc / row[r]
-    return x
-
-
-def _integral(row):
-    """A rational row times the lcm of its denominators: a row of ints."""
-    den = lcm(*{x.denominator for x in row})
-    return [x.numerator * (den // x.denominator) for x in row]
+                acc -= row[j] * ys[j]
+        ys[r] = acc // row[r] if field is QQ else acc & 1
+    return ys, d
 
 
 class CoordBasis:
@@ -402,31 +425,18 @@ class CoordBasis:
         return not self._reduce(self._ints(vec)[0])
 
     def int_coords(self, vecs):
-        """For each int dict w in vecs: None when w is outside the span,
-        else (ys, d) with d * w = sum(ys[k] * ints_k), ints_k the k-th
-        added vector times its den.  Over F2 d is odd and the coordinates
-        are the ys mod 2 (the pivot block has odd determinant)."""
+        """For each int dict w in vecs (over F2, ones): None when w is
+        outside the span, else (ys, d) with d * w = sum(ys[k] * ints_k),
+        ints_k the k-th added vector times its den; over F2 d is 1 and the
+        ys are bits."""
         m = len(self._added)
         added = [a for a, _ in self._added]
         rows = [[a.get(p, 0) for a in added] + [w.get(p, 0) for w in vecs] for p in self._pivots]
-        work, _ = _eliminate(QQ, rows, m)
-        d = work[m - 1][m - 1] if m else 1
-        out = []
-        for t, w in enumerate(vecs, m):
-            if self._reduce(dict(w)):
-                out.append(None)
-                continue
-            # fraction-free back substitution: y = d * x is integral
-            ys = [0] * m
-            for r in range(m - 1, -1, -1):
-                row = work[r]
-                acc = d * row[t]
-                for j in range(r + 1, m):
-                    if row[j]:
-                        acc -= row[j] * ys[j]
-                ys[r] = acc // row[r]
-            out.append((ys, d))
-        return out
+        work, _ = _eliminate(self.field, rows, m)
+        return [
+            None if self._reduce(dict(w)) else _back_substitute(self.field, work, m, t)
+            for t, w in enumerate(vecs, m)
+        ]
 
     def coords(self, vec):
         """Coordinates of vec w.r.t. the added basis vectors, or None."""

@@ -21,12 +21,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .buchi import is_ultimately_stable, trim_iba
-from .errors import InputError, InternalInvariantError, SemanticError, ValidationError
+from .errors import InputError, InternalInvariantError, ParseError, SemanticError, ValidationError
 from .fields import QQ
-from .graphs import reaches_any, strongly_connected_components
+from .graphs import live_components, reaches_any
 from .matrix import Matrix, solve_rows
 from .wa import _distinct_letters
 
@@ -56,22 +56,24 @@ class MarkovChain:
         if matrix.ncols != n:
             raise ValidationError("transition matrix must be square")
         self.matrix = matrix
-        self.init = tuple([Fraction(x) for x in init])
+        try:
+            self.init = tuple([QQ.of(x) for x in init])
+        except ParseError as exc:
+            raise ValidationError("initial distribution: %s" % (exc,)) from None
         self.labels = tuple(labels)
         if len(self.init) != n:
             raise ValidationError("initial distribution must have one entry per state")
         if len(self.labels) != n:
             raise ValidationError("labeling must have one letter per state")
-        zero, one = Fraction(0), Fraction(1)
         rows, den = matrix.int_rows()
         for i, row in enumerate(rows, 1):
             if any(x < 0 for _j, x in row):
                 raise ValidationError("row %d of the transition matrix has a negative entry" % (i,))
             if sum(x for _j, x in row) != den:
                 raise ValidationError("row %d of the transition matrix does not sum to 1" % (i,))
-        if any(x < zero for x in self.init):
+        if any(x < 0 for x in self.init):
             raise ValidationError("initial distribution has a negative entry")
-        if sum(self.init, zero) != one:
+        if sum(self.init) != 1:
             raise ValidationError("initial distribution does not sum to 1")
         if alphabet is None:
             alphabet = sorted(set(self.labels))
@@ -172,17 +174,7 @@ def build_product(iba, chain):
         for s in range(ns):
             row = label_rows[s][q]
             graph[(q, s)] = [(q2, s2) for s2, _p in chain_rows[s] for q2, _w in row]
-    # one Tarjan pass, sinks first: keep the SCCs that hold or reach an
-    # accepting cycle
-    comps = strongly_connected_components(graph)
-    comp_of = {x: d for d, comp in enumerate(comps) for x in comp}
-    live = [False] * len(comps)
-    for d, comp in enumerate(comps):
-        cyclic = len(comp) > 1 or comp[0] in graph[comp[0]]
-        live[d] = (cyclic and any(q in aut.final for q, _s in comp)) or any(
-            live[comp_of[y]] for x in comp for y in graph[x]
-        )
-    sccs = [tuple(sorted(comp)) for d, comp in enumerate(comps) if live[d]]
+    sccs = [tuple(sorted(c)) for c in live_components(graph, lambda x: x[0] in aut.final)]
     keep = sorted(x for comp in sccs for x in comp)
     if not keep:
         return ProductSystem(aut, chain, (), Matrix.zeros(QQ, 0, 0), (), ())
@@ -304,7 +296,6 @@ def solve_values(ps):
         if cls.recurrent:
             cut = {local[ps.index[(q, cls.cut.s)]] for q in cls.cut.states}
             rows.append([int(k in cut) for k in range(m)] + [1])
-        rows = [[x // g for x in row] if (g := gcd(*row)) > 1 else row for row in rows]
         for i, v in zip(idx, solve_rows(QQ, rows, m)):
             z[i] = v
     z = tuple(z)

@@ -59,18 +59,18 @@ class LfsrSpec:
         return len(self.taps)
 
 
+def _lfsr_step(spec, bits):
+    """Append the register's next output bit to ``bits``."""
+    bits.append(sum(bits[-1 - i] for i, c in enumerate(spec.taps) if c) & 1)
+
+
 def lfsr_sequence(spec, length):
     """First ``length`` bits of the register's output sequence."""
     if length < 0:
         raise InputError("length must be nonnegative")
-    d = spec.dimension
     bits = list(spec.init)
     while len(bits) < length:
-        acc = 0
-        for i, c in enumerate(spec.taps):
-            if c:
-                acc ^= bits[-1 - i]
-        bits.append(acc)
+        _lfsr_step(spec, bits)
     return bits[:length]
 
 
@@ -86,11 +86,7 @@ def lfsr_period(spec):
     start = tuple(bits)
     seen = 0
     while True:
-        acc = 0
-        for i, c in enumerate(spec.taps):
-            if c:
-                acc ^= bits[-1 - i]
-        bits.append(acc)
+        _lfsr_step(spec, bits)
         seen += 1
         if tuple(bits[-d:]) == start:
             return seen

@@ -15,12 +15,17 @@ span algorithms (``span_explore``, ``equivalent``, ``minimize``,
 and the float spectral spot check of a model-checking product.  The
 full fiber search of ``classify_scc`` (before single transient nodes
 were returned at once) and the per-field scalar parsers (before the
-shared ``ratio`` tokenizer) are kept the same way.
+shared ``ratio`` tokenizer) are kept the same way, and so are trimming
+and the diamond search with their useful states found by two graph passes
+(before one liveness pass replaced them).  ``edited`` draws the line
+edits of a document that the parser and command line fuzz tests share.
 """
 
 import itertools
 from collections import deque
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from imagebinary import (
     Dfa,
@@ -439,6 +444,60 @@ def reference_inverse(matrix):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return Matrix(field, [row[n:] for row in work])
+
+
+def reference_trim_iba(iba):
+    """Trimming as two graph passes, before one liveness pass replaced
+    them: the states reachable from the initial support that reach a
+    final state on a cycle (``nodes_on_cycles`` + ``reaches_any``)."""
+    graph = iba.nonzero_edge_graph()
+    cyc = nodes_on_cycles(graph)
+    anchors = [f for f in sorted(iba.final) if f in cyc]
+    start = [q for q, _w in iba.init.int_rows()[0][0]]
+    keep = sorted(reachable_from(graph, start) & reaches_any(graph, anchors))
+    if not keep:
+        return None, []
+    remap = {old: new for new, old in enumerate(keep)}
+
+    def restrict(mat, kept_rows):
+        rows, den = mat.int_rows()
+        out = [[(remap[j], w) for j, w in rows[i] if j in remap] for i in kept_rows]
+        return Matrix.from_int_rows(QQ, len(keep), out, den)
+
+    trans = {a: restrict(iba.trans[a], keep) for a in iba.alphabet}
+    init = restrict(iba.init, [0])
+    final = frozenset(remap[f] for f in iba.final if f in remap)
+    labels = [iba.state_labels[old] for old in keep] if iba.state_labels else None
+    return Iba(iba.alphabet, trans, init, final, labels, iba.untrimmed_state_count), keep
+
+
+def reference_diamond_on_loop(nba):
+    """``diamond_on_loop`` with its useful states found by the same two
+    graph passes as ``reference_trim_iba``."""
+    graph = {q: set() for q in range(nba.state_count)}
+    for (q, _a), succs in nba.delta.items():
+        graph[q].update(succs)
+    graph = {q: sorted(s) for q, s in graph.items()}
+    cyc = nodes_on_cycles(graph)
+    useful = reachable_from(graph, sorted(nba.initial)) & reaches_any(
+        graph, [f for f in nba.final if f in cyc]
+    )
+    for q in sorted(useful):
+        start = (q, q, False)
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            p1, p2, fl = queue.popleft()
+            for a in nba.alphabet:
+                for s1 in nba.successors(p1, a):
+                    for s2 in nba.successors(p2, a):
+                        node = (s1, s2, fl or s1 != s2)
+                        if node == (q, q, True):
+                            return True
+                        if node not in seen:
+                            seen.add(node)
+                            queue.append(node)
+    return False
 
 
 def reference_classify_scc(ps, d):
@@ -876,3 +935,36 @@ def spectral_spot_check(ps, tol=1e-6):
                 "transient part has spectral radius %r" % (transient_radius,)
             )
     return recurrent_radii, transient_radius
+
+
+# === Edited documents for fuzzing ===
+
+
+FUZZ_TOKENS = [
+    "0", "1", "2", "-1", "1/2", "2/4", "1/0", "-0/5", "1_0", "+3", "٣", "x", "a", "b",
+    "a,b", "b:c", "wa", "nba", "iba", "gf2", "rational", "trans", "row:", "states:",
+    "alphabet:", "initial:", "final:", "labels:", "kind:", "field:", "#", "1.5",
+]
+
+
+def edited(draw, doc):
+    """``doc`` with up to two line edits: drop, repeat, or replace one
+    token of a line, or insert a line of tokens, drawn from the document
+    and a vocabulary of valid and invalid ones."""
+    lines = doc.splitlines()
+    pool = sorted(set(FUZZ_TOKENS + doc.split()))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("drop", "repeat", "token", "insert")))
+        if op == "insert" or k == len(lines):
+            words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+            lines.insert(k, " ".join(words))
+        elif op == "drop":
+            del lines[k]
+        elif op == "repeat":
+            lines.insert(k, lines[k])
+        else:
+            words = lines[k].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(pool))
+            lines[k] = " ".join(words)
+    return "\n".join(lines) + "\n"

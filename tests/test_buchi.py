@@ -29,6 +29,7 @@ from imagebinary import (
     nba_lasso_accepts,
     nba_lasso_count_final,
     num_succ,
+    trim_iba,
 )
 from imagebinary.fixtures import bounded_ambiguity_nba
 
@@ -36,8 +37,10 @@ from goldens import (
     all_lassos,
     dba_suite,
     fanout_unary_nba,
+    reference_diamond_on_loop,
     reference_lasso_accepts,
     reference_lasso_count,
+    reference_trim_iba,
 )
 
 
@@ -212,6 +215,52 @@ def test_diamond_on_loop():
     )
     assert diamond_on_loop(diamond)
     assert not check_ambiguity_on_lassos(diamond, 5, 2, 2)
+
+
+def nba_as_iba(nba):
+    """The acceptor with weight 1 on every transition."""
+    n = nba.state_count
+    trans = {
+        a: Matrix.from_entries(
+            QQ, n, n, {(q, q2): 1 for (q, b), succs in nba.delta.items() if b == a for q2 in succs}
+        )
+        for a in nba.alphabet
+    }
+    init = Matrix.from_entries(QQ, 1, n, {(0, q): 1 for q in nba.initial})
+    return Iba(nba.alphabet, trans, init, nba.final)
+
+
+def test_trim_and_diamond_match_two_pass_references():
+    """One liveness pass gives the kept states and the diamond verdicts of
+    the two-pass references: on seeded bounded-ambiguity acceptors with
+    extra edges and new final sets, and on their kdis outputs with part
+    of the final states dropped."""
+    rng = random.Random(61)
+    seen = set()
+    for trial in range(90):
+        k, size = rng.randint(1, 3), rng.randint(1, 3)
+        base = bounded_ambiguity_nba(rng, k, size, ("a", "b"))
+        n = base.state_count
+        edges = [(q, a, q2) for (q, a), succs in base.delta.items() for q2 in succs]
+        edges += [(rng.randrange(n), rng.choice("ab"), rng.randrange(n)) for _ in range(trial % 4)]
+        edges = sorted(set(edges))
+        nba = Nba(n, ("a", "b"), edges, base.initial, rng.sample(range(n), rng.randint(0, n)))
+        verdict = diamond_on_loop(nba)
+        assert verdict == reference_diamond_on_loop(nba), edges
+        seen.add(("diamond", verdict))
+        for iba in (nba_as_iba(nba), nba_as_iba(base)):
+            kept = trim_iba(iba)[1]
+            assert kept == reference_trim_iba(iba)[1]
+            seen.add(("trim", 0 < len(kept) < iba.n))
+        if trial % 3 == 0:
+            dis = kdis(base, k)
+            final = rng.sample(sorted(dis.final), len(dis.final) // 2)
+            cut = Iba(dis.alphabet, dis.trans, dis.init, final, dis.state_labels)
+            small, kept = trim_iba(cut)
+            assert kept == reference_trim_iba(cut)[1]
+            assert small == reference_trim_iba(cut)[0]
+            seen.add(("kdis", 0 < len(kept) < cut.n))
+    assert seen >= {("diamond", True), ("diamond", False), ("trim", True), ("kdis", True)}
 
 
 # === Weighted automata over infinite words ===

@@ -1,12 +1,17 @@
 """Command line surface: output lines, exit codes and the --json
 document, driven through main(argv)."""
 
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imagebinary import (
     Matrix,
@@ -23,6 +28,7 @@ from imagebinary.cli import main
 from imagebinary.formats import save_automaton, save_markov_chain
 
 from goldens import (
+    edited,
     even_ablock_accepts,
     even_ablock_ifa,
     fanout_unary_nba,
@@ -437,3 +443,89 @@ def test_module_entry_point(ifa_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/1\n"
+
+
+# === Fuzzing: edited documents end in a documented exit code ===
+
+
+CLI_DOCS = {
+    "wa": (
+        "kind: wa\nalphabet: a b\nstates: 3\ninitial: 1 0 0\nfinal: 0 0 1\n"
+        "trans a 1 1 -1\ntrans a 1 2 1\ntrans a 2 3 1\ntrans a 3 3 1\ntrans b 3 3 1\n"
+    ),
+    "gf2": "kind: wa\nfield: gf2\nalphabet: a\nstates: 2\ninitial: 1 0\nfinal: 0 1\ntrans a 1 2 1\n",
+    "nba": (
+        "kind: nba\nalphabet: a b\nstates: 3\ninitial: 1\nfinal: 2\ntrans a 1 1 1\n"
+        "trans a 1 2 1\ntrans a 2 3 1\ntrans b 2 2 1\ntrans b 3 1 1\n"
+    ),
+    "iba": (
+        "kind: iba\nalphabet: a b\nstates: 4\ninitial: 1 0 0 0\nfinal: 2\ntrans a 1 1 1\n"
+        "trans b 1 2 1\ntrans a 2 1 1\ntrans b 2 2 1\ntrans a 1 3 1/2\ntrans b 3 4 -1\n"
+        "trans b 4 4 1\n"
+    ),
+    "chain": "states: 2\nalphabet: a b\ninitial: 1/2 1/2\nlabels: a b\nrow: 1/3 2/3\nrow: 0 1\n",
+}
+SCALARS = ("0", "1", "2", "-1", "1/2", "1/3")
+BOUNDS = ("-1", "0", "1", "2")
+# command: (input documents, output files, positional choices, option choices)
+CLI_FUZZ = {
+    "eval": (("wa",), 0, (("", "a", "ab", "ba", "aab", "c"),), ()),
+    "equiv": (("wa", "wa"), 0, (), ()),
+    "check-ifa": (("wa",), 0, (), ()),
+    "minimize": (("wa",), 1, (), ()),
+    "kdis": (("nba",), 1, (), (("--k", ("0", "1", "2")),)),
+    "lasso-eval": (("iba",), 0, ((":a", "a:b", "ab:ba", "b:", "a", "c:a"),), ()),
+    "ambiguity-check": (
+        ("nba",), 0, (), (("--k", ("0", "1", "2")), ("--max-stem", BOUNDS), ("--max-cycle", BOUNDS))
+    ),
+    "modelcheck": (("iba", "chain"), 0, (), (("--spot-stem", BOUNDS), ("--spot-cycle", BOUNDS))),
+}
+
+
+def redrawn(draw, doc):
+    """``doc`` with some initial weights and some transition weights other
+    than 1 redrawn from a few scalars: still a document of its kind, so
+    the commands get past parsing and, for the iba document, past the
+    stability check (no redrawn weight lies on a cycle)."""
+    lines = doc.splitlines()
+    for k, line in enumerate(lines):
+        words = line.split()
+        weighted = words[0] == "trans" and words[-1] != "1"
+        if (weighted or words[0] == "initial:") and draw(st.booleans()):
+            i = -1 if weighted else draw(st.integers(1, len(words) - 1))
+            words[i] = draw(st.sampled_from(SCALARS))
+            lines[k] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FUZZ))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cli_on_edited_documents_ends_in_a_documented_exit_code(command, data):
+    """Small documents (at most 4 states) with redrawn scalars and up to
+    two edited lines, now and then of another kind than the command
+    reads, k <= 2 and lasso bounds <= 2: every run returns 0, 1, 2 or 3
+    and raises nothing."""
+    inputs, outputs, positionals, options = CLI_FUZZ[command]
+    with tempfile.TemporaryDirectory() as folder:
+        argv = [command]
+        for k, want in enumerate(inputs):
+            kind = data.draw(st.sampled_from([want] * 9 + sorted(CLI_DOCS)))
+            path = os.path.join(folder, "in%d" % k)
+            doc = CLI_DOCS[kind]
+            if kind in ("wa", "iba"):
+                doc = redrawn(data.draw, doc)
+            if data.draw(st.booleans()):
+                doc = edited(data.draw, doc)
+            with open(path, "w") as fh:
+                fh.write(doc)
+            argv.append(path)
+        argv += [os.path.join(folder, "out%d" % k) for k in range(outputs)]
+        argv += [data.draw(st.sampled_from(choices)) for choices in positionals]
+        for flag, choices in options:
+            argv += [flag, data.draw(st.sampled_from(choices))]
+        if data.draw(st.booleans()):
+            argv.append("--json")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -27,7 +27,7 @@ from imagebinary import (
     serialize_markov_chain,
 )
 
-from goldens import even_ablock_ifa, fanout_unary_nba, thirds_chain
+from goldens import edited, even_ablock_ifa, fanout_unary_nba, thirds_chain
 
 
 WA_DOC = """\
@@ -301,36 +301,6 @@ GF2_DOC = "kind: wa\nfield: gf2\nalphabet: a\nstates: 2\ninitial: 1 0\nfinal: 0 
 CHAIN_DOC = (
     "states: 2\nalphabet: a b\ninitial: 1/2 1/2\nlabels: a b\nrow: 1/3 2/3\nrow: 0 1\n"
 )
-FUZZ_TOKENS = [
-    "0", "1", "2", "-1", "1/2", "2/4", "1/0", "-0/5", "1_0", "+3", "٣", "x", "a", "b",
-    "a,b", "b:c", "wa", "nba", "iba", "gf2", "rational", "trans", "row:", "states:",
-    "alphabet:", "initial:", "final:", "labels:", "kind:", "field:", "#", "1.5",
-]
-
-
-def edited(draw, doc):
-    """``doc`` with up to two line edits: drop, repeat, or replace one
-    token of a line, or insert a line of tokens, drawn from the document
-    and a vocabulary of valid and invalid ones."""
-    lines = doc.splitlines()
-    pool = sorted(set(FUZZ_TOKENS + doc.split()))
-    for _ in range(draw(st.integers(0, 2))):
-        k = draw(st.integers(0, len(lines)))
-        op = draw(st.sampled_from(("drop", "repeat", "token", "insert")))
-        if op == "insert" or k == len(lines):
-            words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
-            lines.insert(k, " ".join(words))
-        elif op == "drop":
-            del lines[k]
-        elif op == "repeat":
-            lines.insert(k, lines[k])
-        else:
-            words = lines[k].split() or [""]
-            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(pool))
-            lines[k] = " ".join(words)
-    return "\n".join(lines) + "\n"
-
-
 def parse_or_refuse(text):
     """Each parser returns an object that survives a roundtrip or raises
     ParseError or ValidationError; how many of them parsed."""

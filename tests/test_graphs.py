@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from imagebinary.graphs import (
+    live_components,
     nodes_on_cycles,
     reachable_from,
     reaches_any,
@@ -161,3 +162,42 @@ def test_scc_scales_without_recursion():
     g = {i: ([i + 1] if i + 1 < n else []) for i in range(n)}
     comps = strongly_connected_components(g)
     assert len(comps) == n
+
+
+# === Liveness ===
+
+
+@settings(max_examples=150)
+@given(
+    edge_lists,
+    st.sets(st.integers(0, 5)),
+    st.sets(st.integers(0, 7)),
+    st.sets(st.integers(0, 7)),
+)
+def test_live_components_match_cycle_and_reach_oracle(edges, keys, final, sinks):
+    """Random digraphs with self-loops, nodes 6 and 7 met only as
+    successors, sources missing from the keys (their edges dropped) and
+    the empty graph: the live nodes are those that reach a final node on
+    a cycle, and the components come sinks first."""
+    g = {u: [] for u in sorted(keys)}
+    for u, v in edges + [(u, 6 + v % 2) for u, v in edges if v in sinks]:
+        if u in g and v not in g[u]:
+            g[u].append(v)
+    comps = live_components(g, final.__contains__)
+    live = [v for comp in comps for v in comp]
+    assert len(live) == len(set(live))
+    assert set(live) == reaches_any(g, final & nodes_on_cycles(g))
+    pos = {v: i for i, comp in enumerate(comps) for v in comp}
+    for u, vs in g.items():
+        for v in vs:
+            if u in pos and v in pos:
+                assert pos[v] <= pos[u]
+    assert {frozenset(c) for c in comps} <= {frozenset(c) for c in strongly_connected_components(g)}
+
+
+def test_live_components_goldens():
+    g = graph_of(5, [(0, 1), (1, 2), (2, 1), (3, 3), (3, 4)])
+    assert [sorted(c) for c in live_components(g, {2}.__contains__)] == [[1, 2], [0]]
+    assert live_components(g, {4}.__contains__) == []  # 4 is on no cycle
+    assert [sorted(c) for c in live_components(g, {3}.__contains__)] == [[3]]
+    assert live_components({}, bool) == []

@@ -256,32 +256,52 @@ def random_rational_rows(rng, nrows, ncols):
     ]
 
 
+def random_system(rng, field, kind):
+    """(rows, rhs) of one random system of the given kind over the field."""
+    n = rng.randint(3 if kind == "singular mod 2" else 1, 7)
+    if field is QQ:
+        rows = random_rational_rows(rng, n, n)
+        coeff = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        scalar = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    else:
+        rows = random_field_rows(rng, F2, n, n)
+        coeff = lambda: F2.one
+        scalar = lambda: F2.of(rng.randint(0, 1))
+    if kind == "rank-deficient" and n > 1:
+        j, k = rng.sample(range(n), 2)
+        c = coeff()
+        for row in rows:
+            row[j] = c * row[k]
+    if kind == "singular mod 2":
+        # the 0/1 rows are often independent over QQ, never over F2
+        i, j = rng.sample(range(n - 1), 2)
+        rows[-1] = [x + y for x, y in zip(rows[i], rows[j])]
+    if kind in ("overdetermined", "inconsistent"):
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = coeff()
+            rows.append([x + c * y for x, y in zip(a, b)])
+    x0 = [scalar() for _ in range(n)]
+    rhs = [sum((a * x for a, x in zip(row, x0)), field.zero) for row in rows]
+    if kind == "inconsistent":
+        rhs[-1] += field.one
+    return rows, rhs
+
+
 def test_solve_unique_matches_reference_on_random_systems():
     """Square, overdetermined-consistent, inconsistent and rank-deficient
-    rational systems: the same solution or the same exception class as
-    Gauss-Jordan elimination."""
+    systems over QQ and F2, and over F2 systems singular mod 2 whose 0/1
+    matrix is invertible over QQ: the same solution or the same exception
+    class and message as Gauss-Jordan elimination."""
     rng = random.Random(29)
     outcomes = {}
-    for trial in range(400):
-        kind = ("square", "overdetermined", "inconsistent", "rank-deficient")[trial % 4]
-        n = rng.randint(1, 7)
-        rows = random_rational_rows(rng, n, n)
-        if kind == "rank-deficient" and n > 1:
-            j, k = rng.sample(range(n), 2)
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            for row in rows:
-                row[j] = c * row[k]
-        if kind in ("overdetermined", "inconsistent"):
-            for _ in range(rng.randint(1, 3)):
-                a, b = rng.choice(rows), rng.choice(rows)
-                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                rows.append([x + c * y for x, y in zip(a, b)])
-        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
-        rhs = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
-        if kind == "inconsistent":
-            rhs[-1] += 1
-        system = Matrix(QQ, rows)
-        b = Matrix.col_vector(QQ, rhs)
+    kinds = ("square", "overdetermined", "inconsistent", "rank-deficient", "singular mod 2")
+    for trial in range(900):
+        field = QQ if trial < 400 else F2
+        kind = kinds[trial % (4 if field is QQ else 5)]
+        rows, rhs = random_system(rng, field, kind)
+        system = Matrix(field, rows)
+        b = Matrix.col_vector(field, rhs)
         try:
             expected = reference_solve_unique(system, b)
         except InternalInvariantError as exc:
@@ -290,17 +310,43 @@ def test_solve_unique_matches_reference_on_random_systems():
             got = system.solve_unique(b)
         except InternalInvariantError as exc:
             got = type(exc), str(exc)
-        assert got == expected, (kind, rows, rhs)
+        assert got == expected, (field, kind, rows, rhs)
         if isinstance(got, Matrix):
             assert system * got == b
             outcome = "solved"
         else:
             outcome = got[1]
-        outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
-    assert outcomes["square", "solved"] > 50
-    assert outcomes["overdetermined", "solved"] > 50
-    assert outcomes["inconsistent", "inconsistent linear system"] > 50
-    assert outcomes["rank-deficient", "linear system does not have full column rank"] > 50
+        if kind == "singular mod 2" and Matrix(QQ, [[x.v for x in r] for r in rows]).rank() == len(rows):
+            outcome += ", invertible over QQ"
+        outcomes[field, kind, outcome] = outcomes.get((field, kind, outcome), 0) + 1
+    assert outcomes[QQ, "square", "solved"] > 50
+    assert outcomes[QQ, "overdetermined", "solved"] > 50
+    assert outcomes[QQ, "inconsistent", "inconsistent linear system"] > 50
+    assert outcomes[QQ, "rank-deficient", "linear system does not have full column rank"] > 50
+    assert outcomes[F2, "square", "solved"] > 10
+    assert outcomes[F2, "overdetermined", "solved"] > 10
+    assert outcomes[F2, "inconsistent", "inconsistent linear system"] > 10
+    assert outcomes[F2, "rank-deficient", "linear system does not have full column rank"] > 50
+    singular = "linear system does not have full column rank, invertible over QQ"
+    assert outcomes[F2, "singular mod 2", singular] > 10
+
+
+def test_integer_view_matrices_solve_without_dense_rows():
+    """rank, inverse and solve_unique read the integer view: a matrix
+    built from one answers all three with its dense rows still unbuilt."""
+    for field, ints, den in (
+        (QQ, [[(0, 2), (1, 1)], [(0, 1), (1, 3)]], 6),
+        (F2, [[(0, 1), (1, 1)], [(1, 1)]], 1),
+    ):
+        m = Matrix.from_int_rows(field, 2, ints, den)
+        rhs = Matrix.from_int_rows(field, 1, [[(0, 1)], []], 1)
+        assert m.rank() == 2
+        inv = m.inverse()
+        x = m.solve_unique(rhs)
+        assert (m._rows, rhs._rows) == (None, None)
+        assert m * inv == Matrix.identity(field, 2)
+        assert m * x == rhs
+        assert x == inv * rhs
 
 
 # === Coordinate basis ===

@@ -91,6 +91,15 @@ def test_chain_rejects_bad_init_and_labels():
         MarkovChain(Matrix(QQ, rows), [F(1)], ["b"], ("a",))
 
 
+def test_chain_rejects_inexact_init():
+    with pytest.raises(ValidationError, match="initial distribution: float"):
+        MarkovChain(Matrix.from_ints(QQ, [[1]]), [1.0], ["a"])
+    with pytest.raises(ValidationError, match="initial distribution: float"):
+        MarkovChain(Matrix.from_ints(QQ, [[1, 0], [0, 1]]), [F(1, 2), 0.5], ["a", "a"])
+    chain = MarkovChain(Matrix.from_ints(QQ, [[1]]), [1], ["a"])
+    assert chain.init == (F(1),) and type(chain.init[0]) is F
+
+
 def test_chain_alphabet_defaults_to_labels():
     chain = thirds_chain()
     assert chain.alphabet == ("a", "b")

@@ -16,6 +16,7 @@ from imagebinary import (
     OVERFLOW,
     QQ,
     SemanticError,
+    WeightedAutomaton,
     binariness_witness,
     build_product,
     iba_lasso_count_final,
@@ -24,6 +25,7 @@ from imagebinary import (
     kdis,
     parse_automaton,
     random_mc,
+    serialize_automaton,
 )
 from imagebinary.fixtures import bounded_ambiguity_nba
 from imagebinary.graphs import nodes_on_cycles, reachable_from
@@ -134,6 +136,33 @@ def test_matrices_of_other_fields_or_shapes_differ():
     half = Matrix.from_int_rows(QQ, 2, [[(0, 3)], []], 6)
     assert half == Matrix.from_entries(QQ, 2, 2, {(0, 0): Fraction(1, 2)})
     assert half.int_rows() == ((((0, 1),), ()), 2)
+
+
+def test_constructors_refuse_inexact_entries():
+    """Only exact scalars of the field get in: ints and Fractions over QQ,
+    GF2 elements over F2, zeros included.  A float, an int over F2 or a
+    GF2 over QQ used to build a matrix that failed later, in equality,
+    rank or serialisation."""
+    for field, rows in (
+        (QQ, [[0.5]]),
+        (QQ, [[1, 0.0]]),
+        (QQ, [[F2.one]]),
+        (F2, [[2]]),
+        (F2, [[2, 1]]),
+        (F2, [[F2.one, 0]]),
+    ):
+        with pytest.raises(InputError, match="scalar"):
+            Matrix(field, rows)
+    with pytest.raises(InputError, match="scalar"):
+        Matrix.from_entries(QQ, 1, 1, {(0, 0): 0.5})
+    with pytest.raises(InputError, match="scalar"):
+        Matrix.from_entries(F2, 1, 1, {(0, 0): 1})
+    with pytest.raises(InputError, match="scalar"):
+        Matrix.row_vector(F2, [1])
+    one = Matrix(F2, [[F2.one]])
+    doc = serialize_automaton(WeightedAutomaton(F2, ("a",), {"a": one}, one, one))
+    assert "initial: 1\n" in doc
+    assert Matrix(QQ, [[1, Fraction(1, 2)]]) == Matrix.from_int_rows(QQ, 2, [[(0, 2), (1, 1)]], 2)
 
 
 def test_iba_transitions_are_read_only():
