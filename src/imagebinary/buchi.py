@@ -163,7 +163,9 @@ class Iba(_LetterMatrices):
 # cycle position).  A run is final iff its tail visits a final-state node
 # of G infinitely often.  One engine serves both automaton kinds: it reads
 # one tuple of (successor, weight) pairs per state, so an Iba's nonzero
-# rows sum path values and the same rows with weight 1 count paths.
+# rows sum path values and the same rows with weight 1 count paths.  The
+# weights are ints wherever the automaton is integral (``_stable_weights``)
+# and ``Fraction`` values otherwise; the engine is exact on either.
 #
 # Sums use the locked-cycle normal form.  If some live node (one with a
 # final tail) on a cycle of G has two or more live successors, cycles can
@@ -348,11 +350,18 @@ def is_ultimately_stable(iba):
 
 def _stable_weights(iba):
     """Initial weights and {letter: nonzero rows}, in alphabet order, of
-    an ultimately stable automaton: the input of the lasso engine."""
+    an ultimately stable automaton: the input of the lasso engine.  A
+    matrix with integer entries (every ``kdis`` output, every 0/1
+    embedding) hands over the ints of its integer view, any other its
+    ``Fraction`` rows."""
     if not is_ultimately_stable(iba):
         raise InputError("automaton is not ultimately stable")
-    rows = {a: iba.trans[a].nonzero_rows() for a in iba.alphabet}
-    return dict(iba.init.nonzero_rows()[0]), rows
+
+    def rows(m):
+        ints, den = m.int_rows()
+        return ints if den == 1 else m.nonzero_rows()
+
+    return dict(rows(iba.init)[0]), {a: rows(iba.trans[a]) for a in iba.alphabet}
 
 
 def iba_lasso_eval(iba, lasso):
@@ -369,6 +378,8 @@ def iba_lasso_eval(iba, lasso):
 
 def iba_lasso_count_final(iba, lasso, cap):
     """Number of final paths over the lasso, or OVERFLOW beyond cap."""
+    if cap < 0:
+        raise InputError("cap must be nonnegative")
     start, rows = _stable_weights(iba)
     unit = {a: _UnitRows(r) for a, r in rows.items()}
     total = _lasso_sum(dict.fromkeys(start, 1), unit, lasso, iba.final)

@@ -1,7 +1,13 @@
 """Small directed-graph helpers: strongly connected components,
 reachability and liveness.  Graphs are dicts {node: iterable of successor
-nodes}; nodes can be any hashable value.  Everything is deterministic
-given insertion order.
+nodes}; nodes can be any hashable value, and a successor need not be a
+key (it then has no successors).  Everything is deterministic given
+insertion order.
+
+``strongly_connected_components`` is the one Tarjan pass behind the lasso
+engine, the liveness pass and the stability test; it runs once per lasso,
+so its per-node bookkeeping is kept small: one index per visited node and
+one low link per node still on the Tarjan stack.
 """
 
 from __future__ import annotations
@@ -16,51 +22,45 @@ def strongly_connected_components(graph):
     """Tarjan's algorithm, iterative so deep graphs cannot blow the stack.
 
     Returns a list of components (each a list of nodes) in reverse
-    topological order of the condensation.
+    topological order of the condensation.  A node's low link is kept
+    only while the node sits on the Tarjan stack, so ``succ in low`` is
+    the stack membership test (Pearce, IPL 2016).
     """
     index = {}
     low = {}
-    on_stack = set()
     stack = []
     sccs = []
-    counter = 0
+    get = graph.get
     for root in graph:
         if root in index:
             continue
-        work = [(root, iter(graph.get(root, ())))]
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(get(root, ())))]
         while work:
             node, it = work[-1]
-            advanced = False
             for succ in it:
                 if succ not in index:
-                    index[succ] = low[succ] = counter
-                    counter += 1
+                    index[succ] = low[succ] = len(index)
                     stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph.get(succ, ()))))
-                    advanced = True
+                    work.append((succ, iter(get(succ, ()))))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
+                if succ in low and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                lo = low[node]
+                if lo == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        del low[w]
+                        comp.append(w)
+                        if w == node:
+                            break
+                    sccs.append(comp)
+                elif lo < low[work[-1][0]]:
+                    low[work[-1][0]] = lo
     return sccs
 
 

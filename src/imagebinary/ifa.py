@@ -135,8 +135,11 @@ def is_image_binary(automaton):
 
     Runs the equivalence check between the automaton and its Hadamard
     square without materialising the squared automaton: forward vectors v
-    are paired with v (x) v lazily.  Returns (True, None) or (False, w)
-    for a shortest word w whose value is outside {0, 1}.
+    are paired with v (x) v lazily.  As v (x) v is symmetric, only its
+    entries v_i v_j with i <= j are tracked, n(n+1)/2 coordinates instead
+    of n^2; the projection is injective on symmetric tensors, so spans,
+    basis words and the witness stay the same.  Returns (True, None) or
+    (False, w) for a shortest word w whose value is outside {0, 1}.
     """
     a = automaton
     if a.field is not QQ:
@@ -147,25 +150,31 @@ def is_image_binary(automaton):
     def step(v, letter):
         return _vec_mat(v, a.matrix(letter))
 
-    def to_vector(v):
-        # (v, v (x) v) for v = (p/q) u, times q^2/p
-        u, p, q = v
-        combined = {i: q * c for i, c in u.items()}
-        for i, ci in u.items():
-            base = n + i * n
-            pci = p * ci
-            for j, cj in u.items():
-                combined[base + j] = pci * cj
-        return combined
-
     def observe(v):
         # the value is p * t * fp / (q * fq)
         u, p, q = v
         t = _idot(u, f)
         return t and p * t * fp != q * fq
 
-    _, _, _, witness = span_explore(QQ, _row_vec(a.init), a.alphabet, step, to_vector, observe)
+    _, _, _, witness = span_explore(
+        QQ, _row_vec(a.init), a.alphabet, step, lambda v: _with_square(v, n), observe
+    )
     return (witness is None), witness
+
+
+def _with_square(v, n):
+    """(v, upper triangle of v (x) v) for the scaled vector v = (p/q) u of
+    length n, times q^2/p, as one int dict: entry (i, j), i <= j, of the
+    square sits at n + i * (2n - i - 1) / 2 + j."""
+    u, p, q = v
+    combined = {i: q * c for i, c in u.items()}
+    items = sorted(u.items())
+    for s, (i, ci) in enumerate(items):
+        base = n + i * (2 * n - i - 1) // 2
+        pci = p * ci
+        for j, cj in items[s:]:
+            combined[base + j] = pci * cj
+    return combined
 
 
 def require_image_binary(automaton):

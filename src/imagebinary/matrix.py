@@ -152,29 +152,46 @@ class Matrix:
         return "Matrix(%r, %r)" % (self.field, self.rows)
 
     def transpose(self):
-        return Matrix(self.field, zip(*self.rows))
+        rows, den = self._ints
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(rows):
+            for j, x in row:
+                cols[j].append((i, x))
+        return Matrix.from_int_rows(self.field, self.nrows, cols, den)
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other on the integer views, over their common
+        denominator (over F2 the ints are reduced mod 2)."""
         self._same_shape(other)
-        return Matrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        if other.field is not self.field:
+            raise InputError("matrices over different fields")
+        (arows, da), (brows, db) = self._ints, other._ints
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = []
+        for ra, rb in zip(arows, brows):
+            acc = {j: x * fa for j, x in ra}
+            for j, x in rb:
+                acc[j] = acc.get(j, 0) + x * fb
+            out.append([(j, x) for j, x in sorted(acc.items()) if x])
+        return Matrix.from_int_rows(self.field, self.ncols, out, den)
 
     def __neg__(self):
-        rows, den = self.int_rows()
-        neg = [[(j, -x) for j, x in r] for r in rows]
-        return Matrix.from_int_rows(self.field, self.ncols, neg, den)
+        return self.scale(-self.field.one)
 
     def scale(self, c):
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows])
+        """c times the matrix, for a scalar c of the field."""
+        _check_scalars(self.field, [c])
+        rows, den = self._ints
+        num, cden = (c.numerator, c.denominator) if self.field is QQ else (c.v, 1)
+        out = [[(j, x * num) for j, x in row] if num else [] for row in rows]
+        return Matrix.from_int_rows(self.field, self.ncols, out, den * cden)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):

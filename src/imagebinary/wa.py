@@ -339,13 +339,9 @@ def minimize(automaton):
     _, fvecs, fbasis, _ = span_explore(
         field, fwd, a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter)), itemgetter(0)
     )
-    images = [_vec_mat(v, a.matrix(letter)) for letter in a.alphabet for v in fvecs]
-    rows = _basis_coords(field, fbasis, fvecs, images + [fwd], "forward")
-    m = len(fvecs)
-    trans1 = {
-        letter: Matrix(field, rows[k * m:(k + 1) * m]) for k, letter in enumerate(a.alphabet)
-    }
-    init1 = Matrix.row_vector(field, rows[-1])
+    groups = [[_vec_mat(v, a.matrix(letter)) for v in fvecs] for letter in a.alphabet]
+    *blocks, init1 = _coord_blocks(field, fbasis, fvecs, groups + [[fwd]], "forward")
+    trans1 = dict(zip(a.alphabet, blocks))
     final = _col_vec(a.final)
     final1 = Matrix.col_vector(field, [_dot(v, final, field) for v in fvecs])
 
@@ -355,37 +351,43 @@ def minimize(automaton):
     _, bvecs, bbasis, _ = span_explore(
         field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v), itemgetter(0)
     )
-    images = [_mat_vec(trans1[letter], v) for letter in a.alphabet for v in bvecs]
-    cols = _basis_coords(field, bbasis, bvecs, images + [bwd], "backward")
-    m = len(bvecs)
-    trans2 = {
-        letter: Matrix(field, zip(*cols[k * m:(k + 1) * m])) for k, letter in enumerate(a.alphabet)
-    }
+    groups = [[_mat_vec(trans1[letter], v) for v in bvecs] for letter in a.alphabet]
+    *blocks, final2 = _coord_blocks(field, bbasis, bvecs, groups + [[bwd]], "backward")
     alpha1 = _row_vec(init1)
     alpha2 = [_dot(alpha1, v, field) for v in bvecs]
     return WeightedAutomaton(
         field,
         a.alphabet,
-        trans2,
+        {letter: b.transpose() for letter, b in zip(a.alphabet, blocks)},
         Matrix.row_vector(field, alpha2),
-        Matrix.col_vector(field, cols[-1]),
+        final2.transpose(),
     )
 
 
-def _basis_coords(field, basis, vecs, targets, side):
-    """Coordinates of each scaled target against the scaled basis vectors
-    ``vecs`` whose u parts were added to ``basis``, from one solve; one
-    field scalar per entry."""
-    frac, zero = field.frac, field.zero
+def _coord_blocks(field, basis, vecs, groups, side):
+    """One matrix per group of scaled targets, from one solve: row t holds
+    the coordinates of the group's t-th target against the scaled basis
+    vectors ``vecs``, whose u parts were added to ``basis``.
+
+    A target (u, p, q) with d * u = sum(y_k * ints_k) (``int_coords``) has
+    k-th coordinate y_k * p * q_k / (d * q * p_k), as u_k = (q_k / p_k) *
+    vecs[k].  Over the block's common denominator lcm_t(d * q) * lcm_k(p_k)
+    every entry is an exact int, so the block is built from its integer
+    view."""
+    sols = iter(basis.int_coords([t[0] for group in groups for t in group]))
+    lp = lcm(*[pk for _, pk, _ in vecs])
+    cs = [qk * (lp // pk) for _, pk, qk in vecs]
     out = []
-    for (_, p, q), sol in zip(targets, basis.int_coords([t[0] for t in targets])):
-        if sol is None:
-            raise InternalInvariantError("%s space not closed under step" % side)
-        ys, d = sol
-        # target = (p/q) * sum(ys[k] / d * u_k) and u_k = (q_k/p_k) * vecs[k]
-        out.append([
-            frac(y * p * qk, d * q * pk) if y else zero for y, (_, pk, qk) in zip(ys, vecs)
-        ])
+    for group in groups:
+        block = []
+        for (_, p, q), sol in zip(group, sols):
+            if sol is None:
+                raise InternalInvariantError("%s space not closed under step" % side)
+            block.append((*sol, p, q))
+        ld = lcm(*[d * q for _, d, _, q in block])
+        rows = [[(k, y * p * (ld // (d * q)) * c) for k, (y, c) in enumerate(zip(ys, cs)) if y]
+                for ys, d, p, q in block]
+        out.append(Matrix.from_int_rows(field, len(vecs), rows, ld * lp))
     return out
 
 

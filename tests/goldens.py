@@ -17,7 +17,9 @@ full fiber search of ``classify_scc`` (before single transient nodes
 were returned at once) and the per-field scalar parsers (before the
 shared ``ratio`` tokenizer) are kept the same way, and so are trimming
 and the diamond search with their useful states found by two graph passes
-(before one liveness pass replaced them).  ``edited`` draws the line
+(before one liveness pass replaced them), and Tarjan's pass with its
+on-stack set and a low link for every visited node (before low links were
+kept for stacked nodes only).  ``edited`` draws the line
 edits of a document that the parser and command line fuzz tests share.
 """
 
@@ -374,6 +376,57 @@ def reference_lasso_count(nba, lasso, cap):
         if node in live:
             total += c * counts[node]
     return total if total <= cap else OVERFLOW
+
+
+def reference_strongly_connected_components(graph):
+    """Iterative Tarjan with an explicit on-stack set and an ``advanced``
+    flag, and low links kept for every visited node: the pass that the
+    leaner ``graphs.strongly_connected_components`` replaced.  Components
+    come in reverse topological order of the condensation."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    sccs = []
+    counter = 0
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(graph.get(root, ())))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for succ in it:
+                if succ not in index:
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(graph.get(succ, ()))))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                sccs.append(comp)
+    return sccs
 
 
 # === Reference solvers ===

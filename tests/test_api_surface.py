@@ -1,7 +1,8 @@
 """The names other code looks up by string: every function the benchmark
 tracer wraps, and every name a module lists in ``__all__``.  A refactor
 that moves or renames one of them fails here instead of in
-``perfbench/run.py --trace 1``."""
+``perfbench/run.py --trace 1``; one that breaks a workload verdict fails
+the benchmark's own self-test, which runs here too."""
 
 import importlib
 import importlib.util
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import imagebinary
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -64,3 +66,14 @@ def test_package_does_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_benchmark_selftest_passes():
+    """``python3 perfbench/selftest.py``: every workload verdict matches its
+    reference, corrupted references are caught, and a traced pass reports
+    every per-layer metric of BENCHMARK.json."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, cwd=ROOT, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -314,6 +314,20 @@ def test_infinite_final_paths_is_semantic():
     assert iba_lasso_count_final(iba, Lasso((), "a"), 10 ** 9) is OVERFLOW
 
 
+def test_negative_cap_is_refused_by_both_counters():
+    """A cap below 0 is an input error for the Nba and the Iba counter
+    alike, not an OVERFLOW answer."""
+    one = Matrix.from_ints(QQ, [[1]])
+    iba = Iba(("a",), {"a": one}, one, [0])
+    nba = Nba(1, ("a",), [(0, "a", 0)], [0], [0])
+    lasso = Lasso((), "a")
+    for count, automaton in ((iba_lasso_count_final, iba), (nba_lasso_count_final, nba)):
+        with pytest.raises(InputError, match="cap must be nonnegative"):
+            count(automaton, lasso, -1)
+    assert iba_lasso_count_final(iba, lasso, 0) is OVERFLOW
+    assert iba_lasso_count_final(iba, lasso, 1) == 1 == nba_lasso_count_final(nba, lasso, 1)
+
+
 # === Count vectors ===
 
 

@@ -12,6 +12,8 @@ from imagebinary.graphs import (
     strongly_connected_components,
 )
 
+from goldens import reference_strongly_connected_components
+
 
 # === Oracles ===
 
@@ -162,6 +164,52 @@ def test_scc_scales_without_recursion():
     g = {i: ([i + 1] if i + 1 < n else []) for i in range(n)}
     comps = strongly_connected_components(g)
     assert len(comps) == n
+
+
+def same_components(g):
+    comps = strongly_connected_components(g)
+    assert comps == reference_strongly_connected_components(g)
+    return comps
+
+
+def test_scc_matches_reference_pass_exactly():
+    """The same components in the same order, node order within each
+    component included, as the pass with an on-stack set: on seeded
+    random graphs with self-loops, duplicate edges, successors that are
+    not keys, and tuple nodes like those of the lasso product."""
+    rng = random.Random(16)
+    shapes = set()
+    for _ in range(400):
+        n = rng.randint(0, 12)
+        keys = [v for v in range(n) if rng.random() < 0.9]
+        rng.shuffle(keys)
+        g = {u: [rng.randrange(n + 3) for _ in range(rng.randint(0, 4))] for u in keys}
+        comps = same_components(g)
+        shapes.add((any(len(c) > 1 for c in comps), any(u in vs for u, vs in g.items()),
+                    any(v not in g for vs in g.values() for v in vs)))
+        clen = rng.randint(1, 3)
+        same_components({
+            (q, i): [(rng.randrange(n + 1), (i + 1) % clen) for _ in range(rng.randint(0, 2))]
+            for q in range(n) for i in range(clen)
+        })
+    assert shapes >= {(True, True, True), (False, False, False)}
+
+
+def test_scc_matches_reference_on_goldens_and_long_path():
+    for g in (
+        {},
+        {0: [0]},
+        {0: [1], 1: [0], 2: [2, 0]},
+        {0: [5, 5, 0], 1: [6]},  # successors that are not keys
+        graph_of(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)]),
+    ):
+        same_components(g)
+    n = 100_000
+    path = {i: [i + 1] for i in range(n - 1)}
+    comps = same_components(path)
+    assert comps[0] == [n - 1] and comps[-1] == [0] and len(comps) == n
+    cycle = {i: [(i + 1) % n] for i in range(n)}
+    assert [sorted(c) for c in same_components(cycle)] == [list(range(n))]
 
 
 # === Liveness ===

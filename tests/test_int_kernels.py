@@ -26,6 +26,7 @@ from imagebinary import (
     serialize_automaton,
 )
 from imagebinary.matrix import CoordBasis
+from imagebinary.ifa import _with_square
 from imagebinary.wa import _row_vec, _vec_mat, span_explore
 
 from goldens import (
@@ -200,6 +201,59 @@ def test_span_algorithms_match_references_property(seed):
     _, b = binary_automaton(rng, rng.randint(1, 3))
     check_against_references(add(a, b), hadamard(a, b))
     check_against_references(random_rational_automaton(rng, rng.randint(1, 3)), a)
+
+
+def test_minimize_matches_reference_over_both_fields():
+    """Blocks built straight from the integer coordinates: the same
+    minimal automaton as the per-vector ``Fraction`` coordinates, over QQ
+    (scaled, summed and arbitrary rational inputs) and over F2."""
+    rng = random.Random(3301)
+    sizes = set()
+    for _ in range(25):
+        d1, a1 = binary_automaton(rng, rng.randint(1, 6))
+        d2, a2 = binary_automaton(rng, rng.randint(1, 4))
+        f1, f2 = dfa_to_ifa(d1, F2), dfa_to_ifa(d2, F2)
+        cases = [a1, add(a1, a2), add(a1, a1), diagonal_conjugate(rng, add(a1, a2)),
+                 random_rational_automaton(rng, rng.randint(1, 4)), f1, add(f1, f2), add(f1, f1)]
+        for a in cases:
+            got, want = minimize(a), reference_minimize(a)
+            assert (got.trans, got.init, got.final) == (want.trans, want.init, want.final)
+            assert serialize_automaton(got) == serialize_automaton(want)
+            sizes.add((a.field, got.n < a.n))
+    assert sizes == {(QQ, True), (QQ, False), (F2, True), (F2, False)}
+
+
+def test_upper_triangle_coordinates_are_distinct():
+    """Each product v_i v_j, i <= j, gets its own coordinate, and together
+    they fill n + n(n+1)/2 coordinates: 65 instead of 110 at n = 10."""
+    for n in range(1, 11):
+        u = {i: i + 2 for i in range(n)}
+        combined = _with_square((u, 3, 5), n)
+        assert sorted(combined) == list(range(n + n * (n + 1) // 2))
+        products = sorted(3 * (i + 2) * (j + 2) for i in range(n) for j in range(i, n))
+        assert sorted(combined[k] for k in range(n, len(combined))) == products
+        assert [combined[i] for i in range(n)] == [5 * c for c in u.values()]
+    assert len(_with_square(({i: 1 for i in range(10)}, 1, 1), 10)) == 65
+
+
+def test_is_image_binary_on_symmetric_square_matches_reference():
+    """The upper triangle of v (x) v gives the same verdicts and shortest
+    witnesses as the full square, on image-binary automata of up to 10
+    states and on sums of two languages, whose witnesses are the words
+    both accept."""
+    rng = random.Random(65)
+    witnesses = 0
+    for n in (10, 9, 8, 7, 6, 5, 4, 3, 2, 1):
+        d1, a1 = binary_automaton(rng, n)
+        d2, a2 = binary_automaton(rng, rng.randint(1, 4))
+        for a in (a1, hadamard(a1, a2), random_rational_automaton(rng, 3)):
+            assert is_image_binary(a) == reference_is_image_binary(a)
+        ok, witness = is_image_binary(add(a1, a2))
+        assert (ok, witness) == reference_is_image_binary(add(a1, a2))
+        if not ok:
+            witnesses += 1
+            assert d1.accepts(witness) and d2.accepts(witness)
+    assert witnesses >= 5
 
 
 # === Integer-view product ===

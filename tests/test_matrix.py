@@ -62,6 +62,51 @@ def test_add_sub_neg_scale():
     assert a.scale(Fraction(2)) == mat([[2, 4], [6, 8]])
 
 
+def dense_matrix(rng, field, nrows, ncols):
+    if field is F2:
+        pick = lambda: F2.one if rng.random() < 0.5 else F2.zero
+    else:
+        pick = lambda: rng.choice((0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 4)))
+    return [[field.of(pick()) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("field", [QQ, F2])
+def test_transpose_add_sub_scale_match_dense_rows(field):
+    """The integer-view transpose, sum, difference and scaling against the
+    same operations entry by entry on dense rows."""
+    rng = random.Random(44)
+    scalars = [F2.zero, F2.one] if field is F2 else [
+        Fraction(0), Fraction(1), Fraction(-3), Fraction(2, 7), Fraction(-9, 4)]
+    for _ in range(150):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        ra, rb = dense_matrix(rng, field, n, m), dense_matrix(rng, field, n, m)
+        a, b = Matrix(field, ra), Matrix(field, rb)
+        assert a.transpose() == Matrix(field, zip(*ra))
+        assert a.transpose().rows == tuple(zip(*ra))
+        assert a + b == Matrix(field, [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+        assert a - b == Matrix(field, [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+        assert a - a == Matrix.zeros(field, n, m)
+        c = rng.choice(scalars)
+        scaled = a.scale(c)
+        assert scaled == Matrix(field, [[c * x for x in r] for r in ra])
+        assert scaled.rows == tuple(tuple(c * x for x in r) for r in ra)
+        with pytest.raises(InputError, match="shape mismatch"):
+            a + Matrix(field, dense_matrix(rng, field, n, m + 1))
+        with pytest.raises(InputError, match="shape mismatch"):
+            a - Matrix(field, dense_matrix(rng, field, n + 1, m))
+    assert Matrix.identity(field, 3).scale(field.zero).is_zero()
+    other = F2 if field is QQ else QQ
+    with pytest.raises(InputError, match="different fields"):
+        Matrix.identity(field, 2) + Matrix.identity(other, 2)
+
+
+def test_scale_refuses_inexact_scalars():
+    with pytest.raises(InputError):
+        mat([[1, 2]]).scale(0.5)
+    with pytest.raises(InputError):
+        Matrix.identity(F2, 2).scale(1)
+
+
 def test_mul_golden():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])

@@ -13,6 +13,7 @@ from imagebinary import (
     Iba,
     InputError,
     Matrix,
+    Nba,
     OVERFLOW,
     QQ,
     SemanticError,
@@ -23,15 +24,17 @@ from imagebinary import (
     iba_lasso_eval,
     is_ultimately_stable,
     kdis,
+    nba_lasso_accepts,
     parse_automaton,
     random_mc,
     serialize_automaton,
 )
+from imagebinary.buchi import _stable_weights
 from imagebinary.fixtures import bounded_ambiguity_nba
 from imagebinary.graphs import nodes_on_cycles, reachable_from
 from imagebinary.wa import _col_vec, _mat_vec, _row_vec, _vec_mat
 
-from goldens import all_lassos, fanout_unary_nba, tail_counts
+from goldens import all_lassos, fanout_unary_nba, reference_lasso_count, tail_counts
 
 ALPHABET = ("a", "b")
 
@@ -438,6 +441,71 @@ def test_stability_matches_dense_oracle_on_random_weights():
         assert is_ultimately_stable(iba) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def split_start(iba, factors):
+    """A fresh initial state s whose row under letter x is factors[x]
+    times init * M(x): a lasso's value is factors[first letter] times its
+    value on ``iba``.  Nothing enters s, so its weights lie on no cycle
+    and the automaton stays ultimately stable."""
+    n = iba.n
+    trans = {}
+    for x, m in iba.trans.items():
+        first = (iba.init * m).rows[0]
+        dense = [list(r) + [0] for r in m.rows] + [[factors[x] * y for y in first] + [0]]
+        trans[x] = Matrix(QQ, dense)
+    init = Matrix.from_entries(QQ, 1, n + 1, {(0, n): QQ.one})
+    return Iba(iba.alphabet, trans, init, iba.final)
+
+
+def support_nba(iba):
+    """The Buchi acceptor on the nonzero edges and the initial support."""
+    triples = [
+        (q, x, q2) for x, m in iba.trans.items() for q, row in enumerate(m.nonzero_rows())
+        for q2, _w in row
+    ]
+    initial = [q for q, _w in iba.init.nonzero_rows()[0]]
+    return Nba(iba.n, iba.alphabet, triples, initial, iba.final)
+
+
+def engine_weights(iba):
+    start, rows = _stable_weights(iba)
+    return list(start.values()) + [w for r in rows.values() for row in r for _q, w in row]
+
+
+def test_integer_and_fraction_rows_match_references():
+    """Integral automata (kdis outputs of the c07 generators) hand the
+    lasso engine ints, and automata with a non-integral weight hand it
+    ``Fraction`` rows; both agree with the dense tail-count oracle, with
+    the reference path count on the support acceptor, and with the
+    acceptance of the disambiguated input."""
+    rng = random.Random(2024)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    lassos = list(all_lassos(2, 3, ALPHABET))
+    for k, comp in ((1, 3), (1, 4), (2, 2), (3, 1), (2, 1)):
+        nba = bounded_ambiguity_nba(rng, k, comp, ALPHABET)
+        out = kdis(nba, k)
+        variants = [
+            (out, lambda lasso: 1),
+            (split_start(out, {"a": half, "b": Fraction(3, 2)}),
+             lambda lasso: half if (lasso.stem + lasso.cycle)[0] == "a" else Fraction(3, 2)),
+            (Iba(ALPHABET, out.trans, out.init.scale(third), out.final), lambda lasso: third),
+        ]
+        for iba, factor in variants:
+            assert (iba is out) == all(type(w) is int for w in engine_weights(iba))
+            support = support_nba(iba)
+            for lasso in lassos:
+                value, count = public_analysis(iba, lasso)
+                assert type(value) is Fraction and type(count) is int
+                assert (value, count) == dense_lasso_analysis(iba, lasso), lasso
+                assert value == factor(lasso) * nba_lasso_accepts(nba, lasso), lasso
+                assert count == reference_lasso_count(support, lasso, 10**9), lasso
+                for cap in (0, 1, 2):
+                    assert iba_lasso_count_final(iba, lasso, cap) == reference_lasso_count(
+                        support, lasso, cap)
+        witness = binariness_witness(variants[1][0], 3, 3)
+        assert witness is not None and type(witness[1]) is Fraction
+        assert witness[1] in (half, Fraction(3, 2))
 
 
 # === Product SCC index ===
