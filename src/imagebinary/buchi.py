@@ -160,12 +160,15 @@ class Iba(_LetterMatrices):
 #
 # Runs over u.v^omega correspond to paths in the product with the lasso
 # shape: a DAG of stem layers, then the finite graph G on nodes (state,
-# cycle position).  A run is final iff its tail visits a final-state node
-# of G infinitely often.  One engine serves both automaton kinds: it reads
-# one tuple of (successor, weight) pairs per state, so an Iba's nonzero
-# rows sum path values and the same rows with weight 1 count paths.  The
-# weights are ints wherever the automaton is integral (``_stable_weights``)
-# and ``Fraction`` values otherwise; the engine is exact on either.
+# cycle position).  G codes node (q, i) as the int q * clen + i (clen the
+# cycle length), so the Tarjan pass hashes ints, not tuples; the node's
+# state is final iff node // clen is in the final set.  A run is final
+# iff its tail visits a final-state node of G infinitely often.  One
+# engine serves both automaton kinds: it reads one tuple of (successor,
+# weight) pairs per state, so an Iba's nonzero rows sum path values and
+# the same rows with weight 1 count paths.  The weights are ints wherever
+# the automaton is integral (``_stable_weights``) and ``Fraction`` values
+# otherwise; the engine is exact on either.
 #
 # Sums use the locked-cycle normal form.  If some live node (one with a
 # final tail) on a cycle of G has two or more live successors, cycles can
@@ -210,15 +213,16 @@ def _cycle_sum(layer, cycle_rows, final):
     0) of entry weight times edge weights up to the locked cycle, or None
     when there are infinitely many; ``cycle_rows`` is per cycle position."""
     clen = len(cycle_rows)
-    edges = {}
-    queue = [(q, 0) for q in layer]
-    for node in queue:
-        if node not in edges:
-            q, i = node
+    edges = {}  # node -> [(successor, weight)]
+    graph = {}  # node -> [successor], for the Tarjan pass
+    queue = [q * clen for q in layer]
+    for x in queue:
+        if x not in graph:
+            q, i = divmod(x, clen)
             nxt = i + 1 if i + 1 < clen else 0
-            edges[node] = succs = tuple([((q2, nxt), x) for q2, x in cycle_rows[i][q]])
-            queue.extend(s for s, _x in succs if s not in edges)
-    graph = {x: [y for y, _w in succs] for x, succs in edges.items()}
+            edges[x] = succs = [(q2 * clen + nxt, w) for q2, w in cycle_rows[i][q]]
+            graph[x] = ys = [y for y, _w in succs]
+            queue += ys
     tails = {}  # live node -> weighted sum over its final tails
     # components come sinks first, so successors are settled before use
     for comp in strongly_connected_components(graph):
@@ -228,15 +232,18 @@ def _cycle_sum(layer, cycle_rows, final):
             if live:
                 tails[x] = sum(live)
             continue
-        members = set(comp)
-        live_exit = any(y in tails for x in comp for y in graph[x])
-        if not live_exit and all(q not in final for q, _i in comp):
+        if any(y in tails for x in comp for y in graph[x]):
+            return None  # a cycle with a live exit
+        if all(x // clen not in final for x in comp):
             continue
-        if live_exit or any(sum(y in members for y in graph[x]) != 1 for x in comp):
+        # every node of a cyclic component has a successor inside it, so
+        # the cycle is locked when there are exactly len(comp) such edges
+        members = set(comp)
+        if sum(y in members for x in comp for y in graph[x]) != len(comp):
             return None
         for x in comp:
             tails[x] = 1
-    return sum(w * tails[q, 0] for q, w in layer.items() if (q, 0) in tails)
+    return sum(w * tails[q * clen] for q, w in layer.items() if q * clen in tails)
 
 
 def _lasso_sum(start, rows, lasso, final):
@@ -404,7 +411,8 @@ def binariness_witness(iba, max_stem, max_cycle):
 def trim_iba(iba):
     """Restrict to states reachable from the initial support that can
     reach a cycle through a final state.  Returns the trimmed automaton
-    (same ``untrimmed_state_count``) and the kept indices, possibly []."""
+    (same ``untrimmed_state_count``, and known to be ultimately stable
+    when the source is known to be) and the kept indices, possibly []."""
     graph = iba.nonzero_edge_graph()
     start = [q for q, _w in iba.init.int_rows()[0][0]]
     live = set().union(*live_components(graph, iba.final.__contains__))
@@ -422,7 +430,12 @@ def trim_iba(iba):
     init = restrict(iba.init, [0])
     final = frozenset(remap[f] for f in iba.final if f in remap)
     labels = [iba.state_labels[old] for old in keep] if iba.state_labels else None
-    return Iba(iba.alphabet, trans, init, final, labels, iba.untrimmed_state_count), keep
+    out = Iba(iba.alphabet, trans, init, final, labels, iba.untrimmed_state_count)
+    if iba._stable:
+        # every cycle of the restriction is a cycle of the source, with
+        # the same weights, so a stable source has a stable restriction
+        out._stable = True
+    return out, keep
 
 
 # --- the disambiguation construction ----------------------------------------

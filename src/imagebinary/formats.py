@@ -152,19 +152,30 @@ def parse_automaton(text):
         return [_parse_ratio(field, t, lineno) for t in toks]
 
     def read_transitions(weight_field):
+        # index and weight tokens repeat within a document, so each distinct
+        # token is parsed once; only tokens that parsed are kept, so a bad
+        # token is refused on the first line that holds it
+        indices, weights = {}, {}
         seen = {}
         for lineno, (letter, si, sj, sw) in trans_lines:
             if letter not in alphabet:
                 raise ValidationError(
                     "line %d: letter %r is not in the alphabet" % (lineno, letter)
                 )
-            i = _parse_index(si, n, lineno)
-            j = _parse_index(sj, n, lineno)
+            i = indices.get(si)
+            if i is None:
+                i = indices[si] = _parse_index(si, n, lineno)
+            j = indices.get(sj)
+            if j is None:
+                j = indices[sj] = _parse_index(sj, n, lineno)
             if (letter, i, j) in seen:
                 raise ValidationError(
                     "line %d: duplicate transition %s %d %d" % (lineno, letter, i + 1, j + 1)
                 )
-            seen[(letter, i, j)] = (lineno, _parse_ratio(weight_field, sw, lineno))
+            r = weights.get(sw)
+            if r is None:
+                r = weights[sw] = _parse_ratio(weight_field, sw, lineno)
+            seen[(letter, i, j)] = (lineno, r)
         return seen
 
     def read_matrices(weight_field):

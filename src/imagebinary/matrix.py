@@ -169,8 +169,7 @@ class Matrix:
         """self + sign * other on the integer views, over their common
         denominator (over F2 the ints are reduced mod 2)."""
         self._same_shape(other)
-        if other.field is not self.field:
-            raise InputError("matrices over different fields")
+        self._same_field(other)
         (arows, da), (brows, db) = self._ints, other._ints
         den = lcm(da, db)
         fa, fb = den // da, sign * (den // db)
@@ -201,6 +200,7 @@ class Matrix:
                 "shape mismatch in product: %dx%d times %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
+        self._same_field(other)
         ocols = other.ncols
         arows, da = self.int_rows()
         brows, db = other.int_rows()
@@ -215,6 +215,7 @@ class Matrix:
 
     def kron(self, other):
         """Kronecker product; block (i,j) is self[i,j] * other."""
+        self._same_field(other)
         arows, da = self.int_rows()
         brows, db = other.int_rows()
         nc = other.ncols
@@ -231,6 +232,10 @@ class Matrix:
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise InputError("shape mismatch")
+
+    def _same_field(self, other):
+        if other.field is not self.field:
+            raise InputError("matrices over different fields")
 
     # --- elimination based routines ---
 

@@ -14,6 +14,10 @@ All of it runs on integer views (``Matrix.int_rows``): chain rows are
 checked on the chain's, B is built as B^ = den * B from chain ints times
 label ints, each SCC block is solved from integer rows, and the solution
 is checked exactly over the common denominator of its values.
+
+Product nodes are (automaton state, chain state) pairs (q, s).  The fiber
+search of ``classify_scc`` runs on (s, states) pairs through a move table
+built once per component, and returns its cut as a ``Fiber``.
 """
 
 from __future__ import annotations
@@ -219,28 +223,40 @@ def classify_scc(ps, d):
         i = ps.index[comp[0]]
         if all(j != i for j, _w in ps.B.int_rows()[0][i]):
             return SccClass(nodes=comp, accepting=accepting, recurrent=False, cut=None)
-    seeds = [Fiber(d, s, frozenset([q])) for (q, s) in comp]
+    # moves[s]: (t, {q: states q2 with (q2, t) in the component}) for each
+    # chain successor t of s, so a step is one union over the fiber
+    members = ps.scc_sets[d]
     chain_rows = ps.chain.matrix.int_rows()[0]
+    over = {}  # chain state s -> automaton states q with (q, s) in the component
+    for q, s in comp:
+        over.setdefault(s, []).append(q)
+    moves = {}
+    for s, qs in over.items():
+        rows = ps.automaton.matrix(ps.chain.labels[s]).int_rows()[0]
+        moves[s] = [
+            (t, {q: [q2 for q2, _w in rows[q] if (q2, t) in members] for q in qs})
+            for t, _p in chain_rows[s]
+        ]
+    # the search runs on (s, states) pairs; the cut it finds becomes a Fiber
     order = []
     succs = {}
-    queue = deque(seeds)
+    queue = deque([(s, frozenset([q])) for q, s in comp])
     seen = set(queue)
     while queue:
-        fiber = queue.popleft()
-        order.append(fiber)
-        if fiber.empty:
-            succs[fiber] = []
+        node = queue.popleft()
+        order.append(node)
+        s, states = node
+        succs[node] = out = []
+        if not states:
             continue
-        out = []
-        for t, _p in chain_rows[fiber.s]:
-            nxt = fiber_step(ps, fiber, t)
+        for t, move in moves[s]:
+            nxt = (t, frozenset([q2 for q in states for q2 in move[q]]))
             out.append(nxt)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-        succs[fiber] = out
-    doomed = reaches_any(succs, [f for f in order if f.empty])
-    cut = next((f for f in order if f not in doomed), None)
+    doomed = reaches_any(succs, [x for x in order if not x[1]])
+    cut = next((Fiber(d, *x) for x in order if x not in doomed), None)
     return SccClass(nodes=comp, accepting=accepting, recurrent=cut is not None, cut=cut)
 
 

@@ -19,8 +19,10 @@ shared ``ratio`` tokenizer) are kept the same way, and so are trimming
 and the diamond search with their useful states found by two graph passes
 (before one liveness pass replaced them), and Tarjan's pass with its
 on-stack set and a low link for every visited node (before low links were
-kept for stacked nodes only).  ``edited`` draws the line
-edits of a document that the parser and command line fuzz tests share.
+kept for stacked nodes only), and the lasso product on (state, cycle
+position) tuple nodes (before int node ids replaced them).  ``edited``
+draws the line edits of a document that the parser and command line fuzz
+tests share.
 """
 
 import itertools
@@ -48,7 +50,12 @@ from imagebinary import (
     WeightedAutomaton,
     zero_automaton,
 )
-from imagebinary.graphs import nodes_on_cycles, reachable_from, reaches_any
+from imagebinary.graphs import (
+    nodes_on_cycles,
+    reachable_from,
+    reaches_any,
+    strongly_connected_components,
+)
 
 
 # === The even-a-block language ===
@@ -376,6 +383,40 @@ def reference_lasso_count(nba, lasso, cap):
         if node in live:
             total += c * counts[node]
     return total if total <= cap else OVERFLOW
+
+
+def reference_cycle_sum(layer, cycle_rows, final):
+    """``buchi._cycle_sum`` on (state, cycle position) tuple nodes: the
+    sum over the final paths from ``layer`` of entry weight times edge
+    weights up to the locked cycle, or None when there are infinitely
+    many."""
+    clen = len(cycle_rows)
+    edges = {}
+    queue = [(q, 0) for q in layer]
+    for node in queue:
+        if node not in edges:
+            q, i = node
+            nxt = i + 1 if i + 1 < clen else 0
+            edges[node] = succs = tuple([((q2, nxt), x) for q2, x in cycle_rows[i][q]])
+            queue.extend(s for s, _x in succs if s not in edges)
+    graph = {x: [y for y, _w in succs] for x, succs in edges.items()}
+    tails = {}
+    for comp in strongly_connected_components(graph):
+        x = comp[0]
+        if len(comp) == 1 and x not in graph[x]:
+            live = [w * tails[y] for y, w in edges[x] if y in tails]
+            if live:
+                tails[x] = sum(live)
+            continue
+        members = set(comp)
+        live_exit = any(y in tails for x in comp for y in graph[x])
+        if not live_exit and all(q not in final for q, _i in comp):
+            continue
+        if live_exit or any(sum(y in members for y in graph[x]) != 1 for x in comp):
+            return None
+        for x in comp:
+            tails[x] = 1
+    return sum(w * tails[q, 0] for q, w in layer.items() if (q, 0) in tails)
 
 
 def reference_strongly_connected_components(graph):

@@ -31,12 +31,15 @@ from imagebinary import (
     num_succ,
     trim_iba,
 )
+from imagebinary import buchi
 from imagebinary.fixtures import bounded_ambiguity_nba
+from imagebinary.graphs import strongly_connected_components
 
 from goldens import (
     all_lassos,
     dba_suite,
     fanout_unary_nba,
+    reference_cycle_sum,
     reference_diamond_on_loop,
     reference_lasso_accepts,
     reference_lasso_count,
@@ -312,6 +315,78 @@ def test_infinite_final_paths_is_semantic():
     with pytest.raises(SemanticError):
         iba_lasso_eval(iba, Lasso((), "a"))
     assert iba_lasso_count_final(iba, Lasso((), "a"), 10 ** 9) is OVERFLOW
+
+
+def sweep_against_tuple_nodes(start, rows, final, max_stem, max_cycle):
+    """The lasso sweep and ``_cycle_sum`` against ``reference_cycle_sum``
+    on every lasso within the bounds: the same (stem, cycle, sum) in the
+    same order, the same type of sum, None for infinitely many.  Returns
+    the sums."""
+    got = list(buchi._lasso_sweep(start, rows, final, max_stem, max_cycle))
+    expected = []
+    for lasso in all_lassos(max_stem, max_cycle, tuple(rows)):
+        layer = start
+        for a in lasso.stem:
+            layer = buchi._step(layer, rows[a])
+        cycle_rows = [rows[a] for a in lasso.cycle]
+        want = reference_cycle_sum(layer, cycle_rows, final)
+        total = buchi._cycle_sum(layer, cycle_rows, final)
+        assert (total, type(total)) == (want, type(want)), lasso
+        expected.append((lasso.stem, lasso.cycle, want))
+    assert got == expected
+    assert [type(t) for _s, _c, t in got] == [type(t) for _s, _c, t in expected]
+    return [t for _s, _c, t in got]
+
+
+def stable_rational_iba(rng, nba):
+    """The acceptor's edges as an Iba that is ultimately stable by
+    construction: weight 1 inside a strongly connected component of the
+    edge graph, a random nonzero rational between components."""
+    graph = {q: set() for q in range(nba.state_count)}
+    for (q, _a), succs in nba.delta.items():
+        graph[q].update(succs)
+    comp = {q: d for d, c in enumerate(strongly_connected_components(graph)) for q in c}
+
+    def weight(q, q2):
+        if comp[q] == comp[q2]:
+            return Fraction(1)
+        return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4)))
+
+    n = nba.state_count
+    trans = {
+        a: Matrix.from_entries(
+            QQ, n, n, {(q, q2): weight(q, q2) for (q, b), ss in nba.delta.items() if b == a for q2 in ss}
+        )
+        for a in nba.alphabet
+    }
+    init = Matrix.from_entries(QQ, 1, n, {(0, q): Fraction(1, 1 + q) for q in nba.initial})
+    return Iba(nba.alphabet, trans, init, nba.final)
+
+
+def test_int_node_lasso_product_matches_tuple_node_reference():
+    """The lasso product on int nodes against the one on (state, position)
+    tuples, sum for sum: on c07 kdis outputs (values and path counts), on
+    random Nba sweeps and on stable automata with non-integral weights."""
+    rng = random.Random(2024)  # the c07 generator's bounded acceptors
+    sums = []
+    for k, size in ((1, 3), (1, 4), (2, 2), (3, 1), (2, 1)):
+        for _ in range(3):
+            out = kdis(bounded_ambiguity_nba(rng, k, size, ("a", "b")), k)
+            start, rows = buchi._stable_weights(out)
+            sums += sweep_against_tuple_nodes(start, rows, out.final, 2, 3)
+            unit = {a: buchi._UnitRows(r) for a, r in rows.items()}
+            sums += sweep_against_tuple_nodes(dict.fromkeys(start, 1), unit, out.final, 1, 3)
+    rng = random.Random(83)
+    for _ in range(12):
+        nba = random_nba(rng, rng.randint(2, 5), ("a", "b"), density=0.35)
+        start = dict.fromkeys(nba.initial, 1)
+        sums += sweep_against_tuple_nodes(start, buchi._nba_rows(nba), nba.final, 3, 3)
+        iba = stable_rational_iba(rng, nba)
+        assert is_ultimately_stable(iba)
+        start, rows = buchi._stable_weights(iba)
+        sums += sweep_against_tuple_nodes(start, rows, iba.final, 2, 3)
+    assert None in sums and any(t is not None and t > 1 for t in sums)
+    assert any(isinstance(t, Fraction) and t.denominator > 1 for t in sums)
 
 
 def test_negative_cap_is_refused_by_both_counters():

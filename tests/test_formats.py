@@ -183,6 +183,26 @@ def test_bad_scalars_report_line():
         parse_automaton(doc)
 
 
+def test_repeated_bad_token_reports_its_first_line():
+    # each distinct index and weight token is parsed once per document; a
+    # bad one is still refused on the first line that holds it
+    doc = WA_DOC + "trans b 1 2 0.5\ntrans b 2 1 0.5\n"
+    with pytest.raises(ParseError, match="line 10: bad rational scalar '0.5'"):
+        parse_automaton(doc)
+    doc = WA_DOC + "trans b 1 3 1\ntrans b 2 3 1\n"
+    with pytest.raises(ValidationError, match="line 10: state index 3 is outside 1..2"):
+        parse_automaton(doc)
+    doc = WA_DOC + "trans b 1 x 1\ntrans b x 1 1\n"
+    with pytest.raises(ParseError, match="line 10: state index must be an integer"):
+        parse_automaton(doc)
+    # good tokens read back the same through the memo
+    doc = WA_DOC + "trans b 1 2 1/2\ntrans b 2 1 1/2\ntrans a 2 1 2/4\n"
+    wa = parse_automaton(doc)
+    half = Fraction(1, 2)
+    assert wa.matrix("b").rows == ((0, half), (half, -1))
+    assert wa.matrix("a").rows == ((half, 1), (half, 0))
+
+
 def test_wrong_entry_counts():
     doc = replace_line(WA_DOC, "initial: 1 0", "initial: 1")
     with pytest.raises(ValidationError, match="initial needs exactly 2 entries"):

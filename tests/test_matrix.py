@@ -115,6 +115,19 @@ def test_mul_golden():
         a * mat([[1, 2, 3]])
 
 
+def test_mul_and_kron_refuse_mixed_fields():
+    # the product would be built in the left field from the right
+    # operand's integer view: [[1, 2]] * [[1], [1]] read as 3 over QQ
+    q = Matrix.from_ints(QQ, [[1, 2]])
+    f = Matrix.from_ints(F2, [[1], [1]])
+    for left, right in ((q, f), (f.transpose(), q.transpose())):
+        with pytest.raises(InputError, match="different fields"):
+            left * right
+        with pytest.raises(InputError, match="different fields"):
+            left.kron(right)
+    assert (q * Matrix.from_ints(QQ, [[1], [1]])).rows == ((Fraction(3),),)
+
+
 def test_transpose():
     m = mat([[1, 2, 3], [4, 5, 6]])
     assert m.transpose() == mat([[1, 4], [2, 5], [3, 6]])

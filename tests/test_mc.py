@@ -19,14 +19,16 @@ from imagebinary import (
     QQ,
     SemanticError,
     ValidationError,
+    binariness_witness,
     build_product,
     fiber_step,
+    is_ultimately_stable,
     kdis,
     model_check,
     solve_values,
     trim_iba,
 )
-from imagebinary import mc
+from imagebinary import buchi, graphs, mc
 from imagebinary.fixtures import bounded_ambiguity_nba, random_mc
 from imagebinary.graphs import nodes_on_cycles, reaches_any, strongly_connected_components
 
@@ -503,6 +505,67 @@ def test_solve_matches_global_solve_on_closed_block_chains():
         chain = closed_block_chain(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4))
         fractional += sum(1 for v in matches_global_solve(build_product(iba, chain)) if 0 < v < 1)
     assert fractional > 0
+
+
+def test_trim_keeps_a_known_stability_flag():
+    """A trimmed automaton inherits only a stability flag that is known,
+    and the inherited flag is the one its own pass would find."""
+    rng = random.Random(71)
+    unstable = Iba(
+        ("a",),
+        {"a": Matrix(QQ, [[F(1), F(0)], [F(0), F(2)]])},
+        Matrix.row_vector(QQ, [F(1), F(1)]),
+        [0],
+    )
+    ibas = [unstable] + [
+        kdis(bounded_ambiguity_nba(rng, k, 2, ALPHABET), k) for k in (1, 2, 2)
+    ] + [dba.to_iba() for dba in dba_suite()]
+    for iba in ibas:
+        assert trim_iba(iba)[0]._stable is None  # nothing known yet
+        verdict = is_ultimately_stable(iba)
+        small = trim_iba(iba)[0]
+        assert small._stable == (True if verdict else None)
+        fresh = Iba(small.alphabet, small.trans, small.init, small.final)
+        assert is_ultimately_stable(small) == is_ultimately_stable(fresh)
+    assert not is_ultimately_stable(unstable) and is_ultimately_stable(trim_iba(unstable)[0])
+
+
+def test_tarjan_pass_counts(monkeypatch):
+    """The work model that the benchmark's traced counts read: one Tarjan
+    pass per lasso of a sweep; for ``build_product`` of an automaton known
+    to be stable, one liveness pass over the automaton (trimming) and one
+    over the product, with no stability pass; one ``classify_scc`` call
+    per SCC."""
+    passes, classified = [], []
+    tarjan, classify = graphs.strongly_connected_components, mc.classify_scc
+
+    def counted_tarjan(graph):
+        passes.append(len(graph))
+        return tarjan(graph)
+
+    def counted_classify(ps, d):
+        classified.append(d)
+        return classify(ps, d)
+
+    for module in (graphs, buchi):
+        monkeypatch.setattr(module, "strongly_connected_components", counted_tarjan)
+    monkeypatch.setattr(mc, "classify_scc", counted_classify)
+    rng = random.Random(17)
+    iba = kdis(bounded_ambiguity_nba(rng, 2, 3, ALPHABET), 2)
+    passes.clear()
+    assert is_ultimately_stable(iba) and len(passes) == 1
+    passes.clear()
+    assert binariness_witness(iba, 2, 2) is None
+    assert len(passes) == 7 * 6  # stems of length <= 2 times cycles of length 1 or 2
+    chain = closed_block_chain(rng, 2, 2, 2)
+    passes.clear()
+    ps = build_product(iba, chain)
+    assert ps.node_count > 0 and len(passes) == 2
+    assert passes[1] == ps.automaton.n * chain.state_count
+    assert classified == list(range(len(ps.sccs)))
+    passes.clear()
+    build_product(Iba(iba.alphabet, iba.trans, iba.init, iba.final), chain)
+    assert len(passes) == 3  # not yet known: one stability pass on the trimmed automaton
 
 
 def test_corrupted_value_fails_the_fixed_point_check(monkeypatch):
