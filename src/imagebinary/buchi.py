@@ -191,9 +191,9 @@ class _UnitRows(dict):
 
 
 def _nba_rows(nba):
-    """{letter: successor rows with weight 1}, in alphabet order."""
+    """{letter: per state, its successors in order with weight 1}."""
     return {
-        a: tuple(tuple((q2, 1) for q2 in nba.successors(q, a)) for q in range(nba.state_count))
+        a: [[(q2, 1) for q2 in sorted(nba.successors(q, a))] for q in range(nba.state_count)]
         for a in nba.alphabet
     }
 
@@ -596,19 +596,17 @@ def kdis(nba, k):
     q0 = sorted(nba.initial)
     ids = {}
     order = []
-    alphas = {}
+    alphas = []
     for size in range(1, min(k, len(q0)) + 1):
         for subset in itertools.combinations(q0, size):
             r = CountVector({(q, False): 1 for q in subset})
+            alphas.append((len(order), (-1) ** (size - 1)))
             ids[r] = len(order)
             order.append(r)
-            alphas[r] = QQ.of((-1) ** (size - 1))
-    edges = {a: {} for a in nba.alphabet}
-    queue = deque(order)
-    while queue:
-        r = queue.popleft()
-        i = ids[r]
+    edges = {a: [] for a in nba.alphabet}
+    for r in order:  # breadth first, in id order: edges[a][i] is state i's row
         for a in nba.alphabet:
+            row = {}
             for r2, w in sorted(kdis_successor_weights(nba, r, a, size_cap=k).items()):
                 j = ids.get(r2)
                 if j is None:
@@ -619,14 +617,13 @@ def kdis(nba, k):
                         )
                     ids[r2] = j
                     order.append(r2)
-                    queue.append(r2)
-                sign = (-1) ** (r2.size - r.size)
-                edges[a][i, j] = QQ.of(sign * w)
+                row[j] = (-1) ** (r2.size - r.size) * w
+            edges[a].append(sorted(row.items()))
     untrimmed = len(order)
     full = Iba(
         nba.alphabet,
-        {a: Matrix.from_entries(QQ, untrimmed, untrimmed, edges[a]) for a in nba.alphabet},
-        Matrix.from_entries(QQ, 1, untrimmed, {(0, ids[r]): w for r, w in alphas.items()}),
+        {a: Matrix.from_int_rows(QQ, untrimmed, edges[a], 1) for a in nba.alphabet},
+        Matrix.from_int_rows(QQ, untrimmed, [alphas], 1),
         {i for i, r in enumerate(order) if all(b for (_q, b), _c in r.items())},
         state_labels=order,
         untrimmed_state_count=untrimmed,

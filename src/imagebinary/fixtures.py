@@ -14,7 +14,7 @@ from fractions import Fraction
 from .buchi import Nba
 from .errors import InputError
 from .fields import QQ
-from .formats import save_automaton, save_markov_chain
+from .formats import _int_matrix, save_automaton, save_markov_chain
 from .ifa import Dfa, dfa_to_ifa
 from .matrix import Matrix
 from .mc import MarkovChain
@@ -47,7 +47,7 @@ def random_dfa(rng, state_count, alphabet, final_count=None):
 def random_invertible_int_matrix(rng, n, steps=None):
     """Integer matrix with determinant +-1, built from elementary row
     operations on the identity (so the inverse is integer as well)."""
-    rows = list(Matrix.identity(QQ, n).rows)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     if steps is None:
         steps = 3 * n
     for _ in range(steps):
@@ -58,9 +58,9 @@ def random_invertible_int_matrix(rng, n, steps=None):
         if n < 2:
             break
         i, j = rng.sample(range(n), 2)
-        c = Fraction(rng.choice((-2, -1, 1, 2)))
+        c = rng.choice((-2, -1, 1, 2))
         rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    return Matrix(QQ, rows)
+    return Matrix.from_int_rows(QQ, n, [[(j, x) for j, x in enumerate(r) if x] for r in rows], 1)
 
 
 def conjugated_ifa(rng, dfa):
@@ -95,20 +95,21 @@ def bounded_ambiguity_nba(rng, k, component_states, alphabet):
     return Nba(k * component_states, alphabet, transitions, initial, final)
 
 
-def _random_distribution(rng, n):
+def _random_weights(rng, n):
     weights = [rng.randint(0, 4) for _ in range(n)]
     if not any(weights):
         weights[rng.randrange(n)] = 1
-    total = sum(weights)
-    return [Fraction(w, total) for w in weights]
+    return weights
 
 
 def random_mc(rng, state_count, alphabet):
     """Random chain with small-denominator rational rows."""
-    rows = [_random_distribution(rng, state_count) for _ in range(state_count)]
-    init = _random_distribution(rng, state_count)
+    rows = [_random_weights(rng, state_count) for _ in range(state_count)]
+    init = _random_weights(rng, state_count)
     labels = [rng.choice(alphabet) for _ in range(state_count)]
-    return MarkovChain(Matrix(QQ, rows), init, labels, tuple(alphabet))
+    ratios = [[(j, (x, t)) for j, x in enumerate(w)] for w, t in zip(rows, map(sum, rows))]
+    matrix = _int_matrix(QQ, state_count, ratios)
+    return MarkovChain(matrix, [Fraction(x, sum(init)) for x in init], labels, tuple(alphabet))
 
 
 def generate_fixture_files(seed, sizes, outdir, k=2):

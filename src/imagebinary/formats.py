@@ -11,12 +11,12 @@ parse(serialize(x)) reproduces x.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .buchi import CountVector, Iba, Nba
+from .buchi import CountVector, Iba, Nba, _nba_rows
 from .errors import ParseError, ValidationError
 from .fields import F2, QQ, field_by_name
-from .matrix import Matrix
+from .matrix import Matrix, _dense
 from .mc import MarkovChain
 from .wa import WeightedAutomaton
 
@@ -204,16 +204,23 @@ def parse_automaton(text):
     return Iba(alphabet, read_matrices(QQ), init, frozenset(final))
 
 
-def _trans_block(lines, alphabet, trans, field):
-    for a in alphabet:
-        for i, row in enumerate(trans[a].nonzero_rows()):
-            for j, w in row:
-                lines.append("trans %s %d %d %s" % (a, i + 1, j + 1, field.format(w)))
+def _entry_text(x, den):
+    """The entry x / den of an integer view as text, in lowest terms."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
+
+
+def _dense_text(mat):
+    """Per row of ``mat``, its entries as text, zeros written out."""
+    rows, den = mat.int_rows()
+    texts = [[(j, _entry_text(x, den)) for j, x in row] for row in rows]
+    return [" ".join(row) for row in _dense(texts, mat.ncols, "0")]
 
 
 def serialize_automaton(obj):
     """Canonical text form of a weighted automaton, Buchi acceptor or
-    weighted Buchi automaton."""
+    weighted Buchi automaton, written from the matrices' integer views
+    (an acceptor's transitions are its weight-1 successor rows)."""
     if isinstance(obj, WeightedAutomaton):
         kind, field = "wa", obj.field
     elif isinstance(obj, Nba):
@@ -228,30 +235,27 @@ def serialize_automaton(obj):
         "alphabet: " + " ".join(obj.alphabet),
         "states: %d" % (obj.state_count,),
     ]
-    if kind == "wa":
-        lines.append("initial: %s" % " ".join(field.format(x) for x in obj.init.rows[0]))
-        lines.append(
-            "final: %s" % " ".join(field.format(obj.final.rows[i][0]) for i in range(obj.n))
-        )
-        _trans_block(lines, obj.alphabet, obj.trans, field)
-    elif kind == "nba":
+    if kind == "iba":
+        for i, label in enumerate(obj.state_labels or ()):
+            if isinstance(label, CountVector):
+                lines.append("# state %d: %s" % (i + 1, label.format(base=1)))
+            elif label is not None:
+                lines.append("# state %d: %s" % (i + 1, label))
+    if kind == "nba":
         lines.append("initial: %s" % " ".join(str(q + 1) for q in sorted(obj.initial)))
-        lines.append("final: %s" % " ".join(str(q + 1) for q in sorted(obj.final)))
-        for (q, a), succs in sorted(
-            obj.delta.items(), key=lambda kv: (obj.alphabet.index(kv[0][1]), kv[0][0])
-        ):
-            for q2 in sorted(succs):
-                lines.append("trans %s %d %d 1" % (a, q + 1, q2 + 1))
+        views = {a: (rows, 1) for a, rows in _nba_rows(obj).items()}
     else:
-        if obj.state_labels is not None:
-            for i, label in enumerate(obj.state_labels):
-                if isinstance(label, CountVector):
-                    lines.append("# state %d: %s" % (i + 1, label.format(base=1)))
-                elif label is not None:
-                    lines.append("# state %d: %s" % (i + 1, label))
-        lines.append("initial: %s" % " ".join(QQ.format(x) for x in obj.init.rows[0]))
+        lines.append("initial: " + _dense_text(obj.init)[0])
+        views = {a: m.int_rows() for a, m in obj.trans.items()}
+    if kind == "wa":
+        lines.append("final: " + " ".join(_dense_text(obj.final)))
+    else:
         lines.append("final: %s" % " ".join(str(q + 1) for q in sorted(obj.final)))
-        _trans_block(lines, obj.alphabet, obj.trans, QQ)
+    for a in obj.alphabet:
+        rows, den = views[a]
+        for i, row in enumerate(rows, 1):
+            for j, x in row:
+                lines.append("trans %s %d %d %s" % (a, i, j + 1, _entry_text(x, den)))
     return "\n".join(lines) + "\n"
 
 
@@ -271,13 +275,17 @@ def parse_markov_chain(text):
         raise ValidationError("initial distribution needs exactly %d entries" % (n,))
     if len(headers["labels"]) != n:
         raise ValidationError("labels line needs exactly %d letters" % (n,))
-    init = [Fraction(*_parse_ratio(QQ, t, header_lines["initial"])) for t in headers["initial"]]
-    matrix_rows = []
-    for lineno, toks in rows:
+    ratios, parsed = {}, []  # each distinct token parsed once, as in read_transitions
+    for lineno, toks in [(header_lines["initial"], headers["initial"])] + rows:
         if len(toks) != n:
             raise ValidationError("line %d: row needs exactly %d entries" % (lineno, n))
-        matrix_rows.append(list(enumerate(_parse_ratio(QQ, t, lineno) for t in toks)))
-    return MarkovChain(_int_matrix(QQ, n, matrix_rows), init, headers["labels"], alphabet)
+        for tok in toks:
+            if tok not in ratios:
+                ratios[tok] = _parse_ratio(QQ, tok, lineno)
+        parsed.append([ratios[tok] for tok in toks])
+    init = [Fraction(*r) for r in parsed[0]]
+    matrix = _int_matrix(QQ, n, [list(enumerate(row)) for row in parsed[1:]])
+    return MarkovChain(matrix, init, headers["labels"], alphabet)
 
 
 def serialize_markov_chain(chain):
@@ -287,8 +295,7 @@ def serialize_markov_chain(chain):
         "initial: %s" % " ".join(QQ.format(x) for x in chain.init),
         "labels: %s" % " ".join(chain.labels),
     ]
-    for i in range(chain.state_count):
-        lines.append("row: %s" % " ".join(QQ.format(x) for x in chain.matrix.rows[i]))
+    lines += ["row: " + text for text in _dense_text(chain.matrix)]
     return "\n".join(lines) + "\n"
 
 

@@ -269,13 +269,13 @@ def ifa_to_dfa(automaton):
 def dfa_to_ifa(dfa, field=QQ):
     """Embed a DFA as a 0/1 weighted automaton (trivially image-binary)."""
     n = dfa.state_count
-    zero, one = field.zero, field.one
     trans = {
-        a: Matrix.from_entries(field, n, n, {(q, dfa.delta[q, a]): one for q in range(n)})
+        a: Matrix.from_int_rows(field, n, [[(dfa.delta[q, a], 1)] for q in range(n)], 1)
         for a in dfa.alphabet
     }
-    init = Matrix.row_vector(field, [one if q == dfa.initial else zero for q in range(n)])
-    final = Matrix.col_vector(field, [one if q in dfa.accepting else zero for q in range(n)])
+    init = Matrix.from_int_rows(field, n, [[(dfa.initial, 1)]], 1)
+    final = [[(0, 1)] if q in dfa.accepting else [] for q in range(n)]
+    final = Matrix.from_int_rows(field, 1, final, 1)
     return WeightedAutomaton(field, dfa.alphabet, trans, init, final)
 
 

@@ -1,19 +1,12 @@
 """Immutable exact matrices over QQ or F2, plus the linear algebra the
 automata algorithms need: products, Kronecker products, and rank,
 inversion and unique solving through one elimination (Bareiss over QQ,
-xor over F2) and one fraction-free back substitution.
-
-Every matrix stores its integer view (the nonzero entries times one
-common denominator) from construction, and products, elimination,
-equality and hashing read it; inexact entries are refused.
-``solve_rows`` is the checked unique solve that ``solve_unique`` and the
-model checker's block solve share.
+xor over F2) and one fraction-free back substitution.  ``solve_rows``
+is the checked unique solve that ``solve_unique`` and the model
+checker's block solve share.
 
 ``CoordBasis``, the incremental basis with coordinate recovery that the
 span-exploration algorithms grow one vector at a time, lives here too.
-It keeps integer echelon rows: over QQ each is primitive and reduced
-fraction-free, over F2 each holds ones and reduces by symmetric
-difference of supports.
 """
 
 from __future__ import annotations
@@ -31,11 +24,12 @@ __all__ = ["Matrix", "CoordBasis"]
 class Matrix:
     """Immutable row-major matrix with entries from one field, built from
     dense rows (``Matrix(field, rows)``), nonzero entries (``from_entries``)
-    or an integer view (``from_int_rows``).  Every matrix stores its
-    canonical integer view (``int_rows``) from construction; the sparse
-    ``nonzero_rows`` and the dense ``rows`` are kept when the constructor
-    holds them and otherwise built on first read and cached.  Equality
-    and hashing compare the integer view."""
+    or an integer view (``from_int_rows``, which fixtures, embeddings and
+    ``kdis`` build with).  Every matrix stores its canonical integer
+    view (``int_rows``: the nonzero entries times one common denominator)
+    from construction, and products, elimination, equality and hashing
+    read it; the sparse ``nonzero_rows`` and the dense ``rows`` are kept
+    when the constructor holds them and otherwise built on first read."""
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_nonzero", "_ints")
 

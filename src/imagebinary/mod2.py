@@ -98,13 +98,12 @@ def lfsr_to_mod2ma(spec, letter="#"):
     """d-state GF(2) automaton over a unary alphabet whose value on the
     n-letter word is a_n (companion-matrix realisation)."""
     d = spec.dimension
-    zero, one = F2.zero, F2.one
-    entries = {(j + 1, j): one for j in range(d - 1)}
-    # column d-1 computes the next bit from the window
-    entries.update(((i, d - 1), one) for i in range(d) if spec.taps[d - 1 - i])
-    comp = Matrix.from_entries(F2, d, d, entries)
-    init = Matrix.row_vector(F2, [one if b else zero for b in spec.init])
-    final = Matrix.col_vector(F2, [one] + [zero] * (d - 1))
+    # row i > 0 shifts bit i - 1 along; column d-1 computes the next bit
+    # from the window (F2 views read their ints mod 2, so a 0 tap drops)
+    comp = [([(i - 1, 1)] if i else []) + [(d - 1, spec.taps[d - 1 - i])] for i in range(d)]
+    comp = Matrix.from_int_rows(F2, d, comp, 1)
+    init = Matrix.from_int_rows(F2, d, [list(enumerate(spec.init))], 1)
+    final = Matrix.from_int_rows(F2, 1, [[(0, 1)]] + [[]] * (d - 1), 1)
     return WeightedAutomaton(F2, (letter,), {letter: comp}, init, final)
 
 
@@ -158,7 +157,8 @@ def shift_register_rank_report(spec):
             "register is not maximal: period %d, expected %d" % (period, size)
         )
     bits = lfsr_sequence(spec, 2 * size)
-    h = Matrix(QQ, [[Fraction(bits[i + j]) for j in range(size)] for i in range(size)])
+    ones = [[(j, 1) for j in range(size) if bits[i + j]] for i in range(size)]
+    h = Matrix.from_int_rows(QQ, size, ones, 1)
     rank = h.rank()
     # H^2 is compared on its integer view: one int on the diagonal, one off it
     rows, den = (h * h).int_rows()

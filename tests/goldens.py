@@ -20,7 +20,9 @@ and the diamond search with their useful states found by two graph passes
 (before one liveness pass replaced them), and Tarjan's pass with its
 on-stack set and a low link for every visited node (before low links were
 kept for stacked nodes only), and the lasso product on (state, cycle
-position) tuple nodes (before int node ids replaced them).  ``edited``
+position) tuple nodes (before int node ids replaced them), and the
+serialisers and the random change of basis written from dense
+``Fraction`` rows (before they read the integer view).  ``edited``
 draws the line edits of a document that the parser and command line fuzz
 tests share.
 """
@@ -32,6 +34,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from imagebinary import (
+    CountVector,
     Dfa,
     F2,
     Fiber,
@@ -47,6 +50,7 @@ from imagebinary import (
     QQ,
     SccClass,
     SemanticError,
+    ValidationError,
     WeightedAutomaton,
     zero_automaton,
 )
@@ -987,6 +991,92 @@ def reference_product(a, b):
             for i in range(a.nrows)
         ],
     )
+
+
+# === Serialisers and fixtures on dense Fraction rows ===
+
+
+def _reference_trans_block(lines, alphabet, trans, field):
+    for a in alphabet:
+        for i, row in enumerate(trans[a].nonzero_rows()):
+            for j, w in row:
+                lines.append("trans %s %d %d %s" % (a, i + 1, j + 1, field.format(w)))
+
+
+def reference_serialize_automaton(obj):
+    """The canonical text of an automaton, written entry by entry from
+    the dense rows and the Fraction nonzero rows."""
+    if isinstance(obj, WeightedAutomaton):
+        kind, field = "wa", obj.field
+    elif isinstance(obj, Nba):
+        kind, field = "nba", QQ
+    elif isinstance(obj, Iba):
+        kind, field = "iba", QQ
+    else:
+        raise ValidationError("cannot serialize %r" % (type(obj).__name__,))
+    lines = [
+        "kind: " + kind,
+        "field: " + field.name,
+        "alphabet: " + " ".join(obj.alphabet),
+        "states: %d" % (obj.state_count,),
+    ]
+    if kind == "wa":
+        lines.append("initial: %s" % " ".join(field.format(x) for x in obj.init.rows[0]))
+        lines.append(
+            "final: %s" % " ".join(field.format(obj.final.rows[i][0]) for i in range(obj.n))
+        )
+        _reference_trans_block(lines, obj.alphabet, obj.trans, field)
+    elif kind == "nba":
+        lines.append("initial: %s" % " ".join(str(q + 1) for q in sorted(obj.initial)))
+        lines.append("final: %s" % " ".join(str(q + 1) for q in sorted(obj.final)))
+        for (q, a), succs in sorted(
+            obj.delta.items(), key=lambda kv: (obj.alphabet.index(kv[0][1]), kv[0][0])
+        ):
+            for q2 in sorted(succs):
+                lines.append("trans %s %d %d 1" % (a, q + 1, q2 + 1))
+    else:
+        if obj.state_labels is not None:
+            for i, label in enumerate(obj.state_labels):
+                if isinstance(label, CountVector):
+                    lines.append("# state %d: %s" % (i + 1, label.format(base=1)))
+                elif label is not None:
+                    lines.append("# state %d: %s" % (i + 1, label))
+        lines.append("initial: %s" % " ".join(QQ.format(x) for x in obj.init.rows[0]))
+        lines.append("final: %s" % " ".join(str(q + 1) for q in sorted(obj.final)))
+        _reference_trans_block(lines, obj.alphabet, obj.trans, QQ)
+    return "\n".join(lines) + "\n"
+
+
+def reference_serialize_markov_chain(chain):
+    """The canonical text of a chain, written from the dense rows."""
+    lines = [
+        "states: %d" % (chain.state_count,),
+        "alphabet: %s" % " ".join(chain.alphabet),
+        "initial: %s" % " ".join(QQ.format(x) for x in chain.init),
+        "labels: %s" % " ".join(chain.labels),
+    ]
+    for i in range(chain.state_count):
+        lines.append("row: %s" % " ".join(QQ.format(x) for x in chain.matrix.rows[i]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_random_invertible_int_matrix(rng, n, steps=None):
+    """The determinant +-1 matrix of ``fixtures.random_invertible_int_matrix``,
+    built by the same row operations on dense Fraction rows."""
+    rows = list(Matrix.identity(QQ, n).rows)
+    if steps is None:
+        steps = 3 * n
+    for _ in range(steps):
+        if n >= 2 and rng.random() < 0.2:
+            i, j = rng.sample(range(n), 2)
+            rows[i], rows[j] = rows[j], rows[i]
+            continue
+        if n < 2:
+            break
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.choice((-2, -1, 1, 2)))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix(QQ, rows)
 
 
 # === Float spot check of a model-checking product ===

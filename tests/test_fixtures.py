@@ -1,6 +1,7 @@
 """Seeded fixture generators: reproducibility and the properties the
 generated objects promise."""
 
+import hashlib
 import random
 
 from imagebinary import (
@@ -24,6 +25,8 @@ from imagebinary.fixtures import (
     random_mc,
 )
 
+from goldens import reference_random_invertible_int_matrix
+
 
 def test_random_dfa_shape():
     rng = random.Random(1)
@@ -40,6 +43,17 @@ def test_random_invertible_matrix_is_invertible():
     for n in (1, 2, 3, 4):
         m = random_invertible_int_matrix(rng, n)
         assert m.inverse() * m == type(m).identity(QQ, n)
+
+
+def test_random_invertible_matrix_matches_dense_oracle():
+    # same matrix and the same draws, so every later draw of a caller
+    # (and every fixture file) is unchanged
+    for seed in range(60):
+        n, steps = seed % 8, (None, 0, 1, 7)[seed % 4]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        m = random_invertible_int_matrix(ours, n, steps)
+        assert m == reference_random_invertible_int_matrix(theirs, n, steps)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_conjugated_ifa_is_disguised_dfa():
@@ -71,6 +85,14 @@ def test_random_mc_is_valid_chain():
     assert chain.alphabet == ("a", "b")
 
 
+FIXTURE_SHA256 = {
+    "source_dfa.wa": "de13688c2f910a2f9fabeb3e2465540ec34761471e013dddeae1da8dc83f70bf",
+    "conjugated.wa": "76103ce85a3b7e4e9df3e8e7593d21e376c2937b6f0ce0bc53a51fae47a8d467",
+    "bounded_k2.nba": "d5d545f432722e20d4f0a08481ca9822f09373d1160153f7697b3eb78ba6964a",
+    "chain.mc": "eab438eda01b7d17292bffbb782e514fa27a5633a6a8180eafa12a1b2d4f1169",
+}
+
+
 def test_fixture_files_are_deterministic(tmp_path):
     out1 = tmp_path / "one"
     out2 = tmp_path / "two"
@@ -85,6 +107,11 @@ def test_fixture_files_are_deterministic(tmp_path):
     for p1, p2 in zip(paths1, paths2):
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
+    # the bytes themselves are pinned, so a changed random draw or a
+    # changed writer shows even when two runs agree
+    for path in paths1:
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == FIXTURE_SHA256[path.rsplit("/", 1)[-1]]
     different = generate_fixture_files(100, (4, 3), str(tmp_path / "three"))
     with open(paths1[0], "rb") as f1, open(different[0], "rb") as f2:
         assert f1.read() != f2.read()

@@ -1,6 +1,7 @@
 """Text document formats: canonical serialization, roundtrips and
 line-numbered rejection of malformed input."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from imagebinary import (
     F2,
+    CountVector,
     Dfa,
     Iba,
     InputError,
@@ -20,14 +22,31 @@ from imagebinary import (
     QQ,
     ValidationError,
     WeightedAutomaton,
+    add,
+    bounded_ambiguity_nba,
+    conjugated_ifa,
+    dfa_to_ifa,
     kdis,
+    lfsr_to_mod2ma,
+    LfsrSpec,
+    minimize,
     parse_automaton,
     parse_markov_chain,
+    random_dfa,
+    random_mc,
     serialize_automaton,
     serialize_markov_chain,
 )
 
-from goldens import edited, even_ablock_ifa, fanout_unary_nba, thirds_chain
+from goldens import (
+    closed_block_chain,
+    edited,
+    even_ablock_ifa,
+    fanout_unary_nba,
+    reference_serialize_automaton,
+    reference_serialize_markov_chain,
+    thirds_chain,
+)
 
 
 WA_DOC = """\
@@ -201,6 +220,18 @@ def test_repeated_bad_token_reports_its_first_line():
     half = Fraction(1, 2)
     assert wa.matrix("b").rows == ((0, half), (half, -1))
     assert wa.matrix("a").rows == ((half, 1), (half, 0))
+    # the chain parser memoises entry tokens the same way; its initial
+    # header is read before the rows
+    chain = serialize_markov_chain(thirds_chain())
+    doc = chain.replace("row: 1/3 1/3 1/3\nrow: 1/3 1/3 1/3\n", "row: 0 1/2 0.5\n" * 2)
+    with pytest.raises(ParseError, match="line 5: bad rational scalar '0.5'"):
+        parse_markov_chain(doc)
+    doc = chain.replace("initial: 1/3 1/3 1/3", "initial: 1/3 1/3 1/0").replace(
+        "row: 1/3 1/3 1/3", "row: 1/0 1 0", 1)
+    with pytest.raises(ParseError, match="line 3: bad rational scalar '1/0'"):
+        parse_markov_chain(doc)
+    doc = chain.replace("row: 1/3 1/3 1/3\nrow: 1/3 1/3 1/3\n", "row: 2/6 0 2/3\n" * 2)
+    assert parse_markov_chain(doc).matrix.rows[:2] == ((Fraction(1, 3), 0, Fraction(2, 3)),) * 2
 
 
 def test_wrong_entry_counts():
@@ -368,3 +399,85 @@ def test_parse_reads_no_dense_matrix():
         tracemalloc.stop()
     assert peak < 5 * 2 ** 20, peak
     assert wa.matrix("b").nonzero_rows()[n - 1] == ((0, Fraction(-3)),)
+
+
+# === The writers against their dense-row oracles ===
+
+
+def _random_wa(rng, field):
+    pool = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-7, 4)]
+    if field is F2:
+        pool = [0, 0, 1]
+    n = rng.randint(1, 5)
+
+    def mat(r, c):
+        return Matrix.from_ints(field, [[rng.choice(pool) for _ in range(c)] for _ in range(r)])
+
+    return WeightedAutomaton(field, ("a", "b"), {a: mat(n, n) for a in "ab"}, mat(1, n), mat(n, 1))
+
+
+def _writer_inputs():
+    """Seeded automata and chains, many built straight into integer views:
+    rational and F2 weighted automata, acceptors, kdis outputs and chains."""
+    rng = random.Random(11)
+    autos = [
+        WeightedAutomaton(
+            QQ, ("a",), {"a": Matrix.from_ints(QQ, [[0, 1], [Fraction(-1, 3), 0]])},
+            Matrix.row_vector(QQ, [Fraction(0), Fraction(-3, 4)]),
+            Matrix.col_vector(QQ, [Fraction(5, 3), Fraction(0)]),
+        ),
+        even_ablock_ifa(),
+        lfsr_to_mod2ma(LfsrSpec((0, 1, 1), (1, 0, 1))),
+    ]
+    for _ in range(25):
+        dfa = random_dfa(rng, rng.randint(1, 5), ("a", "b"))
+        twin = conjugated_ifa(rng, dfa)
+        autos += [_random_wa(rng, QQ), _random_wa(rng, F2), twin, minimize(twin)]
+        autos += [dfa_to_ifa(dfa, F2), add(twin, _random_wa(rng, QQ))]
+    for k, comp in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        nba = bounded_ambiguity_nba(rng, k, comp, ("a", "b"))
+        autos += [nba, kdis(nba, k)]
+    chains = [thirds_chain(), closed_block_chain(rng, 2, 2, 2)]
+    chains += [random_mc(rng, n, ("a", "b")) for n in range(1, 7)]
+    return autos, chains
+
+
+def test_writers_match_dense_row_oracles():
+    autos, chains = _writer_inputs()
+    labels = [x for obj in autos if isinstance(obj, Iba) for x in obj.state_labels]
+    assert any(isinstance(x, CountVector) for x in labels)
+    assert any(isinstance(obj, WeightedAutomaton) and obj.field is F2 for obj in autos)
+    for obj in autos:
+        text = serialize_automaton(obj)
+        assert text == reference_serialize_automaton(obj)
+        assert parse_automaton(text) == obj
+    for chain in chains:
+        text = serialize_markov_chain(chain)
+        assert text == reference_serialize_markov_chain(chain)
+        assert parse_markov_chain(text) == chain
+
+
+def test_writers_and_conjugation_read_integer_views_only(monkeypatch):
+    # the writers and the change of basis read integer views; a dense or
+    # Fraction read would fill the caches these checks find unset
+    def unset(obj):
+        mats = [obj.matrix] if isinstance(obj, MarkovChain) else [*obj.trans.values(), obj.init]
+        mats += [obj.final] if isinstance(obj, WeightedAutomaton) else []
+        return all(m._rows is None and m._nonzero is None for m in mats)
+
+    reads = []
+    rows, nonzero_rows = Matrix.rows, Matrix.nonzero_rows
+    monkeypatch.setattr(Matrix, "rows", property(lambda m: reads.append(m) or rows.fget(m)))
+    monkeypatch.setattr(Matrix, "nonzero_rows", lambda m: reads.append(m) or nonzero_rows(m))
+    rng = random.Random(12)
+    twins = [conjugated_ifa(rng, random_dfa(rng, n, ("a", "b"))) for n in (1, 3, 6)]
+    chain = parse_markov_chain(serialize_markov_chain(random_mc(rng, 5, ("a", "b"))))
+    iba = kdis(fanout_unary_nba(), 3)
+    gf2 = parse_automaton(GF2_DOC)
+    for obj in twins + [iba, gf2]:
+        assert unset(obj)
+        serialize_automaton(obj)
+        assert unset(obj)
+    serialize_markov_chain(chain)
+    assert unset(chain)
+    assert reads == []
