@@ -81,7 +81,6 @@ from .mc import (
     SccClass,
     build_product,
     classify_scc,
-    fiber_step,
     model_check,
     solve_values,
 )

@@ -176,6 +176,9 @@ class Iba(_LetterMatrices):
 # Otherwise every live cycle node is locked into one forced cycle, which
 # carries the final state its tails need and, by ultimate stability, only
 # weight-1 edges; the other live nodes form a DAG of weighted sums.
+# A sum belongs to the word: u.(v^k)^omega is u.v^omega, so a sweep reuses
+# the sum of the root v, met first (rotations, (u.x, v.x) against
+# (u, x.v), are one word too, but across stems, and are not shared).
 
 
 class _UnitRows(dict):
@@ -258,19 +261,28 @@ def _lasso_sum(start, rows, lasso, final):
     return _cycle_sum(layer, [rows[a] for a in lasso.cycle], final)
 
 
+def _root(word):
+    """The shortest v with word = v^k."""
+    return next(word[:p] for p in range(1, len(word) + 1) if word[:p] * (len(word) // p) == word)
+
+
 def _lasso_sweep(start, rows, final, max_stem, max_cycle):
     """(stem, cycle, sum) for every lasso within the bounds, stems then
     cycles in length-lexicographic order over the letters of ``rows``; each
-    stem's layer is computed once, from its longest proper prefix."""
+    stem's layer is computed once, from its longest proper prefix, and a
+    cycle v^k (k >= 2) takes the sum of its root v for the same stem."""
     if max_stem < 0 or max_cycle < 1:
         raise InputError("lasso bounds need max_stem >= 0 and max_cycle >= 1")
-    cycles = [(c, [rows[a] for a in c]) for c in words_up_to(rows, max_cycle) if c]
+    cycles = [(c, _root(c), [rows[a] for a in c]) for c in words_up_to(rows, max_cycle)[1:]]
     layers = {(): start}
     for stem in words_up_to(rows, max_stem):
         if stem:
             layers[stem] = _step(layers[stem[:-1]], rows[stem[-1]])
-        for cycle, cycle_rows in cycles:
-            yield stem, cycle, _cycle_sum(layers[stem], cycle_rows, final)
+        sums = {}
+        for cycle, root, cycle_rows in cycles:
+            if root == cycle:
+                sums[cycle] = _cycle_sum(layers[stem], cycle_rows, final)
+            yield stem, cycle, sums[root]
 
 
 def nba_lasso_accepts(nba, lasso):
@@ -412,13 +424,16 @@ def trim_iba(iba):
     """Restrict to states reachable from the initial support that can
     reach a cycle through a final state.  Returns the trimmed automaton
     (same ``untrimmed_state_count``, and known to be ultimately stable
-    when the source is known to be) and the kept indices, possibly []."""
+    when the source is known to be; the source itself when every state is
+    kept) and the kept indices, possibly []."""
     graph = iba.nonzero_edge_graph()
     start = [q for q, _w in iba.init.int_rows()[0][0]]
     live = set().union(*live_components(graph, iba.final.__contains__))
     keep = sorted(reachable_from(graph, start) & live)
     if not keep:
         return None, []
+    if len(keep) == iba.n:
+        return iba, keep
     remap = {old: new for new, old in enumerate(keep)}
 
     def restrict(mat, kept_rows):

@@ -12,20 +12,23 @@ automata", CAV 2016).
 
 All of it runs on integer views (``Matrix.int_rows``): chain rows are
 checked on the chain's, B is built as B^ = den * B from chain ints times
-label ints, each SCC block is solved from integer rows, and the solution
-is checked exactly over the common denominator of its values.
+label ints, and each SCC block is solved from integer rows (a single
+transient node in closed form).  These solves only propose values: the
+solution is certified exactly, over the common denominator of its
+values, as a fixed point of B in [0, 1] that meets every cut normaliser.
 
-Product nodes are (automaton state, chain state) pairs (q, s).  The fiber
-search of ``classify_scc`` runs on (s, states) pairs through a move table
-built once per component, and returns its cut as a ``Fiber``.
+Product nodes are (automaton state, chain state) pairs (q, s), the ints
+q * ns + s in the graph passes.  The fiber search of ``classify_scc``
+runs on (s, states) pairs through a move table built once per
+component, and returns its cut as a ``Fiber``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .buchi import is_ultimately_stable, trim_iba
 from .errors import InputError, InternalInvariantError, ParseError, SemanticError, ValidationError
@@ -41,7 +44,6 @@ __all__ = [
     "ProductSystem",
     "trim_iba",
     "build_product",
-    "fiber_step",
     "classify_scc",
     "solve_values",
     "model_check",
@@ -100,8 +102,7 @@ class MarkovChain:
         )
 
 
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(NamedTuple):
     """Subset of one SCC living over a single chain state: the automaton
     states of tracked runs.  An empty state set is the explicit dead
     marker."""
@@ -115,8 +116,7 @@ class Fiber:
         return not self.states
 
 
-@dataclass(frozen=True)
-class SccClass:
+class SccClass(NamedTuple):
     nodes: tuple
     accepting: bool
     recurrent: bool
@@ -173,42 +173,32 @@ def build_product(iba, chain):
     label_rows = [views[lab][0] for lab in chain.labels]
     label_scale = [lden // views[lab][1] for lab in chain.labels]
     chain_rows, cden = chain.matrix.int_rows()
-    graph = {}
+    graph = {}  # node (q, s) as the int q * ns + s, which sorts like the pair
     for q in range(aut.n):
         for s in range(ns):
             row = label_rows[s][q]
-            graph[(q, s)] = [(q2, s2) for s2, _p in chain_rows[s] for q2, _w in row]
-    sccs = [tuple(sorted(c)) for c in live_components(graph, lambda x: x[0] in aut.final)]
-    keep = sorted(x for comp in sccs for x in comp)
+            graph[q * ns + s] = [q2 * ns + s2 for s2, _p in chain_rows[s] for q2, _w in row]
+    comps = live_components(graph, lambda x: x // ns in aut.final)
+    keep = sorted(x for comp in comps for x in comp)
     if not keep:
         return ProductSystem(aut, chain, (), Matrix.zeros(QQ, 0, 0), (), ())
     index = {x: i for i, x in enumerate(keep)}
     rows = []
-    for q, s in keep:
+    for x in keep:
+        q, s = divmod(x, ns)
         f = label_scale[s]
         row = []
         for s2, p in chain_rows[s]:
             for q2, w in label_rows[s][q]:
-                j = index.get((q2, s2))
+                j = index.get(q2 * ns + s2)
                 if j is not None:
                     row.append((j, p * w * f))
         rows.append(sorted(row))
     B = Matrix.from_int_rows(QQ, len(keep), rows, cden * lden)
-    ps = ProductSystem(aut, chain, keep, B, sccs, ())
+    sccs = [[divmod(x, ns) for x in sorted(c)] for c in comps]
+    ps = ProductSystem(aut, chain, [divmod(x, ns) for x in keep], B, sccs, ())
     ps.classes = tuple([classify_scc(ps, d) for d in range(len(sccs))])
     return ps
-
-
-def fiber_step(ps, fiber, t):
-    """One move of the tracked-run subset: follow nonzero automaton edges
-    under the source state's label into chain state t, staying inside the
-    fiber's SCC.  Returns None when the chain cannot move to t."""
-    if all(j != t for j, _p in ps.chain.matrix.int_rows()[0][fiber.s]):
-        return None
-    rows = ps.automaton.matrix(ps.chain.labels[fiber.s]).int_rows()[0]
-    comp = ps.scc_sets[fiber.scc]
-    states = frozenset(q2 for q in fiber.states for q2, _w in rows[q] if (q2, t) in comp)
-    return Fiber(fiber.scc, t, states)
 
 
 def classify_scc(ps, d):
@@ -218,11 +208,12 @@ def classify_scc(ps, d):
     returned as the cut.  A single node without a self-loop is
     transient, which the search would find, so it is returned at once."""
     comp = ps.sccs[d]
-    accepting = any(q in ps.automaton.final for (q, _s) in comp)
+    final = ps.automaton.final
     if len(comp) == 1:
         i = ps.index[comp[0]]
         if all(j != i for j, _w in ps.B.int_rows()[0][i]):
-            return SccClass(nodes=comp, accepting=accepting, recurrent=False, cut=None)
+            return SccClass(comp, comp[0][0] in final, False, None)
+    accepting = any(q in final for q, _s in comp)
     # moves[s]: (t, {q: states q2 with (q2, t) in the component}) for each
     # chain successor t of s, so a step is one union over the fiber
     members = ps.scc_sets[d]
@@ -260,6 +251,33 @@ def classify_scc(ps, d):
     return SccClass(nodes=comp, accepting=accepting, recurrent=cut is not None, cut=cut)
 
 
+def _class_row(brow, local, k, den, z):
+    """The row scale * (den * e_k - B^_iC) | num of node i, position k of
+    class C (``local`` maps node index to position), where num / scale
+    is sum_j B^_ij z_j over the solved z_j outside C."""
+    m = len(local)
+    row = [0] * (m + 1)
+    row[k] = den
+    num, scale = 0, 1
+    for j, w in brow:
+        c = local.get(j)
+        if c is not None:
+            row[c] -= w
+            continue
+        v = z[j]
+        if v is None:
+            raise InternalInvariantError("successor value read before it is solved")
+        if v:
+            d = v.denominator
+            if scale % d:
+                g = lcm(scale, d)
+                num, scale = num * (g // scale), g
+            num += w * v.numerator * (scale // d)
+    row = [x * scale for x in row]
+    row[m] = num
+    return row
+
+
 def solve_values(ps):
     """Exact solution of z = Bz, one SCC C at a time in the order of
     ``ps.classes`` (sinks first), so the values C reads outside itself
@@ -269,9 +287,9 @@ def solve_values(ps):
     one-dimensional kernel of I - B_CC.
 
     Node i's row is den * e_i - B^_iC | sum_j B^_ij z_j over the known
-    z_j, in ints divided by their content.  A single transient node
-    takes z_i = sum_j B^_ij z_j / (den - B^_ii); a larger block goes to
-    ``solve_rows`` with its rank and consistency checks.  With
+    z_j, in ints.  A single transient node takes z_i = sum_j B^_ij z_j /
+    (den - B^_ii) and refuses a zero pivot, as ``solve_rows`` refuses a
+    singular block; a larger block goes to ``solve_rows``.  With
     Z = z * lcm(denominators of z), Z is checked to be a fixed point of
     the whole B (sum_j B^_ij Z_j == den * Z_i) that meets every cut
     normaliser (its Z sum to lcm), in [0, 1] (0 <= Z_i <= lcm)."""
@@ -289,25 +307,12 @@ def solve_values(ps):
             continue
         m = len(idx)
         local = {i: k for k, i in enumerate(idx)}
-        rows = []
-        for k, i in enumerate(idx):
-            row = [0] * (m + 1)
-            row[k] = den
-            known = []
-            for j, w in brows[i]:
-                c = local.get(j)
-                if c is not None:
-                    row[c] -= w
-                elif z[j] is None:
-                    raise InternalInvariantError("successor value read before it is solved")
-                elif z[j]:
-                    known.append((w, z[j]))
-            scale = lcm(*(v.denominator for _w, v in known))
-            row = [x * scale for x in row]
-            row[m] = sum(w * v.numerator * (scale // v.denominator) for w, v in known)
-            rows.append(row)
-        if m == 1 and not cls.recurrent and rows[0][0]:
-            z[idx[0]] = Fraction(rows[0][1], rows[0][0])
+        rows = [_class_row(brows[i], local, k, den, z) for k, i in enumerate(idx)]
+        if m == 1 and not cls.recurrent:
+            (pivot, num), = rows
+            if not pivot:
+                raise InternalInvariantError("linear system does not have full column rank")
+            z[idx[0]] = Fraction(num, pivot)
             continue
         if cls.recurrent:
             cut = {local[ps.index[(q, cls.cut.s)]] for q in cls.cut.states}

@@ -14,17 +14,19 @@ span algorithms (``span_explore``, ``equivalent``, ``minimize``,
 ``is_image_binary``, ``ifa_to_dfa``) that the integer kernels replaced,
 and the float spectral spot check of a model-checking product.  The
 full fiber search of ``classify_scc`` (before single transient nodes
-were returned at once) and the per-field scalar parsers (before the
-shared ``ratio`` tokenizer) are kept the same way, and so are trimming
-and the diamond search with their useful states found by two graph passes
-(before one liveness pass replaced them), and Tarjan's pass with its
-on-stack set and a low link for every visited node (before low links were
-kept for stacked nodes only), and the lasso product on (state, cycle
-position) tuple nodes (before int node ids replaced them), and the
-serialisers and the random change of basis written from dense
-``Fraction`` rows (before they read the integer view).  ``edited``
-draws the line edits of a document that the parser and command line fuzz
-tests share.
+were returned at once), its one fiber step (``fiber_step``, before a
+move table per component replaced it), the product built on tuple
+nodes (before int node ids replaced them) and the per-field scalar
+parsers (before the shared ``ratio`` tokenizer) are kept the same way,
+and so are trimming and the diamond search with their useful states
+found by two graph passes (before one liveness pass replaced them), and
+Tarjan's pass with its on-stack set and a low link for every visited
+node (before low links were kept for stacked nodes only), and the lasso
+product on (state, cycle position) tuple nodes (before int node ids
+replaced them), and the serialisers and the random change of basis
+written from dense ``Fraction`` rows (before they read the integer
+view).  ``edited`` draws the line edits of a document that the parser
+and command line fuzz tests share.
 """
 
 import itertools
@@ -47,6 +49,7 @@ from imagebinary import (
     Nba,
     OVERFLOW,
     ParseError,
+    ProductSystem,
     QQ,
     SccClass,
     SemanticError,
@@ -55,6 +58,7 @@ from imagebinary import (
     zero_automaton,
 )
 from imagebinary.graphs import (
+    live_components,
     nodes_on_cycles,
     reachable_from,
     reaches_any,
@@ -598,6 +602,36 @@ def reference_diamond_on_loop(nba):
     return False
 
 
+def reference_build_product(iba, chain):
+    """``build_product`` on (automaton state, chain state) tuple nodes,
+    before int node ids replaced them, with B built from the dense
+    entries P[s][t] * M_label(s)[q][q2] and every SCC classified by
+    ``reference_classify_scc``.  Takes a valid, ultimately stable
+    automaton."""
+    aut = reference_trim_iba(iba)[0]
+    if aut is None:
+        return ProductSystem(None, chain, (), Matrix.zeros(QQ, 0, 0), (), ())
+    P = chain.matrix.rows
+    labels = [aut.matrix(lab).rows for lab in chain.labels]
+    graph = {
+        (q, s): [(q2, t) for t in range(chain.state_count) if P[s][t] for q2 in range(aut.n) if labels[s][q][q2]]
+        for q in range(aut.n)
+        for s in range(chain.state_count)
+    }
+    sccs = [tuple(sorted(c)) for c in live_components(graph, lambda x: x[0] in aut.final)]
+    keep = sorted(x for c in sccs for x in c)
+    entries = {
+        (i, j): P[s][t] * labels[s][q][q2]
+        for i, (q, s) in enumerate(keep)
+        for j, (q2, t) in enumerate(keep)
+        if P[s][t] * labels[s][q][q2]
+    }
+    B = Matrix.from_entries(QQ, len(keep), len(keep), entries)
+    ps = ProductSystem(aut, chain, keep, B, sccs, ())
+    ps.classes = tuple(reference_classify_scc(ps, d) for d in range(len(sccs)))
+    return ps
+
+
 def reference_classify_scc(ps, d):
     """The fiber search over every SCC: the component is recurrent
     exactly when some fiber reachable from a singleton can never be
@@ -633,6 +667,19 @@ def reference_classify_scc(ps, d):
     doomed = reaches_any(succs, [f for f in order if f.empty])
     cut = next((f for f in order if f not in doomed), None)
     return SccClass(nodes=comp, accepting=accepting, recurrent=cut is not None, cut=cut)
+
+
+def fiber_step(ps, fiber, t):
+    """One move of the tracked-run subset: follow nonzero automaton edges
+    under the source state's label into chain state t, staying inside the
+    fiber's SCC, or None when the chain cannot move to t.  The step that
+    ``classify_scc``'s move table makes, kept as its oracle."""
+    if all(j != t for j, _p in ps.chain.matrix.int_rows()[0][fiber.s]):
+        return None
+    rows = ps.automaton.matrix(ps.chain.labels[fiber.s]).int_rows()[0]
+    comp = ps.scc_sets[fiber.scc]
+    states = frozenset(q2 for q in fiber.states for q2, _w in rows[q] if (q2, t) in comp)
+    return Fiber(fiber.scc, t, states)
 
 
 def reference_parse_scalar(field, text):

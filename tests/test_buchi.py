@@ -389,6 +389,80 @@ def test_int_node_lasso_product_matches_tuple_node_reference():
     assert any(isinstance(t, Fraction) and t.denominator > 1 for t in sums)
 
 
+def test_sweep_reuses_root_sums_lasso_for_lasso():
+    """A sweep takes the sum of a cycle v^k (k >= 2) from its root v for
+    the same stem.  With cycles up to length 4 (so aa, bbb, abab and aaaa
+    reuse a, b, ab and a), every sum is the one of the lasso on its own:
+    on the c07 generator's acceptors and their kdis outputs, and on random
+    acceptors where a power cycle has infinitely many final paths after
+    some stems and finitely many after others, so None is reused too."""
+    rng = random.Random(2024)  # the c07 generator's bounded acceptors
+    cases = []
+    for k, size in ((1, 3), (1, 4), (2, 2), (3, 1), (2, 1)):
+        nba = bounded_ambiguity_nba(rng, k, size, ("a", "b"))
+        out = kdis(nba, k)
+        cases.append((dict.fromkeys(nba.initial, 1), buchi._nba_rows(nba), nba.final))
+        cases.append((*buchi._stable_weights(out), out.final))
+    rng = random.Random(89)
+    for _ in range(10):
+        nba = random_nba(rng, rng.randint(2, 4), ("a", "b"), density=0.35)
+        iba = stable_rational_iba(rng, nba)
+        cases.append((dict.fromkeys(nba.initial, 1), buchi._nba_rows(nba), nba.final))
+        cases.append((*buchi._stable_weights(iba), iba.final))
+    reused, split = 0, 0
+    for start, rows, final in cases:
+        sums = sweep_against_tuple_nodes(start, rows, final, 2, 4)
+        infinite = {}  # power cycle -> {whether its sum is None, per stem}
+        for lasso, total in zip(all_lassos(2, 4, tuple(rows)), sums):
+            if buchi._root(lasso.cycle) != lasso.cycle:
+                reused += 1
+                infinite.setdefault(lasso.cycle, set()).add(total is None)
+        split += sum(1 for flags in infinite.values() if flags == {True, False})
+    assert reused == len(cases) * 7 * 8 and split > 0
+
+
+def witness_outcome(find, iba, max_stem, max_cycle):
+    """What a witness search gives: (stem, cycle, value, value type), None,
+    or the message of the SemanticError it raises."""
+    try:
+        found = find(iba, max_stem, max_cycle)
+    except SemanticError as exc:
+        return str(exc)
+    return None if found is None else (found[0].stem, found[0].cycle, found[1], type(found[1]))
+
+
+def witness_per_lasso(iba, max_stem, max_cycle):
+    """``binariness_witness`` as a loop over single lassos."""
+    for lasso in all_lassos(max_stem, max_cycle, iba.alphabet):
+        value = iba_lasso_eval(iba, lasso)
+        if value != 0 and value != 1:
+            return lasso, value
+    return None
+
+
+def test_witness_matches_a_per_lasso_loop():
+    """``binariness_witness`` on the sweep returns the same first lasso and
+    value, or raises on the same first lasso with infinitely many final
+    paths, as a loop of ``iba_lasso_eval`` calls: on kdis outputs (with
+    all and with half of their final states) and on random acceptors with
+    weight-1 and with rational weights."""
+    rng = random.Random(97)
+    ibas = []
+    for k, size in ((1, 3), (2, 2), (3, 1)):
+        out = kdis(bounded_ambiguity_nba(rng, k, size, ("a", "b")), k)
+        half = sorted(out.final)[: len(out.final) // 2]
+        ibas += [out, Iba(out.alphabet, out.trans, out.init, half)]
+    for _ in range(10):
+        nba = random_nba(rng, rng.randint(2, 4), ("a", "b"), density=0.35)
+        ibas += [nba_as_iba(nba), stable_rational_iba(rng, nba)]
+    kinds = set()
+    for iba in ibas:
+        got = witness_outcome(binariness_witness, iba, 2, 4)
+        assert got == witness_outcome(witness_per_lasso, iba, 2, 4)
+        kinds.add(type(got))
+    assert kinds == {type(None), tuple, str}
+
+
 def test_negative_cap_is_refused_by_both_counters():
     """A cap below 0 is an input error for the Nba and the Iba counter
     alike, not an OVERFLOW answer."""

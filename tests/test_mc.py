@@ -16,12 +16,13 @@ from imagebinary import (
     Lasso,
     MarkovChain,
     Matrix,
+    ProductSystem,
     QQ,
+    SccClass,
     SemanticError,
     ValidationError,
     binariness_witness,
     build_product,
-    fiber_step,
     is_ultimately_stable,
     kdis,
     model_check,
@@ -36,9 +37,12 @@ from goldens import (
     closed_block_chain,
     dba_suite,
     fanout_unary_nba,
+    fiber_step,
     first_letter_a_dba,
+    reference_build_product,
     reference_classify_scc,
     reference_solve_values,
+    reference_trim_iba,
     spectral_spot_check,
     thirds_chain,
     unary_chain,
@@ -177,6 +181,20 @@ def test_fiber_step_respects_chain_support():
     step = fiber_step(ps, fiber, 0)
     assert step.states == frozenset([0])
     assert not step.empty
+
+
+def test_fiber_and_scc_class_are_immutable_and_hashable():
+    ps = build_product(accept_all_iba(), two_state_chain())
+    cut = next(c.cut for c in ps.classes if c.recurrent)
+    assert cut == Fiber(scc=cut.scc, s=cut.s, states=frozenset(cut.states))
+    assert {cut: 1}[Fiber(cut.scc, cut.s, cut.states)] == 1
+    assert not cut.empty and Fiber(cut.scc, cut.s, frozenset()).empty
+    for cls in ps.classes:
+        twin = SccClass(nodes=cls.nodes, accepting=cls.accepting, recurrent=cls.recurrent, cut=cls.cut)
+        assert cls == twin and hash(cls) == hash(twin)
+    for obj, name in ((cut, "states"), (ps.classes[0], "recurrent")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
 
 
 def test_substochastic_component_is_transient():
@@ -507,6 +525,67 @@ def test_solve_matches_global_solve_on_closed_block_chains():
     assert fractional > 0
 
 
+def self_loop_transients(ps):
+    """Transient SCCs of one node with a self-loop: solved in closed form
+    with the pivot den - B^_ii."""
+    brows = ps.B.int_rows()[0]
+    singles = [ps.index[c.nodes[0]] for c in ps.classes if len(c.nodes) == 1 and not c.recurrent]
+    return sum(1 for i in singles if any(j == i for j, _w in brows[i]))
+
+
+def reference_probability(ps):
+    """The model-checking answer from the global dense solve."""
+    if ps.node_count == 0:
+        return F(0)
+    z = reference_solve_values(ps)
+    init = ps.automaton.init.rows[0]
+    return sum((ps.chain.init[s] * init[q] * z[i] for i, (q, s) in enumerate(ps.nodes)), F(0))
+
+
+def test_product_and_values_match_tuple_node_references():
+    """``build_product`` (int node ids, no-op trim), ``solve_values`` (one
+    transient node in closed form) and ``model_check`` against the
+    tuple-node product, the full fiber search and the global dense solve:
+    on the c09 chains, kdis outputs against random chains and closed-block
+    chains, with transient single nodes both with and without a
+    self-loop."""
+    chains = seeded_chains(5, random.Random(101))  # the c09 chains
+    cases = [(dba.to_iba(), chain) for dba in dba_suite() for chain in chains]
+    rng = random.Random(59)
+    for _ in range(8):
+        k = rng.choice((1, 2))
+        iba = kdis(bounded_ambiguity_nba(rng, k, rng.randint(2, 3), ALPHABET), k)
+        cases.append((iba, random_mc(rng, rng.randint(2, 4), ALPHABET)))
+        cases.append((iba, closed_block_chain(rng, rng.randint(1, 2), 2, rng.randint(1, 3))))
+    loops, plain = 0, 0
+    for iba, chain in cases:
+        ps, ref = build_product(iba, chain), reference_build_product(iba, chain)
+        assert (ps.automaton, ps.nodes, ps.sccs, ps.B) == (ref.automaton, ref.nodes, ref.sccs, ref.B)
+        assert ps.classes == ref.classes
+        assert solve_values(ps) == reference_solve_values(ref)
+        assert model_check(iba, chain) == reference_probability(ref)
+        loops += self_loop_transients(ps)
+        plain += single_transient_nodes(ps)
+    assert loops > 0 and plain > 0
+
+
+def test_trim_returns_its_input_when_it_keeps_every_state():
+    rng = random.Random(73)
+    ibas = [kdis(bounded_ambiguity_nba(rng, k, 2, ALPHABET), k) for k in (1, 2, 2)]
+    ibas += [dba.to_iba() for dba in dba_suite()]
+    same = trimmed = 0
+    for iba in ibas:
+        small, kept = trim_iba(iba)
+        assert (small, kept) == reference_trim_iba(iba)
+        if len(kept) == iba.n:
+            assert small is iba
+            same += 1
+        else:
+            assert small is not iba
+            trimmed += 1
+    assert same > 0 and trimmed > 0
+
+
 def test_trim_keeps_a_known_stability_flag():
     """A trimmed automaton inherits only a stability flag that is known,
     and the inherited flag is the one its own pass would find."""
@@ -532,7 +611,8 @@ def test_trim_keeps_a_known_stability_flag():
 
 def test_tarjan_pass_counts(monkeypatch):
     """The work model that the benchmark's traced counts read: one Tarjan
-    pass per lasso of a sweep; for ``build_product`` of an automaton known
+    pass per lasso of a sweep whose cycle is not a power v^k (k >= 2) of
+    a shorter word; for ``build_product`` of an automaton known
     to be stable, one liveness pass over the automaton (trimming) and one
     over the product, with no stability pass; one ``classify_scc`` call
     per SCC."""
@@ -556,7 +636,8 @@ def test_tarjan_pass_counts(monkeypatch):
     assert is_ultimately_stable(iba) and len(passes) == 1
     passes.clear()
     assert binariness_witness(iba, 2, 2) is None
-    assert len(passes) == 7 * 6  # stems of length <= 2 times cycles of length 1 or 2
+    # stems of length <= 2 times the cycles a, b, ab, ba (aa and bb reuse a and b)
+    assert len(passes) == 7 * 4
     chain = closed_block_chain(rng, 2, 2, 2)
     passes.clear()
     ps = build_product(iba, chain)
@@ -623,6 +704,20 @@ def test_solve_refuses_to_read_unsolved_successors():
     ps.classes = tuple(reversed(ps.classes))
     with pytest.raises(InternalInvariantError, match="before it is solved"):
         solve_values(ps)
+
+
+def test_zero_pivot_of_a_transient_node_is_an_invariant_error():
+    """A one-node class taken as transient whose pivot den - B^_ii is 0
+    (its self-loop keeps all its mass) is refused like a singular block
+    in ``solve_rows``, not with ZeroDivisionError."""
+    node = (0, 0)
+    for accepting in (True, False):
+        ps = ProductSystem(
+            accept_all_iba(), unary_chain(), [node], Matrix.from_ints(QQ, [[1]]), [[node]],
+            [SccClass((node,), accepting, False, None)],
+        )
+        with pytest.raises(InternalInvariantError, match="full column rank"):
+            solve_values(ps)
 
 
 def test_dense_product_solves_within_budget():
