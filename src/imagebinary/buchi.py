@@ -21,7 +21,7 @@ from .fields import QQ
 from .graphs import live_components, reachable_from, strongly_connected_components
 from .ifa import _transition_relation, words_up_to
 from .matrix import Matrix
-from .wa import _check_shapes, _distinct_letters, _join_word, _LetterMatrices
+from .wa import _check_shapes, _distinct_letters, _join_word, _LetterMatrices, _parse_word
 
 __all__ = [
     "Nba",
@@ -101,6 +101,14 @@ def _join_lasso(lasso, alphabet):
     ``lasso-eval`` reads it back; an empty stem stays empty."""
     stem = _join_word(lasso.stem, alphabet) if lasso.stem else ""
     return "%s:%s" % (stem, _join_word(lasso.cycle, alphabet))
+
+
+def _parse_lasso(alphabet, text):
+    """The lasso that ``_join_lasso`` writes as ``text`` (stem:cycle)."""
+    if ":" not in text:
+        raise InputError("lasso words are written stem:cycle")
+    stem_text, cycle_text = text.split(":", 1)
+    return Lasso(_parse_word(alphabet, stem_text), _parse_word(alphabet, cycle_text))
 
 
 class Iba(_LetterMatrices):
@@ -535,17 +543,15 @@ def _bit_after(nba, q, b, b_next):
     return (q in nba.final or b) and b_next
 
 
-def kdis_successor_weights(nba, r, a, size_cap=None, target=None):
+def kdis_successor_weights(nba, r, a, size_cap=None):
     """All successor count vectors of r under letter a with their
     (unsigned) multiplicities w(r, a, r').
 
     ``size_cap`` drops vectors whose total size exceeds the cap (used when
-    building the k-disambiguation, whose states track at most k runs);
-    ``target`` prunes everything not componentwise below the given vector.
+    building the k-disambiguation, whose states track at most k runs).
     """
     b_next = any(not b for (_q, b), _c in r.items())
     partials = {(): 1}
-    target_map = dict(target.items()) if target is not None else None
     for (q, b), n in r.items():
         succs = sorted(nba.successors(q, a))
         if not succs:
@@ -566,16 +572,10 @@ def kdis_successor_weights(nba, r, a, size_cap=None, target=None):
             base = dict(vec)
             for add, w in options:
                 cur = dict(base)
-                ok = True
                 for key, c in add:
                     if c == 0:
                         continue
                     cur[key] = cur.get(key, 0) + c
-                    if target_map is not None and cur[key] > target_map.get(key, 0):
-                        ok = False
-                        break
-                if not ok:
-                    continue
                 if size_cap is not None and sum(cur.values()) > size_cap:
                     continue
                 key2 = tuple(sorted(cur.items()))
@@ -589,8 +589,9 @@ def kdis_successor_weights(nba, r, a, size_cap=None, target=None):
 def kdis_weight_w(r, a, r2, nba):
     """Multiplicity with which the prefix abstraction r reaches r2 under
     letter a: the number of distinct successor prefix-sets with image r2,
-    counted purely combinatorially."""
-    return kdis_successor_weights(nba, r, a, target=r2).get(r2, 0)
+    counted purely combinatorially.  Counts only grow, so vectors larger
+    than r2 are dropped."""
+    return kdis_successor_weights(nba, r, a, size_cap=r2.size).get(r2, 0)
 
 
 def kdis(nba, k):

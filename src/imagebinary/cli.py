@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import buchi, formats, ifa, mc, mod2, wa
-from .buchi import Iba, Lasso, Nba, _join_lasso
+from .buchi import Iba, Nba, _join_lasso, _parse_lasso
 from .errors import (
     InputError,
     ParseError,
@@ -22,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import QQ
-from .wa import WeightedAutomaton, _join_word
+from .wa import WeightedAutomaton, _join_word, _parse_word
 
 __all__ = ["main"]
 
@@ -37,29 +38,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt_rational(x):
-    return "%d/%d" % (x.numerator, x.denominator)
+def _scalar(key, x, field=QQ):
+    """The result of a one-scalar answer; rationals are always written p/q."""
+    text = "%d/%d" % (x.numerator, x.denominator) if field is QQ else field.format(x)
+    return {key: text}, [text], []
 
 
-def _fmt_value(field, x):
-    if field is QQ:
-        return _fmt_rational(x)
-    return field.format(x)
-
-
-def _parse_word(alphabet, text):
-    if text == "":
-        return ()
-    if all(len(a) == 1 for a in alphabet) and "," not in text:
-        return tuple(text)
-    return tuple(text.split(","))
-
-
-def _parse_lasso(alphabet, text):
-    if ":" not in text:
-        raise InputError("lasso words are written stem:cycle")
-    stem_text, cycle_text = text.split(":", 1)
-    return Lasso(_parse_word(alphabet, stem_text), _parse_word(alphabet, cycle_text))
+def _witness(key, answers, ok, witness, alphabet):
+    """The result of a yes/no decision that names a witness word on no."""
+    if ok:
+        return {key: True, "witness": None}, [answers[0]], []
+    line = "%s (witness word %s)" % (answers[1], _join_word(witness, alphabet))
+    return {key: False, "witness": list(witness)}, [line], []
 
 
 def _parse_bits(text, what):
@@ -68,133 +58,86 @@ def _parse_bits(text, what):
     return tuple(int(c) for c in text)
 
 
-def _load(path, want, what):
+_KINDS = {"wa": WeightedAutomaton, "nba": Nba, "iba": Iba}
+
+
+def _load(path, kind, rational=False):
+    """The automaton document at ``path``, which must hold ``kind`` (and,
+    with ``rational``, be over the rationals)."""
     obj = formats.load_automaton(path)
-    if not isinstance(obj, want):
-        raise InputError("%s: expected a %s document" % (path, what))
-    return obj
-
-
-def _load_wa(path):
-    return _load(path, WeightedAutomaton, "wa")
-
-
-def _load_rational_wa(path):
-    obj = _load_wa(path)
-    if obj.field is not QQ:
+    if not isinstance(obj, _KINDS[kind]):
+        raise InputError("%s: expected a %s document" % (path, kind))
+    if rational and obj.field is not QQ:
         raise InputError("%s: this command needs a rational automaton" % (path,))
     return obj
 
 
-def _load_nba(path):
-    return _load(path, Nba, "nba")
-
-
-def _load_iba(path):
-    return _load(path, Iba, "iba")
+def _write(args, automaton, result=None, line=None):
+    """Save ``automaton`` to ``args.out``.  The result names the file and,
+    unless the command gives its own result and line, the state count."""
+    formats.save_automaton(args.out, automaton)
+    if result is None:
+        result, line = {"states": automaton.n}, "states: %d" % (automaton.n,)
+    result["output"] = args.out
+    return result, [line], []
 
 
 def _cmd_eval(args):
-    automaton = _load_wa(args.automaton)
+    automaton = _load(args.automaton, "wa")
     word = _parse_word(automaton.alphabet, args.word)
-    value = wa.eval_word(automaton, word)
-    text = _fmt_value(automaton.field, value)
-    return {"value": text}, [text], []
+    return _scalar("value", wa.eval_word(automaton, word), automaton.field)
 
 
 def _cmd_equiv(args):
-    a = _load_wa(args.left)
-    b = _load_wa(args.right)
-    same, witness = wa.equivalent(a, b)
-    if same:
-        return {"equivalent": True, "witness": None}, ["equivalent"], []
-    return (
-        {"equivalent": False, "witness": list(witness)},
-        ["not equivalent (witness word %s)" % _join_word(witness, a.alphabet)],
-        [],
-    )
+    a = _load(args.left, "wa")
+    b = _load(args.right, "wa")
+    answers = ("equivalent", "not equivalent")
+    return _witness("equivalent", answers, *wa.equivalent(a, b), a.alphabet)
 
 
 def _cmd_minimize(args):
-    automaton = _load_wa(args.automaton)
+    automaton = _load(args.automaton, "wa")
     reduced = wa.minimize(automaton)
-    formats.save_automaton(args.out, reduced)
-    return (
-        {"states_in": automaton.n, "states_out": reduced.n, "output": args.out},
-        ["states: %d -> %d" % (automaton.n, reduced.n)],
-        [],
-    )
+    result = {"states_in": automaton.n, "states_out": reduced.n}
+    return _write(args, reduced, result, "states: %d -> %d" % (automaton.n, reduced.n))
 
 
 def _cmd_check_ifa(args):
-    automaton = _load_rational_wa(args.automaton)
+    automaton = _load(args.automaton, "wa", rational=True)
     ok, witness = ifa.is_image_binary(automaton)
-    if ok:
-        return {"image_binary": True, "witness": None}, ["yes"], []
-    return (
-        {"image_binary": False, "witness": list(witness)},
-        ["no (witness word %s)" % _join_word(witness, automaton.alphabet)],
-        [],
-    )
+    return _witness("image_binary", ("yes", "no"), ok, witness, automaton.alphabet)
 
 
-def _one_input_op(args, op):
-    automaton = _load_rational_wa(args.automaton)
-    ifa.require_image_binary(automaton)
-    out = op(automaton)
-    formats.save_automaton(args.out, out)
-    return {"states": out.n, "output": args.out}, ["states: %d" % (out.n,)], []
+# the operations on image-binary languages, by subcommand
+_LANGUAGE_OPS = {
+    "complement": ifa.complement,
+    "intersect": ifa.intersect,
+    "union": ifa.union,
+    "to-dfa": lambda automaton: ifa.dfa_to_ifa(ifa.ifa_to_dfa(automaton), QQ),
+}
 
 
-def _cmd_complement(args):
-    return _one_input_op(args, ifa.complement)
-
-
-def _two_input_op(args, op):
-    a = _load_rational_wa(args.left)
-    b = _load_rational_wa(args.right)
-    ifa.require_image_binary(a)
-    ifa.require_image_binary(b)
-    out = op(a, b)
-    formats.save_automaton(args.out, out)
-    return {"states": out.n, "output": args.out}, ["states: %d" % (out.n,)], []
-
-
-def _cmd_intersect(args):
-    return _two_input_op(args, ifa.intersect)
-
-
-def _cmd_union(args):
-    return _two_input_op(args, ifa.union)
-
-
-def _cmd_to_dfa(args):
-    automaton = _load_rational_wa(args.automaton)
-    ifa.require_image_binary(automaton)
-    dfa = ifa.ifa_to_dfa(automaton)
-    out = ifa.dfa_to_ifa(dfa, QQ)
-    formats.save_automaton(args.out, out)
-    return {"states": out.n, "output": args.out}, ["states: %d" % (out.n,)], []
+def _cmd_language_op(args):
+    paths = [getattr(args, name) for name in ("automaton", "left", "right") if name in args]
+    operands = [_load(path, "wa", rational=True) for path in paths]
+    for automaton in operands:
+        ifa.require_image_binary(automaton)
+    return _write(args, _LANGUAGE_OPS[args.command](*operands))
 
 
 def _cmd_nfa_to_ifa(args):
-    acceptor = _load_nba(args.automaton)
+    acceptor = _load(args.automaton, "nba")
     triples = [
         (q, a, q2) for (q, a), succs in acceptor.delta.items() for q2 in sorted(succs)
     ]
     nfa = ifa.Nfa(
         acceptor.state_count, acceptor.alphabet, triples, acceptor.initial, acceptor.final
     )
-    out = ifa.nfa_to_ifa(nfa, QQ)
-    formats.save_automaton(args.out, out)
-    return {"states": out.n, "output": args.out}, ["states: %d" % (out.n,)], []
+    return _write(args, ifa.nfa_to_ifa(nfa, QQ))
 
 
 def _cmd_to_mod2(args):
-    automaton = _load_rational_wa(args.automaton)
-    out = mod2.ifa_to_mod2(automaton)
-    formats.save_automaton(args.out, out)
-    return {"states": out.n, "output": args.out}, ["states: %d" % (out.n,)], []
+    return _write(args, mod2.ifa_to_mod2(_load(args.automaton, "wa", rational=True)))
 
 
 def _cmd_lfsr(args):
@@ -204,11 +147,9 @@ def _cmd_lfsr(args):
     result = {"sequence": "".join(map(str, bits)), "period": period}
     lines = ["sequence: %s" % result["sequence"], "period: %d" % period]
     if args.out:
-        automaton = mod2.lfsr_to_mod2ma(spec)
-        formats.save_automaton(args.out, automaton)
-        result["output"] = args.out
-        result["states"] = automaton.n
-        lines.append("automaton states: %d" % (automaton.n,))
+        written, (line,), _ = _write(args, mod2.lfsr_to_mod2ma(spec))
+        result.update(written)
+        lines.append("automaton " + line)
     return result, lines, []
 
 
@@ -228,35 +169,26 @@ def _cmd_lfsr_report(args):
         ("inverse offdiagonal", report.inverse_off_diagonal),
     ]
     lines = ["%s: %s" % (k, v) for k, v in pairs]
-    result = {k.replace(" ", "_"): (v if isinstance(v, int) else str(v)) for k, v in pairs}
+    # a 1 x 1 block has no off-diagonal entries, which JSON writes as null
+    result = {k.replace(" ", "_"): (str(v) if isinstance(v, Fraction) else v) for k, v in pairs}
     return result, lines, []
 
 
 def _cmd_kdis(args):
-    acceptor = _load_nba(args.automaton)
-    out = buchi.kdis(acceptor, args.k)
-    formats.save_automaton(args.out, out)
-    return (
-        {
-            "states": out.n,
-            "untrimmed_states": out.untrimmed_state_count,
-            "output": args.out,
-        },
-        ["states: %d (untrimmed %d)" % (out.n, out.untrimmed_state_count)],
-        [],
-    )
+    out = buchi.kdis(_load(args.automaton, "nba"), args.k)
+    result = {"states": out.n, "untrimmed_states": out.untrimmed_state_count}
+    line = "states: %d (untrimmed %d)" % (out.n, out.untrimmed_state_count)
+    return _write(args, out, result, line)
 
 
 def _cmd_lasso_eval(args):
-    automaton = _load_iba(args.automaton)
+    automaton = _load(args.automaton, "iba")
     lasso = _parse_lasso(automaton.alphabet, args.lasso)
-    value = buchi.iba_lasso_eval(automaton, lasso)
-    text = _fmt_rational(value)
-    return {"value": text}, [text], []
+    return _scalar("value", buchi.iba_lasso_eval(automaton, lasso))
 
 
 def _cmd_ambiguity_check(args):
-    acceptor = _load_nba(args.automaton)
+    acceptor = _load(args.automaton, "nba")
     ok = buchi.check_ambiguity_on_lassos(acceptor, args.k, args.max_stem, args.max_cycle)
     diagnostics = []
     if buchi.diamond_on_loop(acceptor):
@@ -272,7 +204,7 @@ def _cmd_ambiguity_check(args):
 
 
 def _cmd_modelcheck(args):
-    automaton = _load_iba(args.automaton)
+    automaton = _load(args.automaton, "iba")
     chain = formats.load_markov_chain(args.chain)
     bad = buchi.binariness_witness(automaton, args.spot_stem, args.spot_cycle)
     if bad is not None:
@@ -281,9 +213,61 @@ def _cmd_modelcheck(args):
             "not image-binary (lasso %s has value %s)"
             % (_join_lasso(lasso, automaton.alphabet), value)
         )
-    prob = mc.model_check(automaton, chain)
-    text = _fmt_rational(prob)
-    return {"probability": text}, [text], []
+    return _scalar("probability", mc.model_check(automaton, chain))
+
+
+_REQUIRED = {"required": True}
+_K = ("--k", {"type": int, "required": True})
+# name, handler, help, arguments: a positional name or (name, add_argument keywords)
+_COMMANDS = (
+    ("eval", _cmd_eval, "value of a finite word under a weighted automaton",
+     ("automaton", "word")),
+    ("equiv", _cmd_equiv, "decide language equality of two weighted automata",
+     ("left", "right")),
+    ("minimize", _cmd_minimize, "write the minimal equivalent automaton",
+     ("automaton", "out")),
+    ("check-ifa", _cmd_check_ifa, "does the automaton map every word to 0 or 1",
+     ("automaton",)),
+    ("complement", _cmd_language_op, "complement of an image-binary language",
+     ("automaton", "out")),
+    ("intersect", _cmd_language_op, "intersection of two image-binary languages",
+     ("left", "right", "out")),
+    ("union", _cmd_language_op, "union of two image-binary languages",
+     ("left", "right", "out")),
+    ("to-dfa", _cmd_language_op, "extract the DFA of an image-binary automaton",
+     ("automaton", "out")),
+    ("nfa-to-ifa", _cmd_nfa_to_ifa, "determinize an acceptor and embed it",
+     ("automaton", "out")),
+    ("to-mod2", _cmd_to_mod2, "minimal GF(2) automaton for an image-binary language",
+     ("automaton", "out")),
+    ("lfsr", _cmd_lfsr, "run a linear feedback shift register", (
+        ("--taps", _REQUIRED),
+        ("--init", _REQUIRED),
+        ("--length", {"type": int, "default": 32}),
+        ("--out", {"help": "also write the register's GF(2) automaton"}),
+    )),
+    ("lfsr-report", _cmd_lfsr_report, "Hankel rank report of a maximal register", (
+        ("--d", {"type": int}),
+        ("--taps", _REQUIRED),
+        ("--init", _REQUIRED),
+    )),
+    ("kdis", _cmd_kdis, "disambiguate a k-ambiguous Buchi acceptor",
+     ("automaton", "out", _K)),
+    ("lasso-eval", _cmd_lasso_eval, "value of an ultimately periodic word",
+     ("automaton", ("lasso", {"help": "stem:cycle"}))),
+    ("ambiguity-check", _cmd_ambiguity_check, "bounded search for > k final runs", (
+        "automaton",
+        _K,
+        ("--max-stem", {"type": int, "default": 3}),
+        ("--max-cycle", {"type": int, "default": 3}),
+    )),
+    ("modelcheck", _cmd_modelcheck, "probability a chain emits an accepted word", (
+        "automaton",
+        "chain",
+        ("--spot-stem", {"type": int, "default": 2}),
+        ("--spot-cycle", {"type": int, "default": 2}),
+    )),
+)
 
 
 def _build_parser():
@@ -293,135 +277,36 @@ def _build_parser():
     )
     parser = _ArgumentParser(prog="imagebinary")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, handler, help_text):
+    for name, handler, help_text, arguments in _COMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("eval", _cmd_eval, "value of a finite word under a weighted automaton")
-    p.add_argument("automaton")
-    p.add_argument("word")
-
-    p = cmd("equiv", _cmd_equiv, "decide language equality of two weighted automata")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = cmd("minimize", _cmd_minimize, "write the minimal equivalent automaton")
-    p.add_argument("automaton")
-    p.add_argument("out")
-
-    p = cmd("check-ifa", _cmd_check_ifa, "does the automaton map every word to 0 or 1")
-    p.add_argument("automaton")
-
-    p = cmd("complement", _cmd_complement, "complement of an image-binary language")
-    p.add_argument("automaton")
-    p.add_argument("out")
-
-    p = cmd("intersect", _cmd_intersect, "intersection of two image-binary languages")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("out")
-
-    p = cmd("union", _cmd_union, "union of two image-binary languages")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("out")
-
-    p = cmd("to-dfa", _cmd_to_dfa, "extract the DFA of an image-binary automaton")
-    p.add_argument("automaton")
-    p.add_argument("out")
-
-    p = cmd("nfa-to-ifa", _cmd_nfa_to_ifa, "determinize an acceptor and embed it")
-    p.add_argument("automaton")
-    p.add_argument("out")
-
-    p = cmd("to-mod2", _cmd_to_mod2, "minimal GF(2) automaton for an image-binary language")
-    p.add_argument("automaton")
-    p.add_argument("out")
-
-    p = cmd("lfsr", _cmd_lfsr, "run a linear feedback shift register")
-    p.add_argument("--taps", required=True)
-    p.add_argument("--init", required=True)
-    p.add_argument("--length", type=int, default=32)
-    p.add_argument("--out", help="also write the register's GF(2) automaton")
-
-    p = cmd("lfsr-report", _cmd_lfsr_report, "Hankel rank report of a maximal register")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--taps", required=True)
-    p.add_argument("--init", required=True)
-
-    p = cmd("kdis", _cmd_kdis, "disambiguate a k-ambiguous Buchi acceptor")
-    p.add_argument("automaton")
-    p.add_argument("out")
-    p.add_argument("--k", type=int, required=True)
-
-    p = cmd("lasso-eval", _cmd_lasso_eval, "value of an ultimately periodic word")
-    p.add_argument("automaton")
-    p.add_argument("lasso", help="stem:cycle")
-
-    p = cmd("ambiguity-check", _cmd_ambiguity_check, "bounded search for > k final runs")
-    p.add_argument("automaton")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-stem", type=int, default=3)
-    p.add_argument("--max-cycle", type=int, default=3)
-
-    p = cmd("modelcheck", _cmd_modelcheck, "probability a chain emits an accepted word")
-    p.add_argument("automaton")
-    p.add_argument("chain")
-    p.add_argument("--spot-stem", type=int, default=2)
-    p.add_argument("--spot-cycle", type=int, default=2)
-
+        for argument in arguments:
+            flag, keywords = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(flag, **keywords)
     return parser
 
 
-def _inputs_of(args):
-    skip = {"handler", "json", "command"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _emit(args, result, lines, diagnostics):
-    if args.json:
-        doc = {
-            "command": args.command,
-            "inputs": _inputs_of(args),
-            "result": result,
-            "diagnostics": diagnostics,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return
-    for line in lines:
-        print(line)
-    for diag in diagnostics:
-        sys.stderr.write(diag + "\n")
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    code, result, lines = 0, None, []
     try:
         result, lines, diagnostics = args.handler(args)
     except (ParseError, OSError) as exc:
-        return _fail(args, str(exc), 1)
+        code, diagnostics = 1, [str(exc)]
     except (ValidationError, InputError) as exc:
-        return _fail(args, str(exc), 2)
+        code, diagnostics = 2, [str(exc)]
     except SemanticError as exc:
-        return _fail(args, str(exc), 3)
-    _emit(args, result, lines, diagnostics)
-    return 0
-
-
-def _fail(args, message, code):
+        code, diagnostics = 3, [str(exc)]
     if args.json:
-        doc = {
-            "command": args.command,
-            "inputs": _inputs_of(args),
-            "result": None,
-            "diagnostics": [message],
-        }
+        inputs = {k: v for k, v in vars(args).items() if k not in ("handler", "json", "command")}
+        doc = {"command": args.command, "inputs": inputs, "result": result,
+               "diagnostics": diagnostics}
         print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        sys.stderr.write("error: %s\n" % (message,))
+        return code
+    for line in lines:
+        print(line)
+    for diag in diagnostics:
+        sys.stderr.write(("error: %s\n" if code else "%s\n") % (diag,))
     return code
 
 

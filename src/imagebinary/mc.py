@@ -126,8 +126,7 @@ class SccClass(NamedTuple):
 class ProductSystem:
     """Product of a trimmed automaton with a chain, restricted to nodes
     that can reach an accepting cycle, with its SCC classification and
-    (once solved) the value vector.  ``scc_sets[d]`` holds the nodes of
-    SCC d as a frozenset."""
+    (once solved) the value vector."""
 
     def __init__(self, automaton, chain, nodes, B, sccs, classes):
         self.automaton = automaton
@@ -136,8 +135,6 @@ class ProductSystem:
         self.index = {x: i for i, x in enumerate(self.nodes)}
         self.B = B
         self.sccs = tuple([tuple(c) for c in sccs])
-        self.scc_sets = tuple([frozenset(c) for c in self.sccs])
-        self._scc_id = {x: d for d, comp in enumerate(self.sccs) for x in comp}
         self.classes = tuple(classes)
         self.z = None
 
@@ -146,10 +143,10 @@ class ProductSystem:
         return len(self.nodes)
 
     def scc_of(self, node):
-        try:
-            return self._scc_id[node]
-        except KeyError:
-            raise InputError("node %r is not in the product" % (node,)) from None
+        for d, comp in enumerate(self.sccs):
+            if node in comp:
+                return d
+        raise InputError("node %r is not in the product" % (node,))
 
 
 def build_product(iba, chain):
@@ -216,7 +213,7 @@ def classify_scc(ps, d):
     accepting = any(q in final for q, _s in comp)
     # moves[s]: (t, {q: states q2 with (q2, t) in the component}) for each
     # chain successor t of s, so a step is one union over the fiber
-    members = ps.scc_sets[d]
+    members = set(comp)
     chain_rows = ps.chain.matrix.int_rows()[0]
     over = {}  # chain state s -> automaton states q with (q, s) in the component
     for q, s in comp:

@@ -131,9 +131,9 @@ class ShiftRegisterReport:
     block: Matrix
     rank: int
     square_diagonal: Fraction
-    square_off_diagonal: Fraction
+    square_off_diagonal: Fraction | None  # None when the block is 1 x 1
     inverse_diagonal: Fraction
-    inverse_off_diagonal: Fraction
+    inverse_off_diagonal: Fraction | None
 
 
 def shift_register_rank_report(spec):
@@ -144,7 +144,8 @@ def shift_register_rank_report(spec):
 
     The autocorrelation of a maximal sequence makes H^2 equal
     2^(d-2) (I + J), so the inverse has diagonal 2^(-d+2) - 2^(-2d+2) and
-    off-diagonal -2^(-2d+2).  H^2 is checked entrywise after an exact
+    off-diagonal -2^(-2d+2); for d = 1 the block is 1 x 1 and both
+    off-diagonals are None.  H^2 is checked entrywise after an exact
     multiplication, and the inverse in closed form, before reporting.
     """
     d = spec.dimension
@@ -169,7 +170,7 @@ def shift_register_rank_report(spec):
         if row != tuple([(j, x) for j in range(size) if (x := on if i == j else off_diag)]):
             raise InternalInvariantError("H^2 is not of the I/J form")
     inv_diag = Fraction(2) ** (2 - d) - Fraction(2) ** (2 - 2 * d)
-    inv_off = -(Fraction(2) ** (2 - 2 * d))
+    inv_off = -(Fraction(2) ** (2 - 2 * d)) if size > 1 else None
     # (aI + bJ)(cI + eJ) = acI + (ae + bc + size * be)J since J^2 = size * J;
     # a 1 x 1 matrix has I = J
     if size == 1:

@@ -118,6 +118,16 @@ def _join_word(word, alphabet):
     return ",".join(word)
 
 
+def _parse_word(alphabet, text):
+    """The word whose text form is ``text``, as ``_join_word`` writes it;
+    the shell hands the empty word ``""`` over as empty text."""
+    if text == "":
+        return ()
+    if all(len(a) == 1 for a in alphabet) and "," not in text:
+        return tuple(text)
+    return tuple(text.split(","))
+
+
 def _distinct_letters(alphabet):
     """The alphabet as a tuple; a repeated letter could not be serialised."""
     alphabet = tuple(alphabet)

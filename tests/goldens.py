@@ -638,6 +638,7 @@ def reference_classify_scc(ps, d):
     driven to the empty fiber, and the first such fiber is the cut.  Each
     step reads the dense chain row and the automaton's nonzero rows."""
     comp = ps.sccs[d]
+    members = set(comp)
     accepting = any(q in ps.automaton.final for (q, _s) in comp)
 
     def step(fiber, t):
@@ -645,7 +646,7 @@ def reference_classify_scc(ps, d):
             return None
         rows = ps.automaton.matrix(ps.chain.labels[fiber.s]).nonzero_rows()
         states = frozenset(
-            q2 for q in fiber.states for q2, _w in rows[q] if (q2, t) in ps.scc_sets[d]
+            q2 for q in fiber.states for q2, _w in rows[q] if (q2, t) in members
         )
         return Fiber(d, t, states)
 
@@ -677,7 +678,7 @@ def fiber_step(ps, fiber, t):
     if all(j != t for j, _p in ps.chain.matrix.int_rows()[0][fiber.s]):
         return None
     rows = ps.automaton.matrix(ps.chain.labels[fiber.s]).int_rows()[0]
-    comp = ps.scc_sets[fiber.scc]
+    comp = set(ps.sccs[fiber.scc])
     states = frozenset(q2 for q in fiber.states for q2, _w in rows[q] if (q2, t) in comp)
     return Fiber(fiber.scc, t, states)
 

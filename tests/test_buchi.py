@@ -3,6 +3,7 @@ checked against deterministic-run and exhaustive-assignment oracles."""
 
 import itertools
 import random
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from imagebinary import (
     num_succ,
     trim_iba,
 )
-from imagebinary import buchi
+from imagebinary import buchi, wa
 from imagebinary.fixtures import bounded_ambiguity_nba
 from imagebinary.graphs import strongly_connected_components
 
@@ -94,6 +95,22 @@ def test_lasso_needs_cycle():
     lasso = Lasso("ab", "ba")
     assert lasso.stem == ("a", "b")
     assert lasso.cycle == ("b", "a")
+
+
+@pytest.mark.parametrize("alphabet", [("a", "b"), ("xx", "y"), ("ab", "a", "b")])
+def test_word_and_lasso_text_round_trip(alphabet):
+    """The text a word or lasso is written as reads back to it, on one-
+    and multi-character alphabets; an empty stem is written as nothing."""
+    for n in range(1, 4):
+        for word in itertools.product(alphabet, repeat=n):
+            assert wa._parse_word(alphabet, wa._join_word(word, alphabet)) == word
+    # the empty word is written "", which the shell passes as empty text
+    assert shlex.split(wa._join_word((), alphabet)) == [""]
+    assert wa._parse_word(alphabet, "") == ()
+    for lasso in all_lassos(2, 2, alphabet):
+        back = buchi._parse_lasso(alphabet, buchi._join_lasso(lasso, alphabet))
+        assert (back.stem, back.cycle) == (lasso.stem, lasso.cycle)
+    assert buchi._join_lasso(Lasso((), alphabet[:1]), alphabet) == ":" + alphabet[0]
 
 
 def test_iba_validation():

@@ -1,6 +1,7 @@
 """Command line surface: output lines, exit codes and the --json
 document, driven through main(argv)."""
 
+import argparse
 import io
 import json
 import os
@@ -24,7 +25,7 @@ from imagebinary import (
     mod2,
 )
 from imagebinary.buchi import Iba
-from imagebinary.cli import main
+from imagebinary.cli import _build_parser, main
 from imagebinary.formats import save_automaton, save_markov_chain
 
 from goldens import (
@@ -220,6 +221,25 @@ def test_lfsr_report(run):
     code, out, _ = run("lfsr-report", "--taps", "0011", "--init", "1000")
     assert code == 0
     assert "rank: 15" in out and "inverse diagonal: 15/64" in out
+
+
+def test_lfsr_report_d1(run):
+    """A 1 x 1 block has no off-diagonal entries: None in the text, null
+    (not the string "None") in the JSON document."""
+    code, out, _ = run("lfsr-report", "--taps", "1", "--init", "1")
+    assert code == 0
+    assert out.endswith("square offdiagonal: None\ninverse diagonal: 1\ninverse offdiagonal: None\n")
+    code, out, _ = run("lfsr-report", "--taps", "1", "--init", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "dimension": 1,
+        "period": 1,
+        "rank": 1,
+        "square_diagonal": "1",
+        "square_offdiagonal": None,
+        "inverse_diagonal": "1",
+        "inverse_offdiagonal": None,
+    }
 
 
 def test_lfsr_report_d_mismatch(run):
@@ -435,6 +455,16 @@ def test_json_carries_diagnostics(run, tmp_path):
     assert err == ""
 
 
+def test_readme_table_lists_every_subcommand_in_parser_order():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    listed = [line.split("`")[1].split()[0] for line in section.splitlines()
+              if line.startswith("| `")]
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert listed == list(sub.choices)
+
+
 def test_module_entry_point(ifa_path):
     proc = subprocess.run(
         [sys.executable, "-m", "imagebinary.cli", "eval", ifa_path, "aa"],
@@ -467,6 +497,7 @@ CLI_DOCS = {
 }
 SCALARS = ("0", "1", "2", "-1", "1/2", "1/3")
 BOUNDS = ("-1", "0", "1", "2")
+BITS = ("", "1", "01", "10", "11", "011", "100", "012", "0011", "1000")
 # command: (input documents, output files, positional choices, option choices)
 CLI_FUZZ = {
     "eval": (("wa",), 0, (("", "a", "ab", "ba", "aab", "c"),), ()),
@@ -479,6 +510,14 @@ CLI_FUZZ = {
         ("nba",), 0, (), (("--k", ("0", "1", "2")), ("--max-stem", BOUNDS), ("--max-cycle", BOUNDS))
     ),
     "modelcheck": (("iba", "chain"), 0, (), (("--spot-stem", BOUNDS), ("--spot-cycle", BOUNDS))),
+    "complement": (("wa",), 1, (), ()),
+    "intersect": (("wa", "wa"), 1, (), ()),
+    "union": (("wa", "wa"), 1, (), ()),
+    "to-dfa": (("wa",), 1, (), ()),
+    "nfa-to-ifa": (("nba",), 1, (), ()),
+    "to-mod2": (("wa",), 1, (), ()),
+    "lfsr": ((), 0, (), (("--taps", BITS), ("--init", BITS), ("--length", ("-1", "0", "5")))),
+    "lfsr-report": ((), 0, (), (("--d", ("1", "2", "3")), ("--taps", BITS), ("--init", BITS))),
 }
 
 
@@ -504,8 +543,8 @@ def redrawn(draw, doc):
 def test_cli_on_edited_documents_ends_in_a_documented_exit_code(command, data):
     """Small documents (at most 4 states) with redrawn scalars and up to
     two edited lines, now and then of another kind than the command
-    reads, k <= 2 and lasso bounds <= 2: every run returns 0, 1, 2 or 3
-    and raises nothing."""
+    reads, k <= 2, lasso bounds <= 2 and registers of dimension <= 4:
+    every run returns 0, 1, 2 or 3 and raises nothing."""
     inputs, outputs, positionals, options = CLI_FUZZ[command]
     with tempfile.TemporaryDirectory() as folder:
         argv = [command]

@@ -163,6 +163,16 @@ def test_report_golden_d4():
     assert report.inverse_off_diagonal == Fraction(-1, 64)
 
 
+def test_report_d1_has_no_off_diagonal():
+    """The d = 1 register (a_n = a_(n-1)) has period 1, so its block is
+    1 x 1: H = H^2 = [1] and neither matrix has an off-diagonal entry."""
+    report = shift_register_rank_report(LfsrSpec((1,), (1,)))
+    assert (report.dimension, report.period, report.size, report.rank) == (1, 1, 1, 1)
+    assert report.square_diagonal == 1 and report.inverse_diagonal == 1
+    assert report.square_off_diagonal is None
+    assert report.inverse_off_diagonal is None
+
+
 def test_report_block_is_the_hankel_block():
     report = shift_register_rank_report(MAXIMAL_3)
     bits = lfsr_sequence(MAXIMAL_3, 14)

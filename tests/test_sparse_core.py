@@ -519,6 +519,5 @@ def test_scc_index_matches_component_scan():
     for x in ps.nodes:
         d = ps.scc_of(x)
         assert x in ps.sccs[d]
-        assert ps.scc_sets[d] == frozenset(ps.sccs[d])
     with pytest.raises(InputError, match="not in the product"):
         ps.scc_of((-1, -1))
