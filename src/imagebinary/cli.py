@@ -10,6 +10,7 @@ diagnostics}.  Exit codes: 0 success, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -270,7 +271,10 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; help text is laid out
+    when it is printed, for the terminal width of that moment."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit one structured JSON document"

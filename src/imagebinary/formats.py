@@ -31,14 +31,6 @@ __all__ = [
     "save_markov_chain",
 ]
 
-def _content_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
-
-
 def _parse_int(tok, what, lineno):
     try:
         return int(tok, 10)
@@ -54,17 +46,30 @@ def _parse_index(tok, n, lineno):
 
 
 def _parse_ratio(field, tok, lineno):
+    """(num, den) of a scalar token; over QQ an integer token is read by
+    ``int`` alone, which accepts exactly what ``QQ.ratio`` does without a
+    slash."""
+    if field is QQ:
+        try:
+            return int(tok), 1
+        except ValueError:
+            pass
     try:
         return field.ratio(tok)
     except ParseError as exc:
         raise ParseError(str(exc), line=lineno) from None
 
 
-def _int_matrix(field, ncols, rows):
+def _int_matrix(field, ncols, rows, den=None):
     """The matrix with the entries of rows[i], (column, (num, den)) pairs
-    in column order, in row i, built straight into its integer view."""
-    den = lcm(*(d for row in rows for _j, (_num, d) in row))
-    ints = [[(j, num * (den // d)) for j, (num, d) in row if num] for row in rows]
+    in column order, in row i, built straight into its integer view.
+    ``den``, when given, is a common multiple of the denominators."""
+    if den is None:
+        den = lcm(*(d for row in rows for _j, (_num, d) in row))
+    if den == 1:
+        ints = [[(j, num) for j, (num, _d) in row if num] for row in rows]
+    else:
+        ints = [[(j, num * (den // d)) for j, (num, d) in row if num] for row in rows]
     return Matrix.from_int_rows(field, ncols, ints, den)
 
 
@@ -82,16 +87,22 @@ def _read_document(text, required, optional, body_key):
     """Split one document into its `name:` headers and its body lines.
 
     Returns the header values {name: tokens}, their line numbers, the
-    state count and the body lines (lineno, tokens after ``body_key``).
+    state count and the body lines (lineno, tokens), each line split
+    once with ``body_key`` left in place as its first token.
     Unrecognized lines, duplicate or missing headers and a state count
     below 1 are refused.
     """
     keys = {name + ":" for name in required + optional}
     headers, header_lines, body = {}, {}, []
-    for lineno, toks in _content_lines(text):
+    for lineno, line in enumerate(text.splitlines(), 1):
+        toks = line.split()
+        if not toks:
+            continue
         key = toks[0]
         if key == body_key:
-            body.append((lineno, toks[1:]))
+            body.append((lineno, toks))
+        elif key[0] == "#":
+            continue
         elif key in keys:
             name = key[:-1]
             if name in headers:
@@ -118,7 +129,7 @@ def parse_automaton(text):
         text, ("kind", "alphabet", "states", "initial", "final"), ("field",), "trans"
     )
     for lineno, toks in trans_lines:
-        if len(toks) != 4:
+        if len(toks) != 5:
             raise ParseError("trans lines take exactly letter, from, to, weight", line=lineno)
     if len(headers["kind"]) != 1 or headers["kind"][0] not in ("wa", "nba", "iba"):
         raise ParseError(
@@ -152,13 +163,15 @@ def parse_automaton(text):
         return [_parse_ratio(field, t, lineno) for t in toks]
 
     def read_transitions(weight_field):
-        # index and weight tokens repeat within a document, so each distinct
-        # token is parsed once; only tokens that parsed are kept, so a bad
-        # token is refused on the first line that holds it
+        """Per letter, per state, the row {to: (num, den)}; and the state
+        of each distinct index token and the weight of each distinct
+        weight token.  Each distinct token is parsed once, and only tokens
+        that parsed are kept, so a bad one is refused on its first line."""
+        rows = {a: [{} for _ in range(n)] for a in alphabet}
         indices, weights = {}, {}
-        seen = {}
-        for lineno, (letter, si, sj, sw) in trans_lines:
-            if letter not in alphabet:
+        for lineno, (_, letter, si, sj, sw) in trans_lines:
+            by_state = rows.get(letter)
+            if by_state is None:
                 raise ValidationError(
                     "line %d: letter %r is not in the alphabet" % (lineno, letter)
                 )
@@ -168,21 +181,22 @@ def parse_automaton(text):
             j = indices.get(sj)
             if j is None:
                 j = indices[sj] = _parse_index(sj, n, lineno)
-            if (letter, i, j) in seen:
+            row = by_state[i]
+            if j in row:
                 raise ValidationError(
                     "line %d: duplicate transition %s %d %d" % (lineno, letter, i + 1, j + 1)
                 )
             r = weights.get(sw)
             if r is None:
                 r = weights[sw] = _parse_ratio(weight_field, sw, lineno)
-            seen[(letter, i, j)] = (lineno, r)
-        return seen
+            row[j] = r
+        return rows, indices, weights
 
     def read_matrices(weight_field):
-        rows = {a: [[] for _ in range(n)] for a in alphabet}
-        for (letter, i, j), (_lineno, r) in sorted(read_transitions(weight_field).items()):
-            rows[letter][i].append((j, r))
-        return {a: _int_matrix(weight_field, n, r) for a, r in rows.items()}
+        rows, _, weights = read_transitions(weight_field)
+        den = lcm(*(d for _num, d in weights.values()))
+        return {a: _int_matrix(weight_field, n, [sorted(r.items()) for r in by_state], den)
+                for a, by_state in rows.items()}
 
     if kind == "wa":
         init = _int_matrix(field, n, [list(enumerate(scalar_row("initial")))])
@@ -192,11 +206,11 @@ def parse_automaton(text):
     if kind == "nba":
         initial = _parse_index_line(headers["initial"], n, header_lines["initial"], "initial")
         final = _parse_index_line(headers["final"], n, header_lines["final"], "final")
-        triples = []
-        for (letter, i, j), (lineno, r) in read_transitions(QQ).items():
-            if r != (1, 1):
-                raise ValidationError("line %d: nba transition weight must be 1" % (lineno,))
-            triples.append((i, letter, j))
+        _, indices, weights = read_transitions(QQ)
+        if any(r != (1, 1) for r in weights.values()):
+            lineno = next(ln for ln, toks in trans_lines if weights[toks[4]] != (1, 1))
+            raise ValidationError("line %d: nba transition weight must be 1" % (lineno,))
+        triples = [(indices[si], a, indices[sj]) for _, (_, a, si, sj, _) in trans_lines]
         return Nba(n, alphabet, triples, initial, final)
 
     init = _int_matrix(QQ, n, [list(enumerate(scalar_row("initial")))])
@@ -276,7 +290,8 @@ def parse_markov_chain(text):
     if len(headers["labels"]) != n:
         raise ValidationError("labels line needs exactly %d letters" % (n,))
     ratios, parsed = {}, []  # each distinct token parsed once, as in read_transitions
-    for lineno, toks in [(header_lines["initial"], headers["initial"])] + rows:
+    lines = [(header_lines["initial"], headers["initial"])] + [(ln, t[1:]) for ln, t in rows]
+    for lineno, toks in lines:
         if len(toks) != n:
             raise ValidationError("line %d: row needs exactly %d entries" % (lineno, n))
         for tok in toks:

@@ -76,7 +76,7 @@ class Matrix:
         column order for int / den (den > 0), zeros left out.  Over QQ the
         view is brought to lowest terms; over F2 den is odd, ints mod 2."""
         if field is QQ:
-            g = gcd(den, *(x for row in rows for _, x in row))
+            g = gcd(den, *(x for row in rows for _, x in row)) if den != 1 else 1
             if g > 1:
                 rows, den = [[(j, x // g) for j, x in row] for row in rows], den // g
             rows = tuple([tuple(row) for row in rows])
@@ -356,41 +356,34 @@ def _back_substitute(field, work, n, k):
 
 
 class CoordBasis:
-    """Incrementally built basis of sparse vectors with coordinate recovery.
+    """Incrementally built basis of sparse int vectors with coordinate
+    recovery.
 
-    Vectors are dicts {index: nonzero scalar}: ints or Fractions over QQ,
-    GF2 elements or ones over F2.  ``add`` returns the new basis index when
-    the vector extends the span and None when it is dependent; ``coords``
-    expresses a vector as a combination of the vectors that were
-    successfully added, and ``int_coords`` does so in integers for many
-    vectors with one elimination.
+    ``add`` and ``contains`` take int dicts {index: nonzero int} (over F2,
+    ones), the vectors the span algorithms build; ``add`` keeps the dict
+    it is given and returns the new basis index when the vector extends
+    the span and None when it is dependent.  ``int_coords`` expresses
+    int vectors as integer combinations of the added vectors with one
+    elimination, and ``coords`` expresses a vector of field scalars as a
+    combination of them.
 
-    Over QQ an incoming vector is scaled once by the lcm of its
-    denominators.  Against an echelon row b with pivot p it becomes
-    b[p] * v - v[p] * b (both factors divided by their gcd), and a new
-    echelon row is divided by its content, pivot positive.  Over F2 an
-    incoming vector is reduced by symmetric difference of supports.  The
-    echelon rows decide membership only.  Coordinates come from a solve
-    against the added vectors restricted to the pivot columns, where they
-    form an invertible square system.
+    Over QQ an incoming vector is reduced against each echelon row b with
+    pivot p to b[p] * v - v[p] * b (both factors divided by their gcd),
+    and a new echelon row is divided by its content, pivot positive.
+    Over F2 an incoming vector is reduced by symmetric difference of
+    supports.  The echelon rows decide membership only.  Coordinates come
+    from a solve against the added vectors restricted to the pivot
+    columns, where they form an invertible square system.
     """
 
     def __init__(self, field):
         self.field = field
         self._rows = []  # echelon rows, int dicts
         self._pivots = []  # pivot index of each echelon row
-        self._added = []  # (ints, den): an added vector is ints / den
+        self._added = []  # the added int vectors
 
     def __len__(self):
         return len(self._added)
-
-    def _ints(self, vec):
-        """(ints, den) with vec = ints / den: den is the lcm of the
-        denominators over QQ and 1 over F2, where every entry is 1."""
-        if self.field is QQ:
-            den = lcm(*{x.denominator for x in vec.values()})
-            return {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}, den
-        return {j: 1 for j, x in vec.items() if x}, 1
 
     def _reduce(self, v):
         """The int dict v (consumed) reduced against the echelon rows; the
@@ -420,8 +413,7 @@ class CoordBasis:
                     del v[j]
         return v
 
-    def add(self, vec):
-        ints, den = self._ints(vec)
+    def add(self, ints):
         row = self._reduce(dict(ints))
         if not row:
             return None
@@ -434,19 +426,17 @@ class CoordBasis:
                 row = {j: x // g for j, x in row.items()}
         self._rows.append(row)
         self._pivots.append(pivot)
-        self._added.append((ints, den))
+        self._added.append(ints)
         return len(self._added) - 1
 
-    def contains(self, vec):
-        return not self._reduce(self._ints(vec)[0])
+    def contains(self, ints):
+        return not self._reduce(dict(ints))
 
     def int_coords(self, vecs):
         """For each int dict w in vecs (over F2, ones): None when w is
-        outside the span, else (ys, d) with d * w = sum(ys[k] * ints_k),
-        ints_k the k-th added vector times its den; over F2 d is 1 and the
-        ys are bits."""
-        m = len(self._added)
-        added = [a for a, _ in self._added]
+        outside the span, else (ys, d) with d * w = sum(ys[k] * added_k);
+        over F2 d is 1 and the ys are bits."""
+        m, added = len(self._added), self._added
         rows = [[a.get(p, 0) for a in added] + [w.get(p, 0) for w in vecs] for p in self._pivots]
         work, _ = _eliminate(self.field, rows, m)
         return [
@@ -455,11 +445,15 @@ class CoordBasis:
         ]
 
     def coords(self, vec):
-        """Coordinates of vec w.r.t. the added basis vectors, or None."""
-        ints, den = self._ints(vec)
+        """Coordinates of vec, a dict of field scalars, w.r.t. the added
+        vectors, or None."""
+        if self.field is QQ:
+            den = lcm(*{x.denominator for x in vec.values()})
+            ints = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
+        else:
+            den, ints = 1, {j: 1 for j, x in vec.items() if x}
         sol = self.int_coords([ints])[0]
         if sol is None:
             return None
         ys, d = sol
-        frac, zero = self.field.frac, self.field.zero
-        return [frac(y * dk, d * den) if y else zero for y, (_, dk) in zip(ys, self._added)]
+        return [self.field.frac(y, d * den) for y in ys]

@@ -119,9 +119,10 @@ def _join_word(word, alphabet):
 
 
 def _parse_word(alphabet, text):
-    """The word whose text form is ``text``, as ``_join_word`` writes it;
-    the shell hands the empty word ``""`` over as empty text."""
-    if text == "":
+    """The word whose text form is ``text``, as ``_join_word`` writes it.
+    The empty word is ``""`` when no letter holds a quote, or empty text,
+    which is how a shell hands ``""`` over."""
+    if text == "" or (text == '""' and not any('"' in a for a in alphabet)):
         return ()
     if all(len(a) == 1 for a in alphabet) and "," not in text:
         return tuple(text)
@@ -256,10 +257,11 @@ def span_explore(field, init_state, letters, step, to_vector=None, observe=None)
     algorithm.
 
     States are whatever ``step`` consumes; ``to_vector`` turns a state
-    into the sparse vector whose span is tracked (default: the state is
-    the vector).  Exploration visits words breadth first with letters in
-    the given order, keeps the first-seen independent vectors as basis,
-    and only expands states whose vector extended the span.
+    into the int dict whose span is tracked, over F2 with ones (default:
+    the state is the vector).  Exploration visits words breadth first
+    with letters in the given order, keeps the first-seen independent
+    vectors as basis, and only expands states whose vector extended the
+    span.
 
     When ``observe`` is given, every generated state is tested in
     generation order and the first word observing nonzero is returned as

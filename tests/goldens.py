@@ -25,13 +25,16 @@ node (before low links were kept for stacked nodes only), and the lasso
 product on (state, cycle position) tuple nodes (before int node ids
 replaced them), and the serialisers and the random change of basis
 written from dense ``Fraction`` rows (before they read the integer
-view).  ``edited`` draws the line edits of a document that the parser
+view), and the document readers that stripped each line before
+splitting it and sorted every transition key (before one split per
+line and rows built per letter and state).  ``edited`` draws the line edits of a document that the parser
 and command line fuzz tests share.
 """
 
 import itertools
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import strategies as st
 
@@ -57,6 +60,7 @@ from imagebinary import (
     WeightedAutomaton,
     zero_automaton,
 )
+from imagebinary.fields import field_by_name
 from imagebinary.graphs import (
     live_components,
     nodes_on_cycles,
@@ -1039,6 +1043,198 @@ def reference_product(a, b):
             for i in range(a.nrows)
         ],
     )
+
+
+# === The document readers before one split per line ===
+
+
+def _reference_content_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line.split()
+
+
+def _reference_parse_int(tok, what, lineno):
+    try:
+        return int(tok, 10)
+    except ValueError:
+        raise ParseError("%s must be an integer, got %r" % (what, tok), line=lineno) from None
+
+
+def _reference_parse_index(tok, n, lineno):
+    i = _reference_parse_int(tok, "state index", lineno)
+    if not 1 <= i <= n:
+        raise ValidationError("line %d: state index %d is outside 1..%d" % (lineno, i, n))
+    return i - 1
+
+
+def _reference_parse_ratio(field, tok, lineno):
+    try:
+        return field.ratio(tok)
+    except ParseError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+
+
+def _reference_int_matrix(field, ncols, rows):
+    den = lcm(*(d for row in rows for _j, (_num, d) in row))
+    ints = [[(j, num * (den // d)) for j, (num, d) in row if num] for row in rows]
+    return Matrix.from_int_rows(field, ncols, ints, den)
+
+
+def _reference_parse_index_line(toks, n, lineno, what):
+    out = []
+    for tok in toks:
+        i = _reference_parse_index(tok, n, lineno)
+        if i in out:
+            raise ValidationError("line %d: duplicate %s state %d" % (lineno, what, i + 1))
+        out.append(i)
+    return out
+
+
+def _reference_read_document(text, required, optional, body_key):
+    keys = {name + ":" for name in required + optional}
+    headers, header_lines, body = {}, {}, []
+    for lineno, toks in _reference_content_lines(text):
+        key = toks[0]
+        if key == body_key:
+            body.append((lineno, toks[1:]))
+        elif key in keys:
+            name = key[:-1]
+            if name in headers:
+                raise ParseError("duplicate %r header" % (name,), line=lineno)
+            headers[name] = toks[1:]
+            header_lines[name] = lineno
+        else:
+            raise ParseError("unrecognized line starting with %r" % (key,), line=lineno)
+    for name in required:
+        if name not in headers:
+            raise ParseError("missing %r header" % (name,))
+    if len(headers["states"]) != 1:
+        raise ParseError("states header takes one value", line=header_lines["states"])
+    n = _reference_parse_int(headers["states"][0], "state count", header_lines["states"])
+    if n < 1:
+        raise ValidationError("state count must be at least 1")
+    return headers, header_lines, n, body
+
+
+def reference_parse_automaton(text):
+    """The automaton reader that split each line after stripping it, kept
+    each body line without its key token, sorted every (letter, from, to)
+    key once and read every scalar token with ``field.ratio``."""
+    headers, header_lines, n, trans_lines = _reference_read_document(
+        text, ("kind", "alphabet", "states", "initial", "final"), ("field",), "trans"
+    )
+    for lineno, toks in trans_lines:
+        if len(toks) != 4:
+            raise ParseError("trans lines take exactly letter, from, to, weight", line=lineno)
+    if len(headers["kind"]) != 1 or headers["kind"][0] not in ("wa", "nba", "iba"):
+        raise ParseError("kind must be one of wa, nba, iba", line=header_lines["kind"])
+    kind = headers["kind"][0]
+    alphabet = tuple(headers["alphabet"])
+    if not alphabet:
+        raise ValidationError("alphabet must be nonempty")
+    if len(set(alphabet)) != len(alphabet):
+        raise ValidationError("alphabet letters must be distinct")
+    for letter in alphabet:
+        if "," in letter or ":" in letter:
+            raise ValidationError("letter %r may not contain ',' or ':'" % (letter,))
+    if "field" in headers:
+        if len(headers["field"]) != 1:
+            raise ParseError("field header takes one value", line=header_lines["field"])
+        field = field_by_name(headers["field"][0])
+    else:
+        field = QQ
+    if kind in ("nba", "iba") and field is not QQ:
+        raise ValidationError("%s documents use the rational field" % (kind,))
+
+    def scalar_row(name):
+        toks = headers[name]
+        lineno = header_lines[name]
+        if len(toks) != n:
+            raise ValidationError(
+                "line %d: %s needs exactly %d entries, got %d" % (lineno, name, n, len(toks))
+            )
+        return [_reference_parse_ratio(field, t, lineno) for t in toks]
+
+    def read_transitions(weight_field):
+        indices, weights = {}, {}
+        seen = {}
+        for lineno, (letter, si, sj, sw) in trans_lines:
+            if letter not in alphabet:
+                raise ValidationError(
+                    "line %d: letter %r is not in the alphabet" % (lineno, letter)
+                )
+            i = indices.get(si)
+            if i is None:
+                i = indices[si] = _reference_parse_index(si, n, lineno)
+            j = indices.get(sj)
+            if j is None:
+                j = indices[sj] = _reference_parse_index(sj, n, lineno)
+            if (letter, i, j) in seen:
+                raise ValidationError(
+                    "line %d: duplicate transition %s %d %d" % (lineno, letter, i + 1, j + 1)
+                )
+            r = weights.get(sw)
+            if r is None:
+                r = weights[sw] = _reference_parse_ratio(weight_field, sw, lineno)
+            seen[(letter, i, j)] = (lineno, r)
+        return seen
+
+    def read_matrices(weight_field):
+        rows = {a: [[] for _ in range(n)] for a in alphabet}
+        for (letter, i, j), (_lineno, r) in sorted(read_transitions(weight_field).items()):
+            rows[letter][i].append((j, r))
+        return {a: _reference_int_matrix(weight_field, n, r) for a, r in rows.items()}
+
+    if kind == "wa":
+        init = _reference_int_matrix(field, n, [list(enumerate(scalar_row("initial")))])
+        final = _reference_int_matrix(field, 1, [[(0, r)] for r in scalar_row("final")])
+        return WeightedAutomaton(field, alphabet, read_matrices(field), init, final)
+
+    if kind == "nba":
+        initial = _reference_parse_index_line(
+            headers["initial"], n, header_lines["initial"], "initial")
+        final = _reference_parse_index_line(headers["final"], n, header_lines["final"], "final")
+        triples = []
+        for (letter, i, j), (lineno, r) in read_transitions(QQ).items():
+            if r != (1, 1):
+                raise ValidationError("line %d: nba transition weight must be 1" % (lineno,))
+            triples.append((i, letter, j))
+        return Nba(n, alphabet, triples, initial, final)
+
+    init = _reference_int_matrix(QQ, n, [list(enumerate(scalar_row("initial")))])
+    final = _reference_parse_index_line(headers["final"], n, header_lines["final"], "final")
+    return Iba(alphabet, read_matrices(QQ), init, frozenset(final))
+
+
+def reference_parse_markov_chain(text):
+    """The chain reader on the same per-line tokens as
+    ``reference_parse_automaton``."""
+    headers, header_lines, n, rows = _reference_read_document(
+        text, ("states", "alphabet", "initial", "labels"), (), "row:"
+    )
+    alphabet = tuple(headers["alphabet"])
+    if len(set(alphabet)) != len(alphabet):
+        raise ValidationError("alphabet letters must be distinct")
+    if len(rows) != n:
+        raise ValidationError("expected %d row: lines, got %d" % (n, len(rows)))
+    if len(headers["initial"]) != n:
+        raise ValidationError("initial distribution needs exactly %d entries" % (n,))
+    if len(headers["labels"]) != n:
+        raise ValidationError("labels line needs exactly %d letters" % (n,))
+    ratios, parsed = {}, []
+    for lineno, toks in [(header_lines["initial"], headers["initial"])] + rows:
+        if len(toks) != n:
+            raise ValidationError("line %d: row needs exactly %d entries" % (lineno, n))
+        for tok in toks:
+            if tok not in ratios:
+                ratios[tok] = _reference_parse_ratio(QQ, tok, lineno)
+        parsed.append([ratios[tok] for tok in toks])
+    init = [Fraction(*r) for r in parsed[0]]
+    matrix = _reference_int_matrix(QQ, n, [list(enumerate(row)) for row in parsed[1:]])
+    return MarkovChain(matrix, init, headers["labels"], alphabet)
 
 
 # === Serialisers and fixtures on dense Fraction rows ===

@@ -104,8 +104,10 @@ def test_word_and_lasso_text_round_trip(alphabet):
     for n in range(1, 4):
         for word in itertools.product(alphabet, repeat=n):
             assert wa._parse_word(alphabet, wa._join_word(word, alphabet)) == word
-    # the empty word is written "", which the shell passes as empty text
+    # the empty word is written "", which reads back as it is and as the
+    # empty text a shell passes for it
     assert shlex.split(wa._join_word((), alphabet)) == [""]
+    assert wa._parse_word(alphabet, wa._join_word((), alphabet)) == ()
     assert wa._parse_word(alphabet, "") == ()
     for lasso in all_lassos(2, 2, alphabet):
         back = buchi._parse_lasso(alphabet, buchi._join_lasso(lasso, alphabet))

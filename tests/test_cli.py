@@ -383,6 +383,33 @@ def test_every_refusal_names_the_witness_word_alike(run, tmp_path):
             assert run(*argv) == (3, "", expected), argv
 
 
+def test_empty_witness_word_reads_back_without_a_shell(run, tmp_path):
+    """A 1-state automaton with initial weight 2 is refused on the empty
+    word, which check-ifa and equiv print as ""; eval reads that literal
+    back, as a caller that passes argv without a shell hands it over."""
+    twice = tmp_path / "twice.wa"
+    twice.write_text("kind: wa\nalphabet: a\nstates: 1\ninitial: 2\nfinal: 1\ntrans a 1 1 1\n")
+    zero = tmp_path / "zero.wa"
+    zero.write_text("kind: wa\nalphabet: a\nstates: 1\ninitial: 0\nfinal: 1\n")
+    code, out, _ = run("check-ifa", str(twice))
+    assert (code, out) == (0, 'no (witness word "")\n')
+    assert run("equiv", str(twice), str(zero)) == (0, 'not equivalent (witness word "")\n', "")
+    witness = out.split("witness word ")[1].rstrip(")\n")
+    assert run("eval", str(twice), witness) == (0, "2/1\n", "")
+    assert run("eval", str(twice), "") == (0, "2/1\n", "")
+    # a quote that is a letter keeps its meaning
+    quote = tmp_path / "quote.wa"
+    quote.write_text('kind: wa\nalphabet: a "\nstates: 1\ninitial: 2\nfinal: 1\n'
+                     'trans a 1 1 1\ntrans " 1 1 3\n')
+    assert run("eval", str(quote), '""') == (0, "18/1\n", "")
+
+
+def test_parser_is_built_once_per_process(run, ifa_path):
+    parser = _build_parser()
+    assert run("eval", ifa_path, "aa") == (0, "1/1\n", "")
+    assert _build_parser() is parser
+
+
 # === Exit codes and JSON ===
 
 

@@ -39,10 +39,13 @@ from imagebinary import (
 )
 
 from goldens import (
+    FUZZ_TOKENS,
     closed_block_chain,
     edited,
     even_ablock_ifa,
     fanout_unary_nba,
+    reference_parse_automaton,
+    reference_parse_markov_chain,
     reference_serialize_automaton,
     reference_serialize_markov_chain,
     thirds_chain,
@@ -481,3 +484,163 @@ def test_writers_and_conjugation_read_integer_views_only(monkeypatch):
     serialize_markov_chain(chain)
     assert unset(chain)
     assert reads == []
+
+
+# === The one-split reader against the reader it replaced ===
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def respell(rng, tok, scalar):
+    """Another spelling of an integer token that ``int()`` reads as the
+    same value (a sign, a leading zero, underscores, Unicode digits), or
+    of a scalar token that ``QQ.ratio`` does (also a denominator of 1 or a
+    fraction not in lowest terms)."""
+    num, slash, den = tok.partition("/")
+    if slash:
+        k = rng.randint(2, 5)
+        return "%d/%d" % (int(num) * k, int(den) * k)
+    x = int(num)
+    spellings = [num.translate(ARABIC_INDIC), "_".join(num) if x >= 10 else num]
+    spellings += ["+%d" % x, "0%d" % x] if x >= 0 else []
+    if scalar:
+        spellings += ["%d/1" % x, "%d/%d" % (2 * x, 2)] + (["-0/5"] if x == 0 else [])
+    return rng.choice(spellings)
+
+
+def decorated(rng, text, rational):
+    """``text`` with its transition lines shuffled, comments, blank lines,
+    tabs and CRLF line ends; over the rationals some integer and scalar
+    tokens are respelled too (the weights of transition and chain rows as
+    scalars)."""
+    lines = text.splitlines()
+    trans = [k for k, line in enumerate(lines) if line.startswith("trans ")]
+    for k, line in zip(trans, rng.sample([lines[k] for k in trans], len(trans))):
+        lines[k] = line
+    out = []
+    for line in lines:
+        toks = line.split()
+        if rational and toks and toks[0] in ("trans", "row:", "initial:", "final:", "states:"):
+            first = 2 if toks[0] == "trans" else 1
+            toks[first:] = [
+                respell(rng, t, toks[0] == "row:" or k == 4) if rng.random() < 0.3 else t
+                for k, t in enumerate(toks[first:], first)
+            ]
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "# a comment", "   ", "\t# tab then comment"]))
+        out.append(rng.choice([" ", "\t", " \t "]).join(toks))
+    ends = rng.choice(["\n", "\r\n"])
+    return ends.join(out) + ends
+
+
+def mutations(text):
+    """Broken copies of a document, one fault each: a bad letter, index 0
+    and n + 1, a duplicate transition, a wrong token count, bad scalars
+    (``2``, ``01`` and ``1/1`` are good over QQ only), and a missing or
+    repeated header."""
+    lines = text.splitlines()
+    keys = [(line.split() or [""])[0] for line in lines]
+    n = int(next(lines[k].split()[1] for k, key in enumerate(keys) if key == "states:"))
+    body = [k for k, key in enumerate(keys) if key in ("trans", "row:")]
+    heads = [k for k, key in enumerate(keys) if key.endswith(":") and key != "row:"]
+    out = []
+
+    def edit(k, new):
+        out.append("\n".join(lines[:k] + [new] + lines[k + 1:]) + "\n")
+
+    for k in heads:
+        out.append("\n".join(lines[:k] + lines[k + 1:]) + "\n")
+        out.append("\n".join(lines[:k + 1] + lines[k:]) + "\n")
+    for k in body[:1] + body[-1:]:
+        toks = lines[k].split()
+        out.append("\n".join(lines[:k + 1] + lines[k:]) + "\n")
+        out.append("\n".join(lines[:k + 1] + [" ".join(toks[:-1] + ["x"])] + lines[k:]) + "\n")
+        edit(k, " ".join(toks[:-1]))
+        edit(k, " ".join(toks + ["1"]))
+        for bad in ("1/0", "1/2/3", "2", "01", "1/1", "0.5", "x"):
+            edit(k, " ".join(toks[:-1] + [bad]))
+        if toks[0] == "trans":
+            for i in (2, 3):
+                for index in ("0", str(n + 1), "x"):
+                    edit(k, " ".join(toks[:i] + [index] + toks[i + 1:]))
+            edit(k, " ".join(toks[:1] + ["z"] + toks[2:]))
+    return out
+
+
+def reader_corpus():
+    """Seeded documents: the writer inputs (rational and F2 automata,
+    acceptors, kdis outputs and chains) decorated, and their mutations."""
+    rng = random.Random(1409)
+    autos, chains = _writer_inputs()
+    docs = [serialize_automaton(a) for a in autos] + [serialize_markov_chain(c) for c in chains]
+    docs += [WA_DOC, GF2_DOC, NBA_DOC, IBA_DOC, CHAIN_DOC]
+    out = []
+    for doc in docs:
+        rational = "field: gf2" not in doc
+        out += [doc, decorated(rng, doc, rational)] + mutations(doc)
+        out += mutations(decorated(rng, doc, rational))
+    return out
+
+
+def read_outcome(parse, text):
+    """What a reader makes of ``text``: the object, or the error's class,
+    message and line."""
+    try:
+        return "parsed", parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def same_reading(text):
+    """Both readers give an equal object, written alike (an acceptor's
+    transitions in the same order), or the same error; returns the
+    automaton reader's outcome."""
+    outcomes = []
+    for parse, reference in ((parse_automaton, reference_parse_automaton),
+                             (parse_markov_chain, reference_parse_markov_chain)):
+        got, want = read_outcome(parse, text), read_outcome(reference, text)
+        assert got[0] == want[0] and got[1:] == want[1:], (text, got, want)
+        if got[0] == "parsed":
+            obj, ref = got[1], want[1]
+            if isinstance(obj, MarkovChain):
+                assert serialize_markov_chain(obj) == serialize_markov_chain(ref)
+            else:
+                assert serialize_automaton(obj) == serialize_automaton(ref)
+            if isinstance(obj, Nba):
+                assert list(obj.delta.items()) == list(ref.delta.items())
+        outcomes.append(got)
+    return outcomes
+
+
+def test_reader_matches_the_reader_it_replaced_on_a_seeded_corpus():
+    corpus = reader_corpus()
+    errors, parsed = set(), 0
+    for text in corpus:
+        for outcome in same_reading(text):
+            if outcome[0] == "parsed":
+                parsed += 1
+            else:
+                errors.add(outcome[1].split(": ", 1)[-1].split(" ")[0])
+    assert parsed > len(corpus) // 10
+    # every kind of fault the mutations make was met and refused alike
+    assert {"duplicate", "missing", "bad", "state", "letter", "trans", "nba", "row"} <= errors, errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(max_size=80),
+    st.lists(st.lists(st.sampled_from(FUZZ_TOKENS + ["\t", "\r", "states:", "1"]), max_size=6)
+             .map(" ".join), max_size=10).map("\n".join),
+))
+def test_reader_matches_the_reader_it_replaced_on_any_text(text):
+    for outcome in same_reading(text):
+        assert outcome[0] in ("parsed", ParseError, ValidationError)
+
+
+@pytest.mark.parametrize(
+    "doc", [WA_DOC, IBA_DOC, NBA_DOC, GF2_DOC, CHAIN_DOC], ids=["wa", "iba", "nba", "gf2", "chain"]
+)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reader_matches_the_reader_it_replaced_on_edited_documents(doc, data):
+    same_reading(edited(data.draw, doc))

@@ -5,6 +5,7 @@ replaced, kept in ``goldens``."""
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from hypothesis import given, settings, strategies as st
@@ -15,15 +16,20 @@ from imagebinary import (
     QQ,
     WeightedAutomaton,
     add,
+    complement,
     conjugated_ifa,
     dfa_to_ifa,
     equivalent,
     hadamard,
     ifa_to_dfa,
+    ifa_to_mod2,
+    intersect,
     is_image_binary,
     minimize,
+    parse_automaton,
     random_dfa,
     serialize_automaton,
+    union,
 )
 from imagebinary.matrix import CoordBasis
 from imagebinary.ifa import _with_square
@@ -46,14 +52,26 @@ SCALES = [Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3, 4)]
 # === CoordBasis against the Fraction basis ===
 
 
+def int_view(field, vec):
+    """The int vector ``CoordBasis.add`` takes for the vector ``vec`` of
+    field scalars (vec times the lcm of its denominators over QQ, ones
+    over F2), and that int vector as field scalars, for the oracle."""
+    if field is F2:
+        return {j: 1 for j in vec}, {j: F2.one for j in vec}
+    den = lcm(*(x.denominator for x in vec.values()))
+    ints = {j: int(x * den) for j, x in vec.items()}
+    return ints, {j: Fraction(x) for j, x in ints.items()}
+
+
 def same_basis_answers(field, vectors):
     """Feed the vectors to both bases; every answer must agree."""
     basis, oracle = CoordBasis(field), ReferenceCoordBasis(field)
     for v in vectors:
-        assert basis.add(v) == oracle.add(v)
+        ints, scalars = int_view(field, v)
+        assert basis.add(ints) == oracle.add(scalars)
     assert len(basis) == len(oracle)
     for v in vectors:
-        assert basis.contains(v) == oracle.contains(v)
+        assert basis.contains(int_view(field, v)[0]) == oracle.contains(v)
         assert basis.coords(v) == oracle.coords(v)
 
 
@@ -71,7 +89,8 @@ def test_coordbasis_matches_fraction_basis(vectors, probes):
     sparse = [{j: x for j, x in enumerate(v) if x} for v in vectors + probes]
     basis, oracle = CoordBasis(QQ), ReferenceCoordBasis(QQ)
     for v in sparse[: len(vectors)]:
-        assert basis.add(v) == oracle.add(v)
+        ints, scalars = int_view(QQ, v)
+        assert basis.add(ints) == oracle.add(scalars)
     for v in sparse:
         assert basis.coords(v) == oracle.coords(v)
 
@@ -254,6 +273,39 @@ def test_is_image_binary_on_symmetric_square_matches_reference():
             witnesses += 1
             assert d1.accepts(witness) and d2.accepts(witness)
     assert witnesses >= 5
+
+
+def test_int_span_entry_matches_reference_basis_on_words_fixtures():
+    """The inputs of the ``words`` benchmark, read back from their text:
+    conjugated DFAs of 3 to 8 states, sums of two languages (not binary),
+    Hadamard products, unions and complements, and F2 embeddings.  The
+    basis that takes the int vectors as they are gives the same basis
+    words, witnesses and output matrices as the ``Fraction`` basis."""
+    rng = random.Random(1414)
+    refused = 0
+    for n in (3, 4, 5, 6, 7, 8):
+        d1, d2 = random_dfa(rng, n, ALPHABET), random_dfa(rng, rng.randint(2, 4), ALPHABET)
+        a1, a2 = (parse_automaton(serialize_automaton(conjugated_ifa(rng, d)))
+                  for d in (d1, d2))
+        f1, f2 = dfa_to_ifa(d1, F2), dfa_to_ifa(d2, F2)
+        for a, b in ((a1, dfa_to_ifa(d1)), (add(a1, a2), a1), (intersect(a1, a2), a2),
+                     (union(a1, a2), a1), (complement(a2), a2), (f1, f2), (add(f1, f2), f1)):
+            assert forward_words(a) == reference_forward_words(a)
+            assert equivalent(a, b) == reference_equivalent(a, b)
+            assert serialize_automaton(minimize(a)) == serialize_automaton(reference_minimize(a))
+            if a.field is F2:
+                continue
+            ok, witness = is_image_binary(a)
+            assert (ok, witness) == reference_is_image_binary(a)
+            if not ok:
+                refused += 1
+                continue
+            got, want = ifa_to_dfa(a), reference_ifa_to_dfa(a)
+            assert (got.state_count, got.delta, got.accepting) == (
+                want.state_count, want.delta, want.accepting)
+            mod2 = reference_minimize(dfa_to_ifa(want, F2))
+            assert serialize_automaton(ifa_to_mod2(a)) == serialize_automaton(mod2)
+    assert refused >= 3  # the sums of overlapping languages
 
 
 # === Integer-view product ===

@@ -414,18 +414,24 @@ def dense(vec, n):
     return {i: Fraction(x) for i, x in enumerate(vec) if x}
 
 
+def ints(vec):
+    """The int vector ``add`` and ``contains`` take."""
+    return {i: x for i, x in enumerate(vec) if x}
+
+
 def test_coordbasis_add_and_coords():
     basis = CoordBasis(QQ)
-    assert basis.add(dense([1, 1, 0], 3)) == 0
-    assert basis.add(dense([0, 1, 1], 3)) == 1
+    assert basis.add(ints([1, 1, 0])) == 0
+    assert basis.add(ints([0, 1, 1])) == 1
     # dependent: (1,1,0) + (0,1,1)
-    assert basis.add(dense([1, 2, 1], 3)) is None
+    assert basis.add(ints([1, 2, 1])) is None
     assert len(basis) == 2
-    assert basis.contains(dense([2, 3, 1], 3))
-    assert not basis.contains(dense([1, 0, 0], 3))
+    assert basis.contains(ints([2, 3, 1]))
+    assert not basis.contains(ints([1, 0, 0]))
     coords = basis.coords(dense([1, 2, 1], 3))
     assert coords == [Fraction(1), Fraction(1)]
     assert basis.coords(dense([0, 0, 1], 3)) is None
+    assert basis.coords(dense([Fraction(1, 2), Fraction(3, 2), 1], 3)) == [Fraction(1, 2), 1]
 
 
 def test_coordbasis_zero_vector():
@@ -446,8 +452,7 @@ def test_coordbasis_reconstruction(vectors):
     basis = CoordBasis(QQ)
     added = []
     for v in vectors:
-        vec = dense(v, 4)
-        if basis.add(vec) is not None:
+        if basis.add(ints(v)) is not None:
             added.append(v)
     for v in vectors:
         coords = basis.coords(dense(v, 4))
