@@ -18,9 +18,13 @@ solution is certified exactly, over the common denominator of its
 values, as a fixed point of B in [0, 1] that meets every cut normaliser.
 
 Product nodes are (automaton state, chain state) pairs (q, s), the ints
-q * ns + s in the graph passes.  The fiber search of ``classify_scc``
-runs on (s, states) pairs through a move table built once per
-component, and returns its cut as a ``Fiber``.
+q * ns + s in the graph passes.  The product holds only the pairs that
+the initial pairs (nonzero initial weight and nonzero initial
+probability) reach, a set closed under successors, so each of its nodes
+has the SCC, class and value it has in the full grid of pairs, and the
+checks certify every value that is solved.  The fiber search of
+``classify_scc`` runs on (s, states) pairs through a move table built
+once per component, and returns its cut as a ``Fiber``.
 """
 
 from __future__ import annotations
@@ -124,9 +128,10 @@ class SccClass(NamedTuple):
 
 
 class ProductSystem:
-    """Product of a trimmed automaton with a chain, restricted to nodes
-    that can reach an accepting cycle, with its SCC classification and
-    (once solved) the value vector."""
+    """Product of a trimmed automaton with a chain, restricted to the
+    nodes that the initial pairs reach and that can reach an accepting
+    cycle, with its SCC classification and (once solved, and certified
+    by the checks of ``solve_values``) the value vector."""
 
     def __init__(self, automaton, chain, nodes, B, sccs, classes):
         self.automaton = automaton
@@ -150,10 +155,12 @@ class ProductSystem:
 
 
 def build_product(iba, chain):
-    """Assemble the value matrix B over automaton-state x chain-state
-    pairs, keep only nodes that can reach a cycle through a final state,
-    and classify every SCC.  B is built as its integer view: chain ints
-    times label ints over one common denominator."""
+    """Assemble the value matrix B over the automaton-state x chain-state
+    pairs that a search from the initial pairs reaches, keep only nodes
+    that can reach a cycle through a final state, and classify every
+    SCC.  Each reached node's successors and their weights are listed
+    once, for the liveness pass and for B; B is built as its integer
+    view: chain ints times label ints over one common denominator."""
     for lab in chain.labels:
         if lab not in iba.alphabet:
             raise InputError("chain label %r is outside the automaton alphabet" % (lab,))
@@ -170,27 +177,37 @@ def build_product(iba, chain):
     label_rows = [views[lab][0] for lab in chain.labels]
     label_scale = [lden // views[lab][1] for lab in chain.labels]
     chain_rows, cden = chain.matrix.int_rows()
-    graph = {}  # node (q, s) as the int q * ns + s, which sorts like the pair
-    for q in range(aut.n):
-        for s in range(ns):
-            row = label_rows[s][q]
-            graph[q * ns + s] = [q2 * ns + s2 for s2, _p in chain_rows[s] for q2, _w in row]
+    # node (q, s) as the int q * ns + s, which sorts like the pair; the
+    # search from the initial pairs lists each reached node's successors
+    # in graph and the integer B entries of those edges in weights
+    init_s = [s for s, p in enumerate(chain.init) if p]
+    todo = [q * ns + s for q, _w in aut.init.int_rows()[0][0] for s in init_s]
+    graph = dict.fromkeys(todo)
+    weights = {}
+    while todo:
+        x = todo.pop()
+        q, s = divmod(x, ns)
+        f = label_scale[s]
+        out = graph[x] = []
+        ws = weights[x] = []
+        for s2, p in chain_rows[s]:
+            pf = p * f
+            for q2, w in label_rows[s][q]:
+                y = q2 * ns + s2
+                out.append(y)
+                ws.append(pf * w)
+                if y not in graph:
+                    graph[y] = None
+                    todo.append(y)
     comps = live_components(graph, lambda x: x // ns in aut.final)
     keep = sorted(x for comp in comps for x in comp)
     if not keep:
         return ProductSystem(aut, chain, (), Matrix.zeros(QQ, 0, 0), (), ())
     index = {x: i for i, x in enumerate(keep)}
-    rows = []
-    for x in keep:
-        q, s = divmod(x, ns)
-        f = label_scale[s]
-        row = []
-        for s2, p in chain_rows[s]:
-            for q2, w in label_rows[s][q]:
-                j = index.get(q2 * ns + s2)
-                if j is not None:
-                    row.append((j, p * w * f))
-        rows.append(sorted(row))
+    rows = [
+        sorted([(j, w) for y, w in zip(graph[x], weights[x]) if (j := index.get(y)) is not None])
+        for x in keep
+    ]
     B = Matrix.from_int_rows(QQ, len(keep), rows, cden * lden)
     sccs = [[divmod(x, ns) for x in sorted(c)] for c in comps]
     ps = ProductSystem(aut, chain, [divmod(x, ns) for x in keep], B, sccs, ())
@@ -332,7 +349,13 @@ def solve_values(ps):
 
 
 def model_check(iba, chain):
-    """Probability that a word emitted by the chain has value 1."""
+    """Probability that a word emitted by the chain has value 1.  The
+    product holds only the pairs that the initial pairs reach, and the
+    checks of ``solve_values`` certify every value solved there, among
+    them every value the answer reads.  So an automaton whose values
+    leave [0, 1] only at pairs the chain never reaches is answered, not
+    refused; the lasso spot check of ``binariness_witness``, which the
+    command line runs first, can still refuse it."""
     ps = build_product(iba, chain)
     z = solve_values(ps)
     if ps.node_count == 0:

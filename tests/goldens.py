@@ -238,6 +238,17 @@ def unary_chain():
     return MarkovChain(Matrix(QQ, [[Fraction(1)]]), [Fraction(1)], ["a"], ("a",))
 
 
+def unreached_doubling_iba():
+    """Stable automaton over {a, b} that is not image-binary only where
+    an a-only chain never goes: state 0 is initial and final and loops on
+    a, b leads to state 1, which enters the final loop at state 2 with
+    weight 2 under either letter.  So b^omega has value 2, and every word
+    of a's has value 1."""
+    m_a = Matrix.from_entries(QQ, 3, 3, {(0, 0): QQ.one, (1, 2): Fraction(2), (2, 2): QQ.one})
+    m_b = Matrix.from_entries(QQ, 3, 3, {(0, 1): QQ.one, (1, 2): Fraction(2), (2, 2): QQ.one})
+    return Iba(("a", "b"), {"a": m_a, "b": m_b}, Matrix.from_ints(QQ, [[1, 0, 0]]), [0, 2])
+
+
 def closed_block_chain(rng, blocks, block_size, transient, alphabet=("a", "b")):
     """Chain whose first blocks * block_size states form closed blocks,
     each labelled from one letter pattern, and whose last ``transient``

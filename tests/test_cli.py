@@ -34,6 +34,7 @@ from goldens import (
     even_ablock_ifa,
     fanout_unary_nba,
     unary_chain,
+    unreached_doubling_iba,
 )
 
 
@@ -315,6 +316,18 @@ def test_modelcheck_rejects_non_binary(run, tmp_path):
     code, _, err = run("modelcheck", str(bad), str(chain))
     assert code == 3
     assert "not image-binary (lasso :a has value 2)" in err
+
+
+def test_modelcheck_spot_check_refuses_what_the_chain_never_reads(run, tmp_path):
+    """The library answers 1 for this automaton against an a-only chain,
+    since its value 2 sits on pairs the chain never reaches; the command
+    still refuses it, because the lasso spot check finds b^omega."""
+    bad = tmp_path / "bad.iba"
+    save_automaton(str(bad), unreached_doubling_iba())
+    chain = tmp_path / "chain.mc"
+    save_markov_chain(str(chain), unary_chain())
+    assert run("modelcheck", str(bad), str(chain)) == (
+        3, "", "error: not image-binary (lasso :b has value 2)\n")
 
 
 def test_modelcheck_refusal_prints_a_lasso_that_reads_back(run, tmp_path):

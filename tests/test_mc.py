@@ -31,7 +31,7 @@ from imagebinary import (
 )
 from imagebinary import buchi, graphs, mc
 from imagebinary.fixtures import bounded_ambiguity_nba, random_mc
-from imagebinary.graphs import nodes_on_cycles, reaches_any, strongly_connected_components
+from imagebinary.graphs import nodes_on_cycles, reachable_from, reaches_any, strongly_connected_components
 
 from goldens import (
     closed_block_chain,
@@ -46,6 +46,7 @@ from goldens import (
     spectral_spot_check,
     thirds_chain,
     unary_chain,
+    unreached_doubling_iba,
 )
 
 F = Fraction
@@ -198,7 +199,11 @@ def test_fiber_and_scc_class_are_immutable_and_hashable():
 
 
 def test_substochastic_component_is_transient():
-    ps = build_product(accept_all_iba(), two_state_chain())
+    # entered at state 1, the chain reaches both states: (0, 1) leaks
+    # into (0, 0), which keeps all its mass
+    chain = two_state_chain()
+    chain = MarkovChain(chain.matrix, [F(0), F(1)], chain.labels, chain.alphabet)
+    ps = build_product(accept_all_iba(), chain)
     assert ps.node_count == 2
     by_nodes = {cls.nodes: cls for cls in ps.classes}
     stay = by_nodes[((0, 0),)]
@@ -235,6 +240,19 @@ def test_impossible_language_gives_zero():
     ps = build_product(inf_b.to_iba(), unary_chain())
     assert ps.node_count == 0
     assert solve_values(ps) == ()
+
+
+def test_values_at_pairs_the_chain_never_reaches_are_not_solved():
+    """Only b leads off the a-loop at state 0, and the chain emits a's
+    forever: the value 2 at (1, 0) sits on a pair that the initial pair
+    (0, 0) never reaches, so the product leaves it out and the answer is
+    1.  The lasso spot check still finds b^omega."""
+    iba = unreached_doubling_iba()
+    ps = build_product(iba, unary_chain())
+    assert ps.nodes == ((0, 0),)
+    assert model_check(iba, unary_chain()) == 1
+    lasso, value = binariness_witness(iba, 1, 1)
+    assert (lasso.stem, lasso.cycle, value) == ((), ("b",), 2)
 
 
 def test_non_binary_value_is_semantic():
@@ -397,13 +415,37 @@ def accepting_bottom_scc_count(dba, chain):
     )
 
 
+def reachable_accepting_bottom_scc_count(dba, chain):
+    """Independent count of the accepting bottom SCCs of the chain x
+    acceptor product that the initial pairs reach: a node x lies in a
+    bottom SCC, namely the set R(x) of nodes it reaches, when every node
+    of R(x) reaches x back."""
+    P = chain.matrix.rows
+    ns = chain.state_count
+
+    def reach(starts):
+        seen, todo = set(starts), list(starts)
+        while todo:
+            s, q = todo.pop()
+            q2 = dba.delta[q, chain.labels[s]]
+            for y in [(t, q2) for t in range(ns) if P[s][t] != 0]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return frozenset(seen)
+
+    closure = {x: reach([x]) for x in reach([(s, dba.initial) for s in range(ns) if chain.init[s]])}
+    bottoms = {r for x, r in closure.items() if all(x in closure[y] for y in r)}
+    return sum(1 for comp in bottoms if any(q in dba.final for _s, q in comp))
+
+
 def test_recurrent_classes_are_accepting_bottom_sccs():
     rng = random.Random(303)
     for dba in dba_suite():
         for chain in seeded_chains(2, rng):
             ps = build_product(dba.to_iba(), chain)
             got = sum(1 for cls in ps.classes if cls.recurrent)
-            expected = accepting_bottom_scc_count(dba, chain)
+            expected = reachable_accepting_bottom_scc_count(dba, chain)
             assert got == expected, (dba.name, got, expected)
 
 
@@ -458,23 +500,34 @@ def single_transient_nodes(ps):
     return sum(1 for i in singles if all(j != i for j, _w in brows[i]))
 
 
+def pair_graph(aut, chain):
+    """Every (automaton state, chain state) pair with its successors in
+    the product, read off the dense rows."""
+    P = chain.matrix.rows
+    ns = chain.state_count
+    labels = [aut.matrix(lab).rows for lab in chain.labels]
+    return {
+        (q, s): [(q2, t) for t in range(ns) if P[s][t] for q2 in range(aut.n) if labels[s][q][q2]]
+        for q in range(aut.n)
+        for s in range(ns)
+    }
+
+
+def reachable_pairs(aut, chain):
+    """The pairs that the initial pairs reach: both weights nonzero."""
+    starts = [(q, s) for q, w in enumerate(aut.init.rows[0]) if w for s, p in enumerate(chain.init) if p]
+    return reachable_from(pair_graph(aut, chain), starts)
+
+
 def test_product_keeps_sccs_reaching_accepting_cycles_sinks_first():
     rng = random.Random(53)
     for dba in dba_suite():
         for chain in (random_mc(rng, 4, ALPHABET), closed_block_chain(rng, 2, 2, 3)):
             ps = build_product(dba.to_iba(), chain)
             aut = ps.automaton
-            graph = {
-                (q, s): [
-                    (q2, t)
-                    for t, _p in chain.matrix.nonzero_rows()[s]
-                    for q2, _w in aut.matrix(chain.labels[s]).nonzero_rows()[q]
-                ]
-                for q in range(aut.n)
-                for s in range(chain.state_count)
-            }
+            graph = pair_graph(aut, chain)
             anchors = [x for x in nodes_on_cycles(graph) if x[0] in aut.final]
-            assert list(ps.nodes) == sorted(reaches_any(graph, anchors))
+            assert list(ps.nodes) == sorted(reaches_any(graph, anchors) & reachable_pairs(aut, chain))
             kept = {x: [y for y in graph[x] if y in ps.index] for x in ps.nodes}
             assert {frozenset(c) for c in ps.sccs} == {
                 frozenset(c) for c in strongly_connected_components(kept)
@@ -542,13 +595,48 @@ def reference_probability(ps):
     return sum((ps.chain.init[s] * init[q] * z[i] for i, (q, s) in enumerate(ps.nodes)), F(0))
 
 
+def reachable_reference(iba, chain):
+    """The full-grid tuple-node product and its restriction to the pairs
+    that the initial pairs reach.  That set is closed under successors, so
+    each SCC in it keeps its nodes and its class (cuts keep their full-grid
+    SCC index), and the classes keep their sinks-first order."""
+    ref = reference_build_product(iba, chain)
+    if ref.automaton is None:
+        return ref, ref
+    reach = reachable_pairs(ref.automaton, chain)
+    sel = [i for i, x in enumerate(ref.nodes) if x in reach]
+    B = ref.B.rows
+    entries = {(a, b): B[i][j] for a, i in enumerate(sel) for b, j in enumerate(sel) if B[i][j]}
+    sub = ProductSystem(
+        ref.automaton, chain, [ref.nodes[i] for i in sel], Matrix.from_entries(QQ, len(sel), len(sel), entries),
+        [c for c in ref.sccs if c[0] in reach], (),
+    )
+    sub.classes = tuple([c for c in ref.classes if c.nodes[0] in reach])
+    return ref, sub
+
+
+def class_key(cls):
+    """A class without the SCC index of its cut."""
+    return cls.nodes, cls.accepting, cls.recurrent, cls.cut and cls.cut[1:]
+
+
+def checked_probability(ps):
+    """The model-checking answer from the global dense solve, refused
+    like ``model_check`` refuses a total outside [0, 1]."""
+    total = reference_probability(ps)
+    if total < 0 or total > 1:
+        raise SemanticError("input not image-binary")
+    return total
+
+
 def test_product_and_values_match_tuple_node_references():
-    """``build_product`` (int node ids, no-op trim), ``solve_values`` (one
-    transient node in closed form) and ``model_check`` against the
-    tuple-node product, the full fiber search and the global dense solve:
-    on the c09 chains, kdis outputs against random chains and closed-block
-    chains, with transient single nodes both with and without a
-    self-loop."""
+    """``build_product`` (int node ids, a search from the initial pairs,
+    no-op trim), ``solve_values`` (one transient node in closed form) and
+    ``model_check`` against the full-grid tuple-node product restricted to
+    the pairs the initial pairs reach, the full fiber search and the
+    global dense solve: on the c09 chains, kdis outputs against random
+    chains and closed-block chains, with transient single nodes both with
+    and without a self-loop, and with grid nodes left out."""
     chains = seeded_chains(5, random.Random(101))  # the c09 chains
     cases = [(dba.to_iba(), chain) for dba in dba_suite() for chain in chains]
     rng = random.Random(59)
@@ -557,16 +645,98 @@ def test_product_and_values_match_tuple_node_references():
         iba = kdis(bounded_ambiguity_nba(rng, k, rng.randint(2, 3), ALPHABET), k)
         cases.append((iba, random_mc(rng, rng.randint(2, 4), ALPHABET)))
         cases.append((iba, closed_block_chain(rng, rng.randint(1, 2), 2, rng.randint(1, 3))))
-    loops, plain = 0, 0
+    loops, plain, left_out = 0, 0, 0
     for iba, chain in cases:
-        ps, ref = build_product(iba, chain), reference_build_product(iba, chain)
-        assert (ps.automaton, ps.nodes, ps.sccs, ps.B) == (ref.automaton, ref.nodes, ref.sccs, ref.B)
-        assert ps.classes == ref.classes
-        assert solve_values(ps) == reference_solve_values(ref)
+        ps = build_product(iba, chain)
+        ref, sub = reachable_reference(iba, chain)
+        assert (ps.automaton, ps.nodes, ps.B) == (sub.automaton, sub.nodes, sub.B)
+        assert {c.nodes: class_key(c) for c in ps.classes} == {c.nodes: class_key(c) for c in sub.classes}
+        assert {frozenset(c) for c in ps.sccs} == {frozenset(c) for c in sub.sccs}
+        z = reference_solve_values(ref)
+        assert solve_values(ps) == tuple(z[ref.index[x]] for x in ps.nodes)
         assert model_check(iba, chain) == reference_probability(ref)
         loops += self_loop_transients(ps)
         plain += single_transient_nodes(ps)
-    assert loops > 0 and plain > 0
+        left_out += ref.node_count - ps.node_count
+    assert loops > 0 and plain > 0 and left_out > 0
+
+
+def dba_copies_iba(dbas):
+    """The 0/1 automaton of the disjoint union of deterministic acceptors:
+    a word's value is the number of them that accept it."""
+    entries = {a: {} for a in ALPHABET}
+    init, final, off = {}, [], 0
+    for dba in dbas:
+        for (q, a), q2 in dba.delta.items():
+            entries[a][(off + q, off + q2)] = QQ.one
+        init[(0, off + dba.initial)] = QQ.one
+        final += [off + f for f in dba.final]
+        off += dba.state_count
+    trans = {a: Matrix.from_entries(QQ, off, off, e) for a, e in entries.items()}
+    return Iba(ALPHABET, trans, Matrix.from_entries(QQ, 1, off, init), final)
+
+
+def entry_edge_iba(dba, weights):
+    """A deterministic acceptor behind a fresh initial state 0, whose edge
+    under letter a into the acceptor's initial state has weight
+    weights[a]: an accepted word read through a weight-2 or -1 edge has
+    value 2 or -1.  Stable, since the entry edges lie on no cycle."""
+    n = dba.state_count + 1
+    trans = {}
+    for a in ALPHABET:
+        entries = {(q + 1, q2 + 1): QQ.one for (q, b), q2 in dba.delta.items() if b == a}
+        entries[(0, dba.initial + 1)] = F(weights[a])
+        trans[a] = Matrix.from_entries(QQ, n, n, entries)
+    return Iba(ALPHABET, trans, Matrix.from_entries(QQ, 1, n, {(0, 0): QQ.one}), [f + 1 for f in dba.final])
+
+
+def non_binary_corpus(rng, count):
+    """Stable acceptors that are often not image-binary, each against a
+    random or closed-block chain: kdis with k below the true ambiguity,
+    unions of two deterministic acceptors, and deterministic acceptors
+    behind entry edges of weight 2 or -1."""
+    suite = dba_suite()
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 3
+        if kind == 0:
+            k = rng.randint(2, 3)
+            iba = kdis(bounded_ambiguity_nba(rng, k, 2, ALPHABET), rng.randint(1, k - 1))
+        elif kind == 1:
+            iba = dba_copies_iba([rng.choice(suite), rng.choice(suite)])
+        else:
+            iba = entry_edge_iba(rng.choice(suite), {"a": rng.choice((2, -1)), "b": rng.choice((1, 2, -1))})
+        if rng.random() < 0.5:
+            chain = random_mc(rng, rng.randint(2, 4), ALPHABET)
+        else:
+            chain = closed_block_chain(rng, rng.randint(1, 2), 2, rng.randint(1, 2))
+        aut = trim_iba(iba)[0]
+        if aut is None or is_ultimately_stable(aut):
+            cases.append((iba, chain))
+    return cases
+
+
+def test_refusals_match_the_full_grid_on_a_non_binary_corpus():
+    """``model_check`` gives the full grid's Fraction or its refusal,
+    except where the full grid refuses only for a value at a pair the
+    initial pairs never reach: there the answer is the one of the
+    reachable part of the full grid, whose values all lie in [0, 1]."""
+    refused = unreached = 0
+    for iba, chain in non_binary_corpus(random.Random(61), 90):
+        ref, sub = reachable_reference(iba, chain)
+        outcomes = []
+        for check in (lambda: model_check(iba, chain), lambda: checked_probability(ref)):
+            try:
+                outcomes.append(check())
+            except SemanticError as exc:
+                outcomes.append(str(exc))
+        got, full = outcomes
+        refused += full == "input not image-binary"
+        if got != full:
+            assert full == "input not image-binary"
+            assert got == checked_probability(sub)
+            unreached += 1
+    assert refused >= 20 and unreached > 0
 
 
 def test_trim_returns_its_input_when_it_keeps_every_state():
@@ -614,8 +784,8 @@ def test_tarjan_pass_counts(monkeypatch):
     pass per lasso of a sweep whose cycle is not a power v^k (k >= 2) of
     a shorter word; for ``build_product`` of an automaton known
     to be stable, one liveness pass over the automaton (trimming) and one
-    over the product, with no stability pass; one ``classify_scc`` call
-    per SCC."""
+    over the pairs that the initial pairs reach, with no stability pass;
+    one ``classify_scc`` call per SCC."""
     passes, classified = [], []
     tarjan, classify = graphs.strongly_connected_components, mc.classify_scc
 
@@ -642,7 +812,8 @@ def test_tarjan_pass_counts(monkeypatch):
     passes.clear()
     ps = build_product(iba, chain)
     assert ps.node_count > 0 and len(passes) == 2
-    assert passes[1] == ps.automaton.n * chain.state_count
+    reached = len(reachable_pairs(ps.automaton, chain))
+    assert passes[1] == reached < ps.automaton.n * chain.state_count
     assert classified == list(range(len(ps.sccs)))
     passes.clear()
     build_product(Iba(iba.alphabet, iba.trans, iba.init, iba.final), chain)
