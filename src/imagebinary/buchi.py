@@ -12,13 +12,12 @@ word.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from math import comb
 from types import MappingProxyType
 
 from .errors import InputError, InternalInvariantError, SemanticError
 from .fields import QQ
-from .graphs import live_components, reachable_from, strongly_connected_components
+from .graphs import explore, live_components, reachable_from, strongly_connected_components
 from .ifa import _transition_relation, words_up_to
 from .matrix import Matrix
 from .wa import _check_shapes, _distinct_letters, _join_word, _LetterMatrices, _parse_word
@@ -327,29 +326,28 @@ def diamond_on_loop(nba):
     """Structural sufficient condition for unbounded ambiguity: some
     useful state admits two distinct runs over one word back to itself.
     Useful means reachable from the initial states and able to reach a
-    cycle through a final state (letters may differ along the way)."""
+    cycle through a final state (letters may differ along the way).
+
+    False does not prove the ambiguity bounded: p -a-> p, p -a-> q,
+    q -a-> q with q final has infinitely many final paths on a^omega, yet
+    no state returns to itself on two runs."""
     graph = {q: set() for q in range(nba.state_count)}
     for (q, _a), succs in nba.delta.items():
         graph[q].update(succs)
     live = set().union(*live_components(graph, nba.final.__contains__))
     useful = reachable_from(graph, sorted(nba.initial)) & live
-    for q in sorted(useful):
-        # search pairs of runs from (q, q); flag records divergence so far
-        start = (q, q, False)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            p1, p2, fl = queue.popleft()
-            for a in nba.alphabet:
-                for s1 in nba.successors(p1, a):
-                    for s2 in nba.successors(p2, a):
-                        node = (s1, s2, fl or s1 != s2)
-                        if node == (q, q, True):
-                            return True
-                        if node not in seen:
-                            seen.add(node)
-                            queue.append(node)
-    return False
+
+    def successors(node):
+        # pairs of runs over one word; the flag records divergence so far
+        p1, p2, fl = node
+        return [
+            (s1, s2, fl or s1 != s2)
+            for a in nba.alphabet
+            for s1 in nba.successors(p1, a)
+            for s2 in nba.successors(p2, a)
+        ]
+
+    return any((q, q, True) in explore([(q, q, False)], successors) for q in sorted(useful))
 
 
 # --- image-binary automata over infinite words ------------------------------
@@ -607,34 +605,28 @@ def kdis(nba, k):
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    n2 = 2 * nba.state_count
-    bound = (k + 1) ** n2
     q0 = sorted(nba.initial)
-    ids = {}
-    order = []
+    starts = []
     alphas = []
     for size in range(1, min(k, len(q0)) + 1):
         for subset in itertools.combinations(q0, size):
-            r = CountVector({(q, False): 1 for q in subset})
-            alphas.append((len(order), (-1) ** (size - 1)))
-            ids[r] = len(order)
-            order.append(r)
-    edges = {a: [] for a in nba.alphabet}
-    for r in order:  # breadth first, in id order: edges[a][i] is state i's row
-        for a in nba.alphabet:
-            row = {}
-            for r2, w in sorted(kdis_successor_weights(nba, r, a, size_cap=k).items()):
-                j = ids.get(r2)
-                if j is None:
-                    j = len(order)
-                    if j >= bound:
-                        raise InternalInvariantError(
-                            "disambiguation state space exceeded (k+1)^(2n)"
-                        )
-                    ids[r2] = j
-                    order.append(r2)
-                row[j] = (-1) ** (r2.size - r.size) * w
-            edges[a].append(sorted(row.items()))
+            alphas.append((len(starts), (-1) ** (size - 1)))
+            starts.append(CountVector({(q, False): 1 for q in subset}))
+    rows = {}  # state -> per letter, its (successor, weight) pairs in order
+
+    def successors(r):
+        rows[r] = per = [
+            sorted(kdis_successor_weights(nba, r, a, size_cap=k).items()) for a in nba.alphabet
+        ]
+        return [r2 for row in per for r2, _w in row]
+
+    order = explore(starts, successors, (k + 1) ** (2 * nba.state_count),
+                    "disambiguation states (the (k+1)^(2n) bound)")
+    ids = {r: i for i, r in enumerate(order)}
+    edges = {
+        a: [sorted([(ids[r2], (-1) ** (r2.size - r.size) * w) for r2, w in rows[r][c]]) for r in order]
+        for c, a in enumerate(nba.alphabet)
+    }
     untrimmed = len(order)
     full = Iba(
         nba.alphabet,

@@ -10,12 +10,12 @@ acceptor with at most 2^n states.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InputError, InternalInvariantError, SemanticError
 from .fields import F2, QQ
+from .graphs import explore
 from .matrix import Matrix
 from .wa import (
     WeightedAutomaton,
@@ -221,49 +221,40 @@ def ifa_to_dfa(automaton):
         )
     # the scales of the backward vectors are common to every signature
     gs = [g for g, _, _ in bvecs]
-    cap = 2 ** a.n
     zero, one = field.zero, field.one
+    found = {}  # signature -> (its first forward vector, whether it accepts)
 
     def signature(v):
         """The dot products with the backward basis, as a scaled vector,
-        which is canonical."""
+        which is canonical; a new one is checked for a binary value."""
         u, p, q = v
         t, p, q = _scaled(field, {k: _idot(u, g) for k, g in enumerate(gs)}, p, q)
-        return tuple(t.items()), p, q
+        sig = tuple(t.items()), p, q
+        if sig not in found:
+            val = _dot(v, bwd, field)
+            if val != zero and val != one:
+                raise InternalInvariantError(
+                    "value %r outside {0,1}; input was not image-binary" % (val,)
+                )
+            found[sig] = v, val == one
+        return sig
 
-    def accepting_value(v):
-        val = _dot(v, bwd, field)
-        if val != zero and val != one:
-            raise InternalInvariantError(
-                "value %r outside {0,1}; input was not image-binary" % (val,)
-            )
-        return val == one
+    def successors(sig):
+        v = found[sig][0]
+        return [signature(_vec_mat(v, a.matrix(letter))) for letter in a.alphabet]
 
-    v0 = _row_vec(a.init)
-    ids = {signature(v0): 0}
-    accepting = set()
-    if accepting_value(v0):
-        accepting.add(0)
-    delta = {}
-    queue = deque([(0, v0)])
-    while queue:
-        i, v = queue.popleft()
-        for letter in a.alphabet:
-            v2 = _vec_mat(v, a.matrix(letter))
-            sig = signature(v2)
-            j = ids.get(sig)
-            if j is None:
-                j = len(ids)
-                if j >= cap:
-                    raise InternalInvariantError(
-                        "more than 2^n signatures; input was not image-binary"
-                    )
-                ids[sig] = j
-                if accepting_value(v2):
-                    accepting.add(j)
-                queue.append((j, v2))
-            delta[i, letter] = j
-    return Dfa(len(ids), a.alphabet, delta, 0, accepting)
+    graph = explore([signature(_row_vec(a.init))], successors, 2 ** a.n,
+                    "signatures (the 2^n bound); input was not image-binary")
+    return _numbered_dfa(graph, a.alphabet, lambda sig: found[sig][1])
+
+
+def _numbered_dfa(graph, alphabet, accepts):
+    """The DFA on the nodes of an ``explore`` result, numbered in discovery
+    order from the one start; ``graph[x]`` lists x's successors letter by
+    letter."""
+    ids = {x: i for i, x in enumerate(graph)}
+    delta = {(ids[x], a): ids[y] for x, ys in graph.items() for a, y in zip(alphabet, ys)}
+    return Dfa(len(ids), alphabet, delta, 0, [ids[x] for x in graph if accepts(x)])
 
 
 def dfa_to_ifa(dfa, field=QQ):
@@ -282,30 +273,17 @@ def dfa_to_ifa(dfa, field=QQ):
 def nfa_to_dfa(nfa):
     """Subset construction; breadth first with letters in alphabet order,
     states numbered in first-seen order, so the result is deterministic."""
-    start = frozenset(nfa.initial)
-    ids = {start: 0}
-    sets = [start]
-    delta = {}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        i = ids[cur]
-        for a in nfa.alphabet:
-            nxt = frozenset(q2 for q in cur for q2 in nfa.successors(q, a))
-            j = ids.get(nxt)
-            if j is None:
-                j = len(ids)
-                ids[nxt] = j
-                sets.append(nxt)
-                queue.append(nxt)
-            delta[i, a] = j
-    accepting = {i for i, subset in enumerate(sets) if subset & nfa.accepting}
-    return Dfa(len(sets), nfa.alphabet, delta, 0, accepting)
+
+    def successors(subset):
+        return [frozenset(q2 for q in subset for q2 in nfa.successors(q, a)) for a in nfa.alphabet]
+
+    graph = explore([frozenset(nfa.initial)], successors)
+    return _numbered_dfa(graph, nfa.alphabet, lambda subset: subset & nfa.accepting)
 
 
 def nfa_to_ifa(nfa, field=QQ):
     """Image-binary automaton for an NFA language, via determinisation.
-    The subset step can square the state count exponent (at most 2^n)."""
+    The subset step can grow the state count from n to 2^n."""
     return dfa_to_ifa(nfa_to_dfa(nfa), field)
 
 

@@ -29,7 +29,6 @@ once per component, and returns its cut as a ``Fiber``.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -37,7 +36,7 @@ from typing import NamedTuple
 from .buchi import is_ultimately_stable, trim_iba
 from .errors import InputError, InternalInvariantError, ParseError, SemanticError, ValidationError
 from .fields import QQ
-from .graphs import live_components, reaches_any
+from .graphs import explore, live_components, reaches_any
 from .matrix import Matrix, solve_rows
 from .wa import _distinct_letters
 
@@ -181,24 +180,21 @@ def build_product(iba, chain):
     # search from the initial pairs lists each reached node's successors
     # in graph and the integer B entries of those edges in weights
     init_s = [s for s, p in enumerate(chain.init) if p]
-    todo = [q * ns + s for q, _w in aut.init.int_rows()[0][0] for s in init_s]
-    graph = dict.fromkeys(todo)
     weights = {}
-    while todo:
-        x = todo.pop()
+
+    def successors(x):
         q, s = divmod(x, ns)
         f = label_scale[s]
-        out = graph[x] = []
+        out = []
         ws = weights[x] = []
         for s2, p in chain_rows[s]:
             pf = p * f
             for q2, w in label_rows[s][q]:
-                y = q2 * ns + s2
-                out.append(y)
+                out.append(q2 * ns + s2)
                 ws.append(pf * w)
-                if y not in graph:
-                    graph[y] = None
-                    todo.append(y)
+        return out
+
+    graph = explore([q * ns + s for q, _w in aut.init.int_rows()[0][0] for s in init_s], successors)
     comps = live_components(graph, lambda x: x // ns in aut.final)
     keep = sorted(x for comp in comps for x in comp)
     if not keep:
@@ -243,25 +239,15 @@ def classify_scc(ps, d):
             for t, _p in chain_rows[s]
         ]
     # the search runs on (s, states) pairs; the cut it finds becomes a Fiber
-    order = []
-    succs = {}
-    queue = deque([(s, frozenset([q])) for q, s in comp])
-    seen = set(queue)
-    while queue:
-        node = queue.popleft()
-        order.append(node)
+    def successors(node):
         s, states = node
-        succs[node] = out = []
         if not states:
-            continue
-        for t, move in moves[s]:
-            nxt = (t, frozenset([q2 for q in states for q2 in move[q]]))
-            out.append(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    doomed = reaches_any(succs, [x for x in order if not x[1]])
-    cut = next((Fiber(d, *x) for x in order if x not in doomed), None)
+            return ()
+        return [(t, frozenset([q2 for q in states for q2 in move[q]])) for t, move in moves[s]]
+
+    succs = explore([(s, frozenset([q])) for q, s in comp], successors)
+    doomed = reaches_any(succs, [x for x in succs if not x[1]])
+    cut = next((Fiber(d, *x) for x in succs if x not in doomed), None)
     return SccClass(nodes=comp, accepting=accepting, recurrent=cut is not None, cut=cut)
 
 

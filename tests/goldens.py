@@ -27,7 +27,10 @@ replaced them), and the serialisers and the random change of basis
 written from dense ``Fraction`` rows (before they read the integer
 view), and the document readers that stripped each line before
 splitting it and sorted every transition key (before one split per
-line and rows built per letter and state).  ``edited`` draws the line edits of a document that the parser
+line and rows built per letter and state), and the subset construction
+and the disambiguation with their own worklists and numbering (before
+``graphs.explore`` replaced them; ``reference_ifa_to_dfa`` numbers its
+signatures the same way).  ``edited`` draws the line edits of a document that the parser
 and command line fuzz tests share.
 """
 
@@ -58,6 +61,8 @@ from imagebinary import (
     SemanticError,
     ValidationError,
     WeightedAutomaton,
+    kdis_successor_weights,
+    trim_iba,
     zero_automaton,
 )
 from imagebinary.fields import field_by_name
@@ -1042,6 +1047,80 @@ def reference_ifa_to_dfa(automaton):
                 queue.append((j, v2))
             delta[i, letter] = j
     return Dfa(len(ids), a.alphabet, delta, 0, accepting)
+
+
+def reference_nfa_to_dfa(nfa):
+    """Subset construction with its own queue and first-seen numbering."""
+    start = frozenset(nfa.initial)
+    ids = {start: 0}
+    sets = [start]
+    delta = {}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        i = ids[cur]
+        for a in nfa.alphabet:
+            nxt = frozenset(q2 for q in cur for q2 in nfa.successors(q, a))
+            j = ids.get(nxt)
+            if j is None:
+                j = len(ids)
+                ids[nxt] = j
+                sets.append(nxt)
+                queue.append(nxt)
+            delta[i, a] = j
+    accepting = {i for i, subset in enumerate(sets) if subset & nfa.accepting}
+    return Dfa(len(sets), nfa.alphabet, delta, 0, accepting)
+
+
+def reference_kdis(nba, k):
+    """``kdis`` with its own id-order loop: states are numbered as they
+    are met, each state's rows are built when its id comes up, and the
+    (k+1)^(2n) bound is checked on each new state."""
+    bound = (k + 1) ** (2 * nba.state_count)
+    q0 = sorted(nba.initial)
+    ids = {}
+    order = []
+    alphas = []
+    for size in range(1, min(k, len(q0)) + 1):
+        for subset in itertools.combinations(q0, size):
+            r = CountVector({(q, False): 1 for q in subset})
+            alphas.append((len(order), (-1) ** (size - 1)))
+            ids[r] = len(order)
+            order.append(r)
+    edges = {a: [] for a in nba.alphabet}
+    for r in order:
+        for a in nba.alphabet:
+            row = {}
+            for r2, w in sorted(kdis_successor_weights(nba, r, a, size_cap=k).items()):
+                j = ids.get(r2)
+                if j is None:
+                    j = len(order)
+                    if j >= bound:
+                        raise InternalInvariantError("disambiguation state space exceeded (k+1)^(2n)")
+                    ids[r2] = j
+                    order.append(r2)
+                row[j] = (-1) ** (r2.size - r.size) * w
+            edges[a].append(sorted(row.items()))
+    untrimmed = len(order)
+    full = Iba(
+        nba.alphabet,
+        {a: Matrix.from_int_rows(QQ, untrimmed, edges[a], 1) for a in nba.alphabet},
+        Matrix.from_int_rows(QQ, untrimmed, [alphas], 1),
+        {i for i, r in enumerate(order) if all(b for (_q, b), _c in r.items())},
+        state_labels=order,
+        untrimmed_state_count=untrimmed,
+    )
+    out = trim_iba(full)[0]
+    if out is None:
+        return Iba(
+            nba.alphabet,
+            {a: Matrix.zeros(QQ, 1, 1) for a in nba.alphabet},
+            Matrix.zeros(QQ, 1, 1),
+            frozenset(),
+            state_labels=[None],
+            untrimmed_state_count=untrimmed,
+        )
+    return out
 
 
 def reference_product(a, b):

@@ -15,7 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imagebinary import (
+    Lasso,
     Matrix,
+    Nba,
+    OVERFLOW,
     QQ,
     eval_word,
     kdis,
@@ -23,6 +26,7 @@ from imagebinary import (
     lfsr_period,
     lfsr_sequence,
     mod2,
+    nba_lasso_count_final,
 )
 from imagebinary.buchi import Iba
 from imagebinary.cli import _build_parser, main
@@ -276,6 +280,23 @@ def test_ambiguity_check(run, nba_path, tmp_path):
     )
     path = tmp_path / "diamond.nba"
     path.write_text(diamond_doc)
+    code, out, err = run("ambiguity-check", str(path), "--k", "5")
+    assert (code, out) == (0, "no\n")
+    assert "ambiguity is unbounded" in err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the warning needs two runs from one state back to itself")
+def test_ambiguity_warning_fires_on_a_loop_that_feeds_a_loop(run, tmp_path):
+    """p -a-> p, p -a-> q, q -a-> q with q final has infinitely many final
+    paths on a^omega, so its ambiguity is unbounded.  No state has two
+    runs back to itself over one word, so ``diamond_on_loop`` misses it
+    and ``ambiguity-check --k 5`` prints a plain "no".  This fails loudly
+    once the warning (or an exact verdict) covers the case."""
+    nba = Nba(2, ("a",), [(0, "a", 0), (0, "a", 1), (1, "a", 1)], [0], [1])
+    assert nba_lasso_count_final(nba, Lasso("", "a"), 5) is OVERFLOW
+    path = tmp_path / "loop_feeds_loop.nba"
+    save_automaton(str(path), nba)
     code, out, err = run("ambiguity-check", str(path), "--k", "5")
     assert (code, out) == (0, "no\n")
     assert "ambiguity is unbounded" in err

@@ -1,10 +1,16 @@
-"""Graph utilities checked against brute-force reachability oracles."""
+"""Graph utilities checked against brute-force reachability oracles, and
+the constructions built on ``explore`` against the worklists it
+replaced."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from imagebinary import InternalInvariantError, Nba, Nfa, ifa_to_dfa, kdis, nfa_to_dfa
+from imagebinary.fixtures import bounded_ambiguity_nba, conjugated_ifa, random_dfa
 from imagebinary.graphs import (
+    explore,
     live_components,
     nodes_on_cycles,
     reachable_from,
@@ -12,7 +18,12 @@ from imagebinary.graphs import (
     strongly_connected_components,
 )
 
-from goldens import reference_strongly_connected_components
+from goldens import (
+    reference_ifa_to_dfa,
+    reference_kdis,
+    reference_nfa_to_dfa,
+    reference_strongly_connected_components,
+)
 
 
 # === Oracles ===
@@ -119,6 +130,7 @@ def test_reachable_matches_oracle(edges, starts):
     for s in starts:
         expected.update(v for v in range(n) if reach[s][v])
     assert reachable_from(g, starts) == expected
+    assert set(explore(starts, lambda x: g.get(x, ()))) == expected
 
 
 @settings(max_examples=60)
@@ -138,6 +150,85 @@ def test_reachability_empty_inputs():
     g = graph_of(3, [(0, 1)])
     assert reachable_from(g, []) == set()
     assert reaches_any(g, []) == set()
+
+
+# === The bounded search ===
+
+
+def test_explore_is_breadth_first_in_list_order():
+    g = {0: [2, 1], 1: [3, 0], 2: [4], 3: [], 4: [3, 5], 5: [5]}
+    graph = explore([0], g.__getitem__)
+    assert list(graph) == [0, 2, 1, 4, 3, 5] and graph[1] == [3, 0]
+    assert list(explore([3, 1], g.__getitem__)) == [3, 1, 0, 2, 4, 5]
+
+
+def test_explore_keys_duplicate_starts_once():
+    graph = explore([1, 0, 1, 0], {0: [1], 1: []}.__getitem__)
+    assert list(graph) == [1, 0] and graph == {1: [], 0: [1]}
+
+
+def test_explore_makes_a_key_of_a_successor_the_graph_lacks():
+    g = {0: [7]}
+    assert explore([0], lambda x: g.get(x, ())) == {0: [7], 7: ()}
+
+
+def test_explore_from_no_start_is_empty():
+    assert explore([], lambda x: [x + 1], 0) == {}
+
+
+def test_explore_limit_boundary():
+    """Exactly ``limit`` nodes pass; the next new node raises, naming the
+    limit and what was counted.  Starts count too."""
+    chain = lambda x: [x + 1] if x < 4 else []  # noqa: E731
+    assert list(explore([0], chain, 5, "links")) == [0, 1, 2, 3, 4]
+    with pytest.raises(InternalInvariantError, match="more than 4 links"):
+        explore([0], chain, 4, "links")
+    assert list(explore([0, 1], lambda x: [x], 2)) == [0, 1]
+    with pytest.raises(InternalInvariantError, match="more than 1 nodes"):
+        explore([0, 1], lambda x: [x], 1)
+
+
+def random_nfa(rng):
+    n = rng.randint(1, 5)
+    triples = {(rng.randrange(n), rng.choice("ab"), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))}
+    return Nfa(n, ("a", "b"), sorted(triples), rng.sample(range(n), rng.randint(0, min(n, 2))),
+               rng.sample(range(n), rng.randint(0, n)))
+
+
+def same_dfa(got, want):
+    assert (got.state_count, got.initial, got.alphabet) == (want.state_count, want.initial, want.alphabet)
+    assert got.delta == want.delta and got.accepting == want.accepting
+
+
+def test_constructions_number_states_like_their_worklists():
+    """The subset DFA, the signature DFA and the disambiguation, each
+    built on ``explore``, give the same states in the same numbering as
+    the worklists they replaced: on seeded random NFAs, conjugated random
+    DFAs, bounded-ambiguity acceptors with k = 1..3 and random
+    acceptors."""
+    rng = random.Random(43)
+    sizes = set()
+    for _ in range(60):
+        nfa = random_nfa(rng)
+        same_dfa(nfa_to_dfa(nfa), reference_nfa_to_dfa(nfa))
+        ifa = conjugated_ifa(rng, random_dfa(rng, rng.randint(1, 5), ("a", "b")))
+        dfa = ifa_to_dfa(ifa)
+        same_dfa(dfa, reference_ifa_to_dfa(ifa))
+        sizes.add(dfa.state_count > 2)
+    acceptors = [(bounded_ambiguity_nba(rng, k, rng.randint(1, 3), ("a", "b")), k)
+                 for k in (1, 2, 3) for _ in range(8)]
+    for _ in range(30):  # not k-ambiguous, but rows whose ids come out of order
+        nfa = random_nfa(rng)
+        edges = [(q, a, q2) for (q, a), succs in nfa.delta.items() for q2 in succs]
+        acceptors.append((Nba(nfa.state_count, ("a", "b"), edges, nfa.initial or [0], nfa.accepting),
+                          rng.randint(1, 2)))
+    for nba, k in acceptors:
+        got, want = kdis(nba, k), reference_kdis(nba, k)
+        assert got == want
+        assert got.state_labels == want.state_labels
+        assert got.untrimmed_state_count == want.untrimmed_state_count
+        sizes.add(got.untrimmed_state_count > 10)
+    assert sizes == {True, False}
 
 
 # === Cycle membership ===
