@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from .errors import InputError, InternalInvariantError, SemanticError
 from .fields import QQ
-from .graphs import explore, live_components, reachable_from, strongly_connected_components
+from .graphs import _cyclic, explore, live_components, reachable_from, strongly_connected_components
 from .ifa import _transition_relation, words_up_to
 from .matrix import Matrix
 from .wa import _check_shapes, _distinct_letters, _join_word, _LetterMatrices, _parse_word
@@ -322,6 +322,42 @@ def check_ambiguity_on_lassos(nba, k, max_stem, max_cycle):
     return all(total is not None and total <= k for _stem, _cycle, total in sweep)
 
 
+def _pair_step(rows):
+    """Successors of node (p, q, apart) in the product of two runs over one
+    word: p and q step on the same letter, and ``apart`` is set once the
+    runs have differed.  ``rows`` is {letter: per state, its (successor,
+    weight) pairs}; the weights are ignored."""
+    tables = list(rows.values())
+
+    def successors(node):
+        p, q, apart = node
+        return [(s1, s2, apart or s1 != s2) for t in tables for s1, _w in t[p] for s2, _v in t[q]]
+
+    return successors
+
+
+def _unambiguous(start, rows, final):
+    """True iff no infinite word has two final paths from the states of
+    ``start``: no cyclic component of the two-run product from the pairs
+    of start states has ``apart`` set, a node whose first state is final
+    and a node whose second state is final (Weber and Seidl, TCS 1991).
+
+    Proof: two distinct final runs of one word step through the product
+    and end, apart, in the component of the nodes they visit infinitely
+    often, which holds both copies' finals; conversely a path into such a
+    component and a cycle in it through both finals spell a lasso with two
+    distinct final paths.  With every weight 1 a lasso's value is its
+    number of final paths, so this decides image-binariness."""
+    graph = explore([(p, q, p != q) for p in start for q in start], _pair_step(rows))
+    return not any(
+        comp[0][2]
+        and _cyclic(graph, comp)
+        and any(p in final for p, _q, _a in comp)
+        and any(q in final for _p, q, _a in comp)
+        for comp in strongly_connected_components(graph)
+    )
+
+
 def diamond_on_loop(nba):
     """Structural sufficient condition for unbounded ambiguity: some
     useful state admits two distinct runs over one word back to itself.
@@ -336,18 +372,8 @@ def diamond_on_loop(nba):
         graph[q].update(succs)
     live = set().union(*live_components(graph, nba.final.__contains__))
     useful = reachable_from(graph, sorted(nba.initial)) & live
-
-    def successors(node):
-        # pairs of runs over one word; the flag records divergence so far
-        p1, p2, fl = node
-        return [
-            (s1, s2, fl or s1 != s2)
-            for a in nba.alphabet
-            for s1 in nba.successors(p1, a)
-            for s2 in nba.successors(p2, a)
-        ]
-
-    return any((q, q, True) in explore([(q, q, False)], successors) for q in sorted(useful))
+    step = _pair_step(_nba_rows(nba))
+    return any((q, q, True) in explore([(q, q, False)], step) for q in sorted(useful))
 
 
 # --- image-binary automata over infinite words ------------------------------
@@ -358,18 +384,19 @@ def is_ultimately_stable(iba):
     nonzero-edge path may lead from its target back to its source (so no
     such edge lies on a cycle).  Decided once per automaton: such an edge
     lies on a cycle exactly when both its ends share a strongly connected
-    component of the nonzero edge graph."""
+    component of the nonzero edge graph, which is computed only when there
+    is such an edge (never for a 0/1 automaton)."""
     if iba._stable is None:
-        comp = {}
-        for d, nodes in enumerate(strongly_connected_components(iba.nonzero_edge_graph())):
-            for q in nodes:
-                comp[q] = d
-        iba._stable = not any(
-            w != den and comp[q] == comp[q2]
+        non_unit = [
+            (q, q2)
             for rows, den in (m.int_rows() for m in iba.trans.values())
             for q, row in enumerate(rows)
             for q2, w in row
-        )
+            if w != den
+        ]
+        comps = strongly_connected_components(iba.nonzero_edge_graph()) if non_unit else []
+        comp = {q: d for d, nodes in enumerate(comps) for q in nodes}
+        iba._stable = not any(comp[q] == comp[q2] for q, q2 in non_unit)
     return iba._stable
 
 
@@ -413,8 +440,22 @@ def iba_lasso_count_final(iba, lasso, cap):
 
 def binariness_witness(iba, max_stem, max_cycle):
     """First lasso (bounded lengths) whose value is outside {0, 1},
-    as a (lasso, value) pair, or None when all tested values are 0/1."""
+    as a (lasso, value) pair, or None when all tested values are 0/1.
+
+    When every initial and edge weight is 1, the two-run product of
+    ``_unambiguous`` settles the answer first: with no word of two final
+    paths, every lasso is worth 0 or 1 and None is returned without
+    sweeping.  Any other input, and an ambiguous 0/1 one, is swept lasso
+    by lasso, so ambiguity that shows only beyond the bounds still gives
+    None."""
     start, rows = _stable_weights(iba)
+    if max_stem < 0 or max_cycle < 1:
+        raise InputError("lasso bounds need max_stem >= 0 and max_cycle >= 1")
+    unit = all(w == 1 for w in start.values()) and all(
+        w == 1 for table in rows.values() for row in table for _q, w in row
+    )
+    if unit and _unambiguous(start, rows, iba.final):
+        return None
     for stem, cycle, total in _lasso_sweep(start, rows, iba.final, max_stem, max_cycle):
         if total is None:
             raise SemanticError(

@@ -8,9 +8,10 @@ deterministic given insertion order.
 construction.  ``strongly_connected_components`` is the one Tarjan pass
 behind the lasso engine, the liveness pass and the stability test; a
 lasso sweep runs it once per stem and root cycle word (28 passes for the
-42 lassos of the 2+2 spot check), so its per-node bookkeeping is kept
-small: one index per visited node and one low link per node still on
-the Tarjan stack.
+42 lassos of the 2+2 spot check, on an automaton with some weight other
+than 1; a 0/1 automaton's spot check makes one pass, over its two-run
+product), so its per-node bookkeeping is kept small: one index per
+visited node and one low link per node still on the Tarjan stack.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import InputError, InternalInvariantError, SemanticError
+from .errors import InputError, SemanticError
 from .fields import F2, QQ
 from .graphs import explore
 from .matrix import Matrix
@@ -208,8 +208,9 @@ def ifa_to_dfa(automaton):
 
     States are signatures of forward vectors against a basis of the
     backward space, so two words reaching the same signature have the same
-    residual language.  At most 2^n signatures can appear; exceeding that
-    (or meeting a non-binary value) means the input was not image-binary.
+    residual language.  A signature whose value is outside {0,1} raises
+    ``SemanticError`` naming the value; an image-binary input has at most
+    2^n signatures, so exceeding that means the input was not image-binary.
     """
     a = automaton
     field = a.field
@@ -233,9 +234,7 @@ def ifa_to_dfa(automaton):
         if sig not in found:
             val = _dot(v, bwd, field)
             if val != zero and val != one:
-                raise InternalInvariantError(
-                    "value %r outside {0,1}; input was not image-binary" % (val,)
-                )
+                raise SemanticError("input not image-binary (a word has value %s)" % (val,))
             found[sig] = v, val == one
         return sig
 

@@ -341,7 +341,9 @@ def model_check(iba, chain):
     them every value the answer reads.  So an automaton whose values
     leave [0, 1] only at pairs the chain never reaches is answered, not
     refused; the lasso spot check of ``binariness_witness``, which the
-    command line runs first, can still refuse it."""
+    command line runs first, can still refuse it.  That check decides a
+    0/1 automaton (every weight 1) by its two-run product, and sweeps
+    its lassos only when some word has two final paths."""
     ps = build_product(iba, chain)
     z = solve_values(ps)
     if ps.node_count == 0:

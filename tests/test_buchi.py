@@ -216,8 +216,10 @@ def test_lasso_bounds_and_letters_are_checked():
     for max_stem, max_cycle in ((-1, 3), (3, 0), (-1, 0)):
         with pytest.raises(InputError, match="lasso bounds"):
             check_ambiguity_on_lassos(nba, 1, max_stem, max_cycle)
-        with pytest.raises(InputError, match="lasso bounds"):
-            binariness_witness(iba, max_stem, max_cycle)
+        # the 0/1 automata, ambiguous or not, are checked before the product
+        for automaton in (iba, nba_as_iba(nba), dba_suite()[0].to_iba()):
+            with pytest.raises(InputError, match="lasso bounds"):
+                binariness_witness(automaton, max_stem, max_cycle)
     assert not check_ambiguity_on_lassos(nba, 1, 0, 1)
     assert binariness_witness(iba, 0, 1) is None
     for query, automaton in ((nba_lasso_accepts, nba), (iba_lasso_eval, iba)):
@@ -459,12 +461,37 @@ def witness_per_lasso(iba, max_stem, max_cycle):
     return None
 
 
+def two_copies(nba):
+    """The acceptor beside a disjoint copy of itself: every word it accepts
+    has twice as many final paths."""
+    n = nba.state_count
+    triples = [(q + c, a, q2 + c) for (q, a), ss in nba.delta.items() for q2 in ss for c in (0, n)]
+    return Nba(2 * n, nba.alphabet, triples, [q + c for q in nba.initial for c in (0, n)],
+               [f + c for f in nba.final for c in (0, n)])
+
+
+def unambiguous_nba():
+    """Nondeterministic but unambiguous: the a-step from 0 guesses the
+    next letter, and only the right guess lives on."""
+    return Nba(3, ("a", "b"), [(0, "a", 1), (0, "a", 2), (1, "a", 0), (2, "b", 0)], [0], [0])
+
+
+def long_stem_split_nba():
+    """Two final runs on a^6.b^omega that split after the stem a^6, so no
+    lasso within 2+4 has two final paths."""
+    chain = [(q, "a", q + 1) for q in range(6)]
+    return Nba(9, ("a", "b"), chain + [(6, "b", 7), (6, "b", 8), (7, "b", 7), (8, "b", 8)],
+               [0], [7, 8])
+
+
 def test_witness_matches_a_per_lasso_loop():
-    """``binariness_witness`` on the sweep returns the same first lasso and
-    value, or raises on the same first lasso with infinitely many final
-    paths, as a loop of ``iba_lasso_eval`` calls: on kdis outputs (with
-    all and with half of their final states) and on random acceptors with
-    weight-1 and with rational weights."""
+    """``binariness_witness`` returns the same first lasso and value, or
+    raises on the same first lasso with infinitely many final paths, as a
+    loop of ``iba_lasso_eval`` calls: on kdis outputs (with all and with
+    half of their final states), on random acceptors with weight-1 and
+    with rational weights, and on 0/1 automata that the two-run product
+    settles (deterministic and unambiguous acceptors) or hands to the
+    sweep (two copies, and a split after a stem longer than the bound)."""
     rng = random.Random(97)
     ibas = []
     for k, size in ((1, 3), (2, 2), (3, 1)):
@@ -474,12 +501,44 @@ def test_witness_matches_a_per_lasso_loop():
     for _ in range(10):
         nba = random_nba(rng, rng.randint(2, 4), ("a", "b"), density=0.35)
         ibas += [nba_as_iba(nba), stable_rational_iba(rng, nba)]
+    for dba in dba_suite():
+        ibas += [dba.to_iba(), nba_as_iba(two_copies(dba.to_nba()))]
+    ibas += [nba_as_iba(unambiguous_nba()), nba_as_iba(long_stem_split_nba())]
     kinds = set()
+    settled = []
     for iba in ibas:
         got = witness_outcome(binariness_witness, iba, 2, 4)
         assert got == witness_outcome(witness_per_lasso, iba, 2, 4)
         kinds.add(type(got))
+        start, rows = buchi._stable_weights(iba)
+        if all(w == 1 for w in start.values()) and all(
+            w == 1 for table in rows.values() for row in table for _q, w in row
+        ):
+            settled.append(buchi._unambiguous(start, rows, iba.final))
+            assert got is None or not settled[-1]
     assert kinds == {type(None), tuple, str}
+    assert settled.count(True) > 10 and settled.count(False) > 10
+    # ambiguous, but only beyond the bounds: the sweep still answers None
+    assert not settled[-1] and got is None
+
+
+def test_two_run_product_matches_lasso_counts():
+    """``_unambiguous`` on 0/1 acceptors of 2-4 states says True exactly
+    when every lasso up to 4+4 has at most one final path; it proves the
+    nondeterministic acceptor unambiguous and finds the split beyond a
+    stem of 6."""
+    rng = random.Random(101)
+    verdicts = []
+    for _ in range(60):
+        nba = random_nba(rng, rng.randint(2, 4), ("a", "b"), density=rng.choice((0.2, 0.3, 0.45)))
+        got = buchi._unambiguous(dict.fromkeys(nba.initial, 1), buchi._nba_rows(nba), nba.final)
+        lassos = all_lassos(4, 4)
+        assert got == all(nba_lasso_count_final(nba, x, 1) is not OVERFLOW for x in lassos)
+        verdicts.append(got)
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+    for nba, unambiguous in ((unambiguous_nba(), True), (long_stem_split_nba(), False)):
+        rows = buchi._nba_rows(nba)
+        assert buchi._unambiguous(dict.fromkeys(nba.initial, 1), rows, nba.final) == unambiguous
 
 
 def test_negative_cap_is_refused_by_both_counters():

@@ -10,10 +10,10 @@ from imagebinary import (
     Dfa,
     F2,
     InputError,
-    InternalInvariantError,
     Matrix,
     Nfa,
     QQ,
+    SemanticError,
     WeightedAutomaton,
     block_rank,
     complement,
@@ -182,8 +182,19 @@ def test_ifa_to_dfa_conjugated():
 
 
 def test_ifa_to_dfa_rejects_non_binary():
-    with pytest.raises(InternalInvariantError):
+    """A non-binary input is the user's fault, not a bug: ``SemanticError``
+    (exit 3) naming the value, on a sum of two overlapping languages too."""
+    with pytest.raises(SemanticError, match="value 2"):
         ifa_to_dfa(doubling_wa())
+    from imagebinary import add
+
+    both = Dfa(1, ("a", "b"), {(0, "a"): 0, (0, "b"): 0}, 0, [0])
+    a_first = Dfa(3, ("a", "b"), {(0, "a"): 1, (0, "b"): 2, (1, "a"): 1, (1, "b"): 1,
+                                  (2, "a"): 2, (2, "b"): 2}, 0, [1])
+    total = add(dfa_to_ifa(both), dfa_to_ifa(a_first))
+    assert not is_image_binary(total)[0]
+    with pytest.raises(SemanticError, match=r"not image-binary \(a word has value 2\)"):
+        ifa_to_dfa(total)
 
 
 # === Hankel blocks ===

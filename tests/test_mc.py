@@ -782,10 +782,12 @@ def test_trim_keeps_a_known_stability_flag():
 def test_tarjan_pass_counts(monkeypatch):
     """The work model that the benchmark's traced counts read: one Tarjan
     pass per lasso of a sweep whose cycle is not a power v^k (k >= 2) of
-    a shorter word; for ``build_product`` of an automaton known
-    to be stable, one liveness pass over the automaton (trimming) and one
-    over the pairs that the initial pairs reach, with no stability pass;
-    one ``classify_scc`` call per SCC."""
+    a shorter word, and for a 0/1 automaton one pass over the two-run
+    product instead of the sweep; a stability pass only when some edge
+    weight is not 1; for ``build_product`` of an automaton known to be
+    stable, one liveness pass over the automaton (trimming) and one over
+    the pairs that the initial pairs reach, with no stability pass; one
+    ``classify_scc`` call per SCC."""
     passes, classified = [], []
     tarjan, classify = graphs.strongly_connected_components, mc.classify_scc
 
@@ -802,12 +804,18 @@ def test_tarjan_pass_counts(monkeypatch):
     monkeypatch.setattr(mc, "classify_scc", counted_classify)
     rng = random.Random(17)
     iba = kdis(bounded_ambiguity_nba(rng, 2, 3, ALPHABET), 2)
+    both = dba_suite()[3]  # infinitely many a and b
+    entry = entry_edge_iba(both, {"a": 2, "b": -1})
     passes.clear()
-    assert is_ultimately_stable(iba) and len(passes) == 1
+    # every edge of this kdis output has weight 1 (its -1 is an initial weight)
+    assert is_ultimately_stable(iba) and passes == []
+    assert is_ultimately_stable(entry) and len(passes) == 1
     passes.clear()
     assert binariness_witness(iba, 2, 2) is None
     # stems of length <= 2 times the cycles a, b, ab, ba (aa and bb reuse a and b)
     assert len(passes) == 7 * 4
+    passes.clear()
+    assert binariness_witness(both.to_iba(), 2, 2) is None and len(passes) == 1
     chain = closed_block_chain(rng, 2, 2, 2)
     passes.clear()
     ps = build_product(iba, chain)
@@ -817,6 +825,9 @@ def test_tarjan_pass_counts(monkeypatch):
     assert classified == list(range(len(ps.sccs)))
     passes.clear()
     build_product(Iba(iba.alphabet, iba.trans, iba.init, iba.final), chain)
+    assert len(passes) == 2  # not yet known, but every edge weight is 1
+    passes.clear()
+    build_product(Iba(entry.alphabet, entry.trans, entry.init, entry.final), chain)
     assert len(passes) == 3  # not yet known: one stability pass on the trimmed automaton
 
 
