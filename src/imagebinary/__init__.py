@@ -32,7 +32,6 @@ from .wa import (
 from .ifa import (
     Dfa,
     HankelBlock,
-    Nfa,
     block_rank,
     complement,
     dfa_to_ifa,

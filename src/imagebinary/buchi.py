@@ -18,7 +18,7 @@ from types import MappingProxyType
 from .errors import InputError, InternalInvariantError, SemanticError
 from .fields import QQ
 from .graphs import _cyclic, explore, live_components, reachable_from, strongly_connected_components
-from .ifa import _transition_relation, words_up_to
+from .ifa import words_up_to
 from .matrix import Matrix
 from .wa import _check_shapes, _distinct_letters, _join_word, _LetterMatrices, _parse_word
 
@@ -57,19 +57,40 @@ OVERFLOW = _OverflowMarker()
 
 class Nba:
     """Buchi acceptor: a run is accepting when it visits a final state
-    infinitely often."""
+    infinitely often.  Read over finite words, with the final states as
+    accepting states, it is a nondeterministic finite acceptor.
+
+    ``delta`` ({(q, a): frozenset of successors}) and ``rows`` ({letter:
+    per state, its successors in order with weight 1}, the view every run
+    analysis reads) are built once and read-only."""
 
     def __init__(self, state_count, alphabet, transitions, initial, final):
         self.state_count = state_count
         self.alphabet = _distinct_letters(alphabet)
         self.initial = frozenset(initial)
         self.final = frozenset(final)
-        self.delta = _transition_relation(
-            state_count, self.alphabet, transitions, self.initial | self.final
-        )
+        delta = {}
+        for (q, a, q2) in transitions:
+            if not (0 <= q < state_count and 0 <= q2 < state_count):
+                raise InputError("transition (%r, %r, %r) out of range" % (q, a, q2))
+            if a not in self.alphabet:
+                raise InputError("transition letter %r not in alphabet" % (a,))
+            succs = delta.setdefault((q, a), set())
+            if q2 in succs:
+                raise InputError("duplicate transition (%r, %r, %r)" % (q, a, q2))
+            succs.add(q2)
+        for q in self.initial | self.final:
+            if not 0 <= q < state_count:
+                raise InputError("state %r out of range" % (q,))
+        self.delta = MappingProxyType({key: frozenset(s) for key, s in delta.items()})
+        self.rows = MappingProxyType({
+            a: tuple(tuple((q2, 1) for q2 in sorted(delta.get((q, a), ())))
+                     for q in range(state_count))
+            for a in self.alphabet
+        })
 
     def successors(self, q, a):
-        return self.delta.get((q, a), set())
+        return self.delta.get((q, a), frozenset())
 
     def __eq__(self, other):
         return (
@@ -116,8 +137,8 @@ class Iba(_LetterMatrices):
     infinite word is the sum over final paths of the path weights; for the
     automata built here that value is always 0 or 1.
 
-    ``trans`` is read-only, so the nonzero edge graph and the ultimate
-    stability flag are computed once, on first use.
+    ``trans`` is read-only, so the ultimate stability flag is computed
+    once, on first use.
     ``untrimmed_state_count`` is the state count of the construction
     before trimming, when the automaton came from one (else None)."""
 
@@ -138,19 +159,16 @@ class Iba(_LetterMatrices):
         if self.state_labels is not None and len(self.state_labels) != n:
             raise InputError("state_labels must have one entry per state")
         self.n = n
-        self._edges = None
         self._stable = None
 
     def nonzero_edge_graph(self):
         """{state: tuple of states reached by a nonzero weight under some
         letter}, read-only."""
-        if self._edges is None:
-            succs = [set() for _ in range(self.n)]
-            for m in self.trans.values():
-                for q, row in enumerate(m.int_rows()[0]):
-                    succs[q].update(q2 for q2, _w in row)
-            self._edges = MappingProxyType({q: tuple(sorted(s)) for q, s in enumerate(succs)})
-        return self._edges
+        succs = [set() for _ in range(self.n)]
+        for m in self.trans.values():
+            for q, row in enumerate(m.int_rows()[0]):
+                succs[q].update(q2 for q2, _w in row)
+        return MappingProxyType({q: tuple(sorted(s)) for q, s in enumerate(succs)})
 
     def __eq__(self, other):
         # labels are decoration, not identity
@@ -186,26 +204,6 @@ class Iba(_LetterMatrices):
 # A sum belongs to the word: u.(v^k)^omega is u.v^omega, so a sweep reuses
 # the sum of the root v, met first (rotations, (u.x, v.x) against
 # (u, x.v), are one word too, but across stems, and are not shared).
-
-
-class _UnitRows(dict):
-    """The same successors with weight 1, so that the engine counts; a row
-    is built when the engine first reaches its state."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __missing__(self, q):
-        row = self[q] = tuple([(q2, 1) for q2, _w in self.rows[q]])
-        return row
-
-
-def _nba_rows(nba):
-    """{letter: per state, its successors in order with weight 1}."""
-    return {
-        a: [[(q2, 1) for q2 in sorted(nba.successors(q, a))] for q in range(nba.state_count)]
-        for a in nba.alphabet
-    }
 
 
 def _step(layer, rows):
@@ -307,7 +305,7 @@ def nba_lasso_count_final(nba, lasso, cap):
     """
     if cap < 0:
         raise InputError("cap must be nonnegative")
-    total = _lasso_sum(dict.fromkeys(nba.initial, 1), _nba_rows(nba), lasso, nba.final)
+    total = _lasso_sum(dict.fromkeys(nba.initial, 1), nba.rows, lasso, nba.final)
     return OVERFLOW if total is None or total > cap else total
 
 
@@ -316,9 +314,7 @@ def check_ambiguity_on_lassos(nba, k, max_stem, max_cycle):
     <= max_cycle has at most k final paths."""
     if k < 0:
         raise InputError("k must be nonnegative")
-    sweep = _lasso_sweep(
-        dict.fromkeys(nba.initial, 1), _nba_rows(nba), nba.final, max_stem, max_cycle
-    )
+    sweep = _lasso_sweep(dict.fromkeys(nba.initial, 1), nba.rows, nba.final, max_stem, max_cycle)
     return all(total is not None and total <= k for _stem, _cycle, total in sweep)
 
 
@@ -367,13 +363,17 @@ def diamond_on_loop(nba):
     False does not prove the ambiguity bounded: p -a-> p, p -a-> q,
     q -a-> q with q final has infinitely many final paths on a^omega, yet
     no state returns to itself on two runs."""
-    graph = {q: set() for q in range(nba.state_count)}
-    for (q, _a), succs in nba.delta.items():
-        graph[q].update(succs)
-    live = set().union(*live_components(graph, nba.final.__contains__))
-    useful = reachable_from(graph, sorted(nba.initial)) & live
-    step = _pair_step(_nba_rows(nba))
-    return any((q, q, True) in explore([(q, q, False)], step) for q in sorted(useful))
+    graph = {q: {q2 for t in nba.rows.values() for q2, _w in t[q]} for q in range(nba.state_count)}
+    step = _pair_step(nba.rows)
+    return any((q, q, True) in explore([(q, q, False)], step)
+               for q in _useful(graph, sorted(nba.initial), nba.final))
+
+
+def _useful(graph, start, final):
+    """The states, in order, reachable in ``graph`` from ``start`` that
+    can reach a cycle through a state of ``final``."""
+    live = set().union(*live_components(graph, final.__contains__))
+    return sorted(reachable_from(graph, start) & live)
 
 
 # --- image-binary automata over infinite words ------------------------------
@@ -433,7 +433,7 @@ def iba_lasso_count_final(iba, lasso, cap):
     if cap < 0:
         raise InputError("cap must be nonnegative")
     start, rows = _stable_weights(iba)
-    unit = {a: _UnitRows(r) for a, r in rows.items()}
+    unit = {a: [[(q2, 1) for q2, _w in row] for row in r] for a, r in rows.items()}
     total = _lasso_sum(dict.fromkeys(start, 1), unit, lasso, iba.final)
     return OVERFLOW if total is None or total > cap else total
 
@@ -473,10 +473,8 @@ def trim_iba(iba):
     (same ``untrimmed_state_count``, and known to be ultimately stable
     when the source is known to be; the source itself when every state is
     kept) and the kept indices, possibly []."""
-    graph = iba.nonzero_edge_graph()
     start = [q for q, _w in iba.init.int_rows()[0][0]]
-    live = set().union(*live_components(graph, iba.final.__contains__))
-    keep = sorted(reachable_from(graph, start) & live)
+    keep = _useful(iba.nonzero_edge_graph(), start, iba.final)
     if not keep:
         return None, []
     if len(keep) == iba.n:
@@ -642,7 +640,9 @@ def kdis(nba, k):
     size over the initial states.  The result is trimmed to states that
     are reachable and can reach a cycle through a final state.  On every
     lasso its value equals 1 when the input accepts the word and 0
-    otherwise, provided the input really is k-ambiguous.
+    otherwise, provided the input really is k-ambiguous.  A state is a
+    count vector of total size 1..k over the 2n (state, bit) pairs, so
+    there are at most C(2n+k, k) - 1; the search checks that bound.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -661,8 +661,8 @@ def kdis(nba, k):
         ]
         return [r2 for row in per for r2, _w in row]
 
-    order = explore(starts, successors, (k + 1) ** (2 * nba.state_count),
-                    "disambiguation states (the (k+1)^(2n) bound)")
+    order = explore(starts, successors, comb(2 * nba.state_count + k, k) - 1,
+                    "disambiguation states (the C(2n+k, k) - 1 bound)")
     ids = {r: i for i, r in enumerate(order)}
     edges = {
         a: [sorted([(ids[r2], (-1) ** (r2.size - r.size) * w) for r2, w in rows[r][c]]) for r in order]

@@ -127,14 +127,7 @@ def _cmd_language_op(args):
 
 
 def _cmd_nfa_to_ifa(args):
-    acceptor = _load(args.automaton, "nba")
-    triples = [
-        (q, a, q2) for (q, a), succs in acceptor.delta.items() for q2 in sorted(succs)
-    ]
-    nfa = ifa.Nfa(
-        acceptor.state_count, acceptor.alphabet, triples, acceptor.initial, acceptor.final
-    )
-    return _write(args, ifa.nfa_to_ifa(nfa, QQ))
+    return _write(args, ifa.nfa_to_ifa(_load(args.automaton, "nba"), QQ))
 
 
 def _cmd_to_mod2(args):

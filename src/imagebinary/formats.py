@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .buchi import CountVector, Iba, Nba, _nba_rows
+from .buchi import CountVector, Iba, Nba
 from .errors import ParseError, ValidationError
 from .fields import F2, QQ, field_by_name
 from .matrix import Matrix, _dense
@@ -257,7 +257,7 @@ def serialize_automaton(obj):
                 lines.append("# state %d: %s" % (i + 1, label))
     if kind == "nba":
         lines.append("initial: %s" % " ".join(str(q + 1) for q in sorted(obj.initial)))
-        views = {a: (rows, 1) for a, rows in _nba_rows(obj).items()}
+        views = {a: (rows, 1) for a, rows in obj.rows.items()}
     else:
         lines.append("initial: " + _dense_text(obj.init)[0])
         views = {a: m.int_rows() for a, m in obj.trans.items()}

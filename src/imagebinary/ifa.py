@@ -5,7 +5,9 @@ The class is decidable (an automaton is image-binary iff it is equivalent
 to its own Hadamard square) and closed under complement, intersection and
 union through weighted-automaton algebra.  Every image-binary automaton
 denotes a regular language; ``ifa_to_dfa`` extracts a deterministic
-acceptor with at most 2^n states.
+acceptor with at most 2^n states.  Conversely ``nfa_to_ifa`` embeds the
+finite-word language of a nondeterministic acceptor, a ``buchi.Nba`` with
+its final states read as accepting, through the subset construction.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .wa import (
 
 __all__ = [
     "Dfa",
-    "Nfa",
     "HankelBlock",
     "is_image_binary",
     "require_image_binary",
@@ -83,41 +84,6 @@ class Dfa:
                 raise InputError("letter %r is not in the alphabet" % (a,))
             q = self.delta[q, a]
         return q in self.accepting
-
-
-class Nfa:
-    """Nondeterministic acceptor over finite words (relation, no weights)."""
-
-    def __init__(self, state_count, alphabet, transitions, initial, accepting):
-        self.state_count = state_count
-        self.alphabet = _distinct_letters(alphabet)
-        self.initial = frozenset(initial)
-        self.accepting = frozenset(accepting)
-        self.delta = _transition_relation(
-            state_count, self.alphabet, transitions, self.initial | self.accepting
-        )
-
-    def successors(self, q, a):
-        return self.delta.get((q, a), set())
-
-
-def _transition_relation(state_count, alphabet, transitions, states):
-    """Validated {(q, a): set of successors} from (q, a, q2) triples; the
-    initial and accepting ``states`` are range-checked too."""
-    delta = {}
-    for (q, a, q2) in transitions:
-        if not (0 <= q < state_count and 0 <= q2 < state_count):
-            raise InputError("transition (%r, %r, %r) out of range" % (q, a, q2))
-        if a not in alphabet:
-            raise InputError("transition letter %r not in alphabet" % (a,))
-        succs = delta.setdefault((q, a), set())
-        if q2 in succs:
-            raise InputError("duplicate transition (%r, %r, %r)" % (q, a, q2))
-        succs.add(q2)
-    for q in states:
-        if not 0 <= q < state_count:
-            raise InputError("state %r out of range" % (q,))
-    return delta
 
 
 @dataclass
@@ -269,21 +235,24 @@ def dfa_to_ifa(dfa, field=QQ):
     return WeightedAutomaton(field, dfa.alphabet, trans, init, final)
 
 
-def nfa_to_dfa(nfa):
-    """Subset construction; breadth first with letters in alphabet order,
-    states numbered in first-seen order, so the result is deterministic."""
+def nfa_to_dfa(nba):
+    """Subset construction for the finite-word language of an ``Nba`` read
+    as an NFA, its final states accepting; breadth first with letters in
+    alphabet order, states numbered in first-seen order, so the result is
+    deterministic."""
 
     def successors(subset):
-        return [frozenset(q2 for q in subset for q2 in nfa.successors(q, a)) for a in nfa.alphabet]
+        return [frozenset(q2 for q in subset for q2 in nba.successors(q, a)) for a in nba.alphabet]
 
-    graph = explore([frozenset(nfa.initial)], successors)
-    return _numbered_dfa(graph, nfa.alphabet, lambda subset: subset & nfa.accepting)
+    graph = explore([frozenset(nba.initial)], successors)
+    return _numbered_dfa(graph, nba.alphabet, lambda subset: subset & nba.final)
 
 
-def nfa_to_ifa(nfa, field=QQ):
-    """Image-binary automaton for an NFA language, via determinisation.
-    The subset step can grow the state count from n to 2^n."""
-    return dfa_to_ifa(nfa_to_dfa(nfa), field)
+def nfa_to_ifa(nba, field=QQ):
+    """Image-binary automaton for the finite-word language of an ``Nba``
+    read as an NFA, via determinisation.  The subset step can grow the
+    state count from n to 2^n."""
+    return dfa_to_ifa(nfa_to_dfa(nba), field)
 
 
 def words_up_to(alphabet, max_len):

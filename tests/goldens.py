@@ -1068,7 +1068,7 @@ def reference_nfa_to_dfa(nfa):
                 sets.append(nxt)
                 queue.append(nxt)
             delta[i, a] = j
-    accepting = {i for i, subset in enumerate(sets) if subset & nfa.accepting}
+    accepting = {i for i, subset in enumerate(sets) if subset & nfa.final}
     return Dfa(len(sets), nfa.alphabet, delta, 0, accepting)
 
 

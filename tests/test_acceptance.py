@@ -7,6 +7,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 from imagebinary import (
     F2,
@@ -211,6 +212,7 @@ def test_c07_disambiguation_equivalence_on_lassos():
         assert check_ambiguity_on_lassos(nba, k, 4, 4)
         out = kdis(nba, k)
         assert out.untrimmed_state_count <= (k + 1) ** (2 * nba.state_count)
+        assert out.untrimmed_state_count <= comb(2 * nba.state_count + k, k) - 1
         for lasso in lassos:
             expected = Fraction(1 if nba_lasso_accepts(nba, lasso) else 0)
             assert iba_lasso_eval(out, lasso) == expected, lasso

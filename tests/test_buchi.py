@@ -5,6 +5,7 @@ import itertools
 import random
 import shlex
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -87,6 +88,35 @@ def test_nba_validation():
     nba = jump_nba([1])
     assert nba.successors(0, "a") == {0, 1}
     assert nba.successors(1, "a") == {1}
+
+
+def test_nba_rows_are_the_sorted_weight_one_successors():
+    """``rows`` holds, per letter and state, the successors in order with
+    weight 1, on seeded relations (some with no initial state and states
+    without successors); it and ``delta`` are read-only."""
+    rng = random.Random(61)
+    no_initial = dead_state = False
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        triples = {(rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+                   for _ in range(rng.randint(0, 3 * n))}
+        nba = Nba(n, ("a", "b"), sorted(triples, reverse=True),
+                  rng.sample(range(n), rng.randint(0, min(n, 2))), [])
+        assert list(nba.rows) == ["a", "b"]
+        for a in "ab":
+            want = [tuple((t, 1) for t in sorted({t for s, b, t in triples if (s, b) == (q, a)}))
+                    for q in range(n)]
+            assert list(nba.rows[a]) == want
+            dead_state |= () in want
+        no_initial |= not nba.initial
+    assert no_initial and dead_state
+    nba = jump_nba([1])
+    with pytest.raises(TypeError):
+        nba.delta[1, "a"] = frozenset()
+    with pytest.raises(TypeError):
+        nba.rows["a"] = ()
+    with pytest.raises(TypeError):
+        nba.rows["a"][1] = ()
 
 
 def test_lasso_needs_cycle():
@@ -395,13 +425,13 @@ def test_int_node_lasso_product_matches_tuple_node_reference():
             out = kdis(bounded_ambiguity_nba(rng, k, size, ("a", "b")), k)
             start, rows = buchi._stable_weights(out)
             sums += sweep_against_tuple_nodes(start, rows, out.final, 2, 3)
-            unit = {a: buchi._UnitRows(r) for a, r in rows.items()}
+            unit = {a: [[(q2, 1) for q2, _w in row] for row in r] for a, r in rows.items()}
             sums += sweep_against_tuple_nodes(dict.fromkeys(start, 1), unit, out.final, 1, 3)
     rng = random.Random(83)
     for _ in range(12):
         nba = random_nba(rng, rng.randint(2, 5), ("a", "b"), density=0.35)
         start = dict.fromkeys(nba.initial, 1)
-        sums += sweep_against_tuple_nodes(start, buchi._nba_rows(nba), nba.final, 3, 3)
+        sums += sweep_against_tuple_nodes(start, nba.rows, nba.final, 3, 3)
         iba = stable_rational_iba(rng, nba)
         assert is_ultimately_stable(iba)
         start, rows = buchi._stable_weights(iba)
@@ -422,13 +452,13 @@ def test_sweep_reuses_root_sums_lasso_for_lasso():
     for k, size in ((1, 3), (1, 4), (2, 2), (3, 1), (2, 1)):
         nba = bounded_ambiguity_nba(rng, k, size, ("a", "b"))
         out = kdis(nba, k)
-        cases.append((dict.fromkeys(nba.initial, 1), buchi._nba_rows(nba), nba.final))
+        cases.append((dict.fromkeys(nba.initial, 1), nba.rows, nba.final))
         cases.append((*buchi._stable_weights(out), out.final))
     rng = random.Random(89)
     for _ in range(10):
         nba = random_nba(rng, rng.randint(2, 4), ("a", "b"), density=0.35)
         iba = stable_rational_iba(rng, nba)
-        cases.append((dict.fromkeys(nba.initial, 1), buchi._nba_rows(nba), nba.final))
+        cases.append((dict.fromkeys(nba.initial, 1), nba.rows, nba.final))
         cases.append((*buchi._stable_weights(iba), iba.final))
     reused, split = 0, 0
     for start, rows, final in cases:
@@ -531,14 +561,13 @@ def test_two_run_product_matches_lasso_counts():
     verdicts = []
     for _ in range(60):
         nba = random_nba(rng, rng.randint(2, 4), ("a", "b"), density=rng.choice((0.2, 0.3, 0.45)))
-        got = buchi._unambiguous(dict.fromkeys(nba.initial, 1), buchi._nba_rows(nba), nba.final)
+        got = buchi._unambiguous(dict.fromkeys(nba.initial, 1), nba.rows, nba.final)
         lassos = all_lassos(4, 4)
         assert got == all(nba_lasso_count_final(nba, x, 1) is not OVERFLOW for x in lassos)
         verdicts.append(got)
     assert verdicts.count(True) > 20 and verdicts.count(False) > 20
     for nba, unambiguous in ((unambiguous_nba(), True), (long_stem_split_nba(), False)):
-        rows = buchi._nba_rows(nba)
-        assert buchi._unambiguous(dict.fromkeys(nba.initial, 1), rows, nba.final) == unambiguous
+        assert buchi._unambiguous(dict.fromkeys(nba.initial, 1), nba.rows, nba.final) == unambiguous
 
 
 def test_negative_cap_is_refused_by_both_counters():
@@ -794,11 +823,20 @@ def test_kdis_empty_language_collapses():
     assert iba_lasso_eval(out, Lasso((), "a")) == 0
 
 
+def test_kdis_reaches_its_exact_state_bound():
+    """A one-state a-loop with k = 1 reaches both vectors (0,-):1 and
+    (0,+):1, all C(2n+k, k) - 1 = 2 states, and the search does not raise."""
+    out = kdis(Nba(1, ("a",), [(0, "a", 0)], [0], [0]), 1)
+    assert out.untrimmed_state_count == 2 == comb(2 * 1 + 1, 1) - 1
+    assert iba_lasso_eval(out, Lasso((), "a")) == 1
+
+
 def test_kdis_matches_acceptance_on_deterministic_suite():
     for dba in dba_suite():
         nba = dba.to_nba()
         out = kdis(nba, 1)
         assert out.untrimmed_state_count <= 2 ** (2 * nba.state_count)
+        assert out.untrimmed_state_count <= comb(2 * nba.state_count + 1, 1) - 1
         for lasso in all_lassos(2, 2):
             expected = Fraction(1 if dba.run_on_lasso(lasso.stem, lasso.cycle) else 0)
             assert iba_lasso_eval(out, lasso) == expected, (dba.name, lasso)
@@ -811,6 +849,7 @@ def test_kdis_matches_acceptance_on_bounded_fixtures():
         nba = bounded_ambiguity_nba(rng, k, 2, ("a", "b"))
         out = kdis(nba, k)
         assert out.untrimmed_state_count <= (k + 1) ** (2 * nba.state_count)
+        assert out.untrimmed_state_count <= comb(2 * nba.state_count + k, k) - 1
         for lasso in all_lassos(2, 2):
             expected = Fraction(1 if nba_lasso_accepts(nba, lasso) else 0)
             assert iba_lasso_eval(out, lasso) == expected

@@ -17,7 +17,6 @@ from imagebinary import (
     MarkovChain,
     Matrix,
     Nba,
-    Nfa,
     ParseError,
     QQ,
     ValidationError,
@@ -253,7 +252,6 @@ def test_every_constructor_rejects_repeated_letters():
         lambda ab: WeightedAutomaton(QQ, ab, {"a": one}, one, one),
         lambda ab: Iba(ab, {"a": one}, one, [0]),
         lambda ab: Nba(1, ab, [(0, "a", 0)], [0], [0]),
-        lambda ab: Nfa(1, ab, [(0, "a", 0)], [0], [0]),
         lambda ab: Dfa(1, ab, {(0, "a"): 0}, 0, [0]),
         lambda ab: MarkovChain(one, [1], ["a"], ab),
     ]
@@ -261,7 +259,7 @@ def test_every_constructor_rejects_repeated_letters():
         obj = build(("a",))
         if isinstance(obj, MarkovChain):
             assert parse_markov_chain(serialize_markov_chain(obj)) == obj
-        elif not isinstance(obj, (Nfa, Dfa)):
+        elif not isinstance(obj, Dfa):
             assert parse_automaton(serialize_automaton(obj)) == obj
         with pytest.raises(InputError, match="distinct"):
             build(("a", "a"))

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imagebinary import InternalInvariantError, Nba, Nfa, ifa_to_dfa, kdis, nfa_to_dfa
+from imagebinary import InternalInvariantError, Nba, ifa_to_dfa, kdis, nfa_to_dfa
 from imagebinary.fixtures import bounded_ambiguity_nba, conjugated_ifa, random_dfa
 from imagebinary.graphs import (
     explore,
@@ -191,7 +191,7 @@ def test_explore_limit_boundary():
 def random_nfa(rng):
     n = rng.randint(1, 5)
     triples = {(rng.randrange(n), rng.choice("ab"), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))}
-    return Nfa(n, ("a", "b"), sorted(triples), rng.sample(range(n), rng.randint(0, min(n, 2))),
+    return Nba(n, ("a", "b"), sorted(triples), rng.sample(range(n), rng.randint(0, min(n, 2))),
                rng.sample(range(n), rng.randint(0, n)))
 
 
@@ -220,7 +220,7 @@ def test_constructions_number_states_like_their_worklists():
     for _ in range(30):  # not k-ambiguous, but rows whose ids come out of order
         nfa = random_nfa(rng)
         edges = [(q, a, q2) for (q, a), succs in nfa.delta.items() for q2 in succs]
-        acceptors.append((Nba(nfa.state_count, ("a", "b"), edges, nfa.initial or [0], nfa.accepting),
+        acceptors.append((Nba(nfa.state_count, ("a", "b"), edges, nfa.initial or [0], nfa.final),
                           rng.randint(1, 2)))
     for nba, k in acceptors:
         got, want = kdis(nba, k), reference_kdis(nba, k)

@@ -11,7 +11,7 @@ from imagebinary import (
     F2,
     InputError,
     Matrix,
-    Nfa,
+    Nba,
     QQ,
     SemanticError,
     WeightedAutomaton,
@@ -60,7 +60,7 @@ def test_dfa_accepts():
 
 def test_nfa_to_dfa_matches_run_semantics():
     # two a's somewhere, guessed nondeterministically
-    nfa = Nfa(
+    nfa = Nba(
         3,
         ("a", "b"),
         [
@@ -79,7 +79,7 @@ def test_nfa_to_dfa_matches_run_semantics():
         cur = {0}
         for a in word:
             cur = {q2 for q in cur for q2 in nfa.successors(q, a)}
-        return bool(cur & nfa.accepting)
+        return bool(cur & nfa.final)
 
     dfa = nfa_to_dfa(nfa)
     ifa = nfa_to_ifa(nfa)

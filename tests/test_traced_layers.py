@@ -4,8 +4,8 @@ The tracer in ``perfbench/tracer.py`` counts calls to the functions it
 wraps.  A refactor that routes work around a wrapped function (a new
 private entry point, a fast path that skips the public one) would make
 that layer's metric read 0 while the work goes on.  Here one small
-traced ``words`` pass and one ``modelcheck`` pass must call every name
-they called before, and the known gaps are listed as such."""
+traced pass of each workload must call every name it called before, and
+the known gaps are listed as such."""
 
 import importlib
 import importlib.util
@@ -34,6 +34,13 @@ HOT = {
         "buchi.binariness_witness", "buchi.is_ultimately_stable",
         "mc.trim_iba", "mc.build_product", "mc.classify_scc", "mc.solve_values",
     },
+    "lassos": {
+        "formats.parse_automaton", "formats.serialize_automaton",
+        "graphs.strongly_connected_components", "graphs.reachable_from",
+        "buchi.kdis", "buchi.kdis_successor_weights", "buchi.check_ambiguity_on_lassos",
+        "buchi.iba_lasso_eval", "buchi.iba_lasso_count_final", "buchi.is_ultimately_stable",
+        "mc.trim_iba",
+    },
 }
 # work done behind a name the tracer does not wrap, so the listed
 # metric reads 0: coordinates come from CoordBasis.int_coords, and the
@@ -41,8 +48,9 @@ HOT = {
 KNOWN_GAPS = {
     "words": {"matrix.CoordBasis.coords"},
     "modelcheck": {"matrix.Matrix.solve_unique"},
+    "lassos": set(),
 }
-SCALES = {"words": 1 / 12, "modelcheck": 1 / 10}
+SCALES = {"words": 1 / 12, "modelcheck": 1 / 10, "lassos": 1 / 10}
 
 
 def load(name, monkeypatch):
@@ -91,3 +99,7 @@ def test_words_pass_calls_every_hot_traced_name(monkeypatch):
 
 def test_modelcheck_pass_calls_every_hot_traced_name(monkeypatch):
     check("modelcheck", monkeypatch)
+
+
+def test_lassos_pass_calls_every_hot_traced_name(monkeypatch):
+    check("lassos", monkeypatch)
