@@ -587,15 +587,18 @@ def kdis_successor_weights(nba, r, a, size_cap=None):
     ``size_cap`` drops vectors whose total size exceeds the cap (used when
     building the k-disambiguation, whose states track at most k runs).
     """
+    if a not in nba.rows:
+        raise InputError("letter %r is not in the alphabet" % (a,))
     b_next = any(not b for (_q, b), _c in r.items())
     partials = {(): 1}
     for (q, b), n in r.items():
-        succs = sorted(nba.successors(q, a))
-        if not succs:
+        row = nba.rows[a][q]
+        if not row:
             return {}
         bit = _bit_after(nba, q, b, b_next)
+        keys = [(s, bit) for s, _w in row]
         options = []
-        for combo in itertools.product(range(n + 1), repeat=len(succs)):
+        for combo in itertools.product(range(n + 1), repeat=len(keys)):
             if sum(combo) < n:
                 continue
             w = num_succ(n, combo)
@@ -603,7 +606,7 @@ def kdis_successor_weights(nba, r, a, size_cap=None):
                 raise InternalInvariantError("negative successor count")
             if w == 0:
                 continue
-            options.append((tuple(zip([(s, bit) for s in succs], combo)), w))
+            options.append((tuple(zip(keys, combo)), w))
         nxt = {}
         for vec, acc in partials.items():
             base = dict(vec)

@@ -110,7 +110,13 @@ def lfsr_to_mod2ma(spec, letter="#"):
 def ifa_to_mod2(automaton):
     """Minimal GF(2) automaton for the language of an image-binary
     automaton: extract the DFA, reinterpret its 0/1 structure over GF(2)
-    and minimise.  The result has at most as many states as the input."""
+    and minimise.  The result has at most as many states as the input.
+
+    The image-binary check runs before the extraction, although a
+    completed extraction would prove the same: it keeps a refusal at the
+    check's polynomial cost, where an extraction can step up to 2^n
+    signatures before it meets a non-binary value.
+    """
     require_image_binary(automaton)
     dfa = ifa_to_dfa(automaton)
     out = minimize(dfa_to_ifa(dfa, F2))
@@ -147,6 +153,8 @@ def shift_register_rank_report(spec):
     off-diagonal -2^(-2d+2); for d = 1 the block is 1 x 1 and both
     off-diagonals are None.  H^2 is checked entrywise after an exact
     multiplication, and the inverse in closed form, before reporting.
+    Those two checks prove H^2, and so H, invertible: the reported rank
+    is the size, certified by the verified inverse.
     """
     d = spec.dimension
     if not any(spec.init):
@@ -160,7 +168,6 @@ def shift_register_rank_report(spec):
     bits = lfsr_sequence(spec, 2 * size)
     ones = [[(j, 1) for j in range(size) if bits[i + j]] for i in range(size)]
     h = Matrix.from_int_rows(QQ, size, ones, 1)
-    rank = h.rank()
     # H^2 is compared on its integer view: one int on the diagonal, one off it
     rows, den = (h * h).int_rows()
     on, off_diag = (dict(rows[0]).get(j, 0) for j in (0, 1))
@@ -185,7 +192,7 @@ def shift_register_rank_report(spec):
         period=period,
         size=size,
         block=h,
-        rank=rank,
+        rank=size,
         square_diagonal=diag,
         square_off_diagonal=off,
         inverse_diagonal=inv_diag,

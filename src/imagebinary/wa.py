@@ -341,18 +341,18 @@ def minimize(automaton):
 
     The result has as many states as the rank of the language's Hankel
     matrix; the constant-zero language collapses to the canonical 1-state
-    zero automaton (0-state automata are never built).
+    zero automaton (0-state automata are never built).  Each side keeps
+    its exploration's steps: a step that is a basis vector is a unit row,
+    and only the dependent steps are solved (``_coord_blocks``).
     """
     a = automaton
     field = a.field
     fwd = _row_vec(a.init)
     if not fwd[0]:
         return zero_automaton(a.alphabet, field)
-    _, fvecs, fbasis, _ = span_explore(
-        field, fwd, a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter)), itemgetter(0)
+    fvecs, (*blocks, init1) = _coord_blocks(
+        field, fwd, a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter)), "forward"
     )
-    groups = [[_vec_mat(v, a.matrix(letter)) for v in fvecs] for letter in a.alphabet]
-    *blocks, init1 = _coord_blocks(field, fbasis, fvecs, groups + [[fwd]], "forward")
     trans1 = dict(zip(a.alphabet, blocks))
     final = _col_vec(a.final)
     final1 = Matrix.col_vector(field, [_dot(v, final, field) for v in fvecs])
@@ -360,11 +360,9 @@ def minimize(automaton):
     bwd = _col_vec(final1)
     if not bwd[0]:
         return zero_automaton(a.alphabet, field)
-    _, bvecs, bbasis, _ = span_explore(
-        field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v), itemgetter(0)
+    bvecs, (*blocks, final2) = _coord_blocks(
+        field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v), "backward"
     )
-    groups = [[_mat_vec(trans1[letter], v) for v in bvecs] for letter in a.alphabet]
-    *blocks, final2 = _coord_blocks(field, bbasis, bvecs, groups + [[bwd]], "backward")
     alpha1 = _row_vec(init1)
     alpha2 = [_dot(alpha1, v, field) for v in bvecs]
     return WeightedAutomaton(
@@ -376,31 +374,45 @@ def minimize(automaton):
     )
 
 
-def _coord_blocks(field, basis, vecs, groups, side):
-    """One matrix per group of scaled targets, from one solve: row t holds
-    the coordinates of the group's t-th target against the scaled basis
-    vectors ``vecs``, whose u parts were added to ``basis``.
+def _coord_blocks(field, start, letters, step, side):
+    """Explore the span from the nonzero scaled vector ``start`` and
+    return its basis vectors ``vecs`` with one matrix per letter, whose
+    row t holds the coordinates, against ``vecs``, of the t-th basis
+    vector stepped by the letter, and last the 1-row matrix of ``start``.
 
-    A target (u, p, q) with d * u = sum(y_k * ints_k) (``int_coords``) has
-    k-th coordinate y_k * p * q_k / (d * q * p_k), as u_k = (q_k / p_k) *
-    vecs[k].  Over the block's common denominator lcm_t(d * q) * lcm_k(p_k)
-    every entry is an exact int, so the block is built from its integer
-    view."""
-    sols = iter(basis.int_coords([t[0] for group in groups for t in group]))
+    The step from basis word w by a is basis vector j exactly when w + a
+    is basis word j, and ``start`` is basis vector 0; those rows are unit
+    rows.  Only the other, dependent, steps are taken again and solved
+    together (``int_coords``, which checks that each lies in the span).
+    A target (u, p, q) with d * u = sum(y_k * ints_k) has k-th coordinate
+    y_k * p * q_k / (d * q * p_k), as u_k = (q_k / p_k) * vecs[k].  Over
+    the block's common denominator lcm_t(d * q) * lcm_k(p_k) every entry
+    is an exact int, so the block is built from its integer view."""
+    words, vecs, basis, _ = span_explore(field, start, letters, step, itemgetter(0))
+    r = len(vecs)
+    index = {w: j for j, w in enumerate(words)}
+    targets = [[index.get(w + (a,)) for w in words] for a in letters] + [[0]]
+    dependent = [step(vecs[i], a) for a, group in zip(letters, targets)
+                 for i, j in enumerate(group) if j is None]
+    sols = zip(dependent, basis.int_coords([t[0] for t in dependent]))
     lp = lcm(*[pk for _, pk, _ in vecs])
     cs = [qk * (lp // pk) for _, pk, qk in vecs]
     out = []
-    for group in groups:
+    for group in targets:
         block = []
-        for (_, p, q), sol in zip(group, sols):
-            if sol is None:
-                raise InternalInvariantError("%s space not closed under step" % side)
+        for j in group:
+            if j is None:
+                (_, p, q), sol = next(sols)
+                if sol is None:
+                    raise InternalInvariantError("%s space not closed under step" % side)
+            else:
+                (_, p, q), sol = vecs[j], ([int(k == j) for k in range(r)], 1)
             block.append((*sol, p, q))
         ld = lcm(*[d * q for _, d, _, q in block])
         rows = [[(k, y * p * (ld // (d * q)) * c) for k, (y, c) in enumerate(zip(ys, cs)) if y]
                 for ys, d, p, q in block]
-        out.append(Matrix.from_int_rows(field, len(vecs), rows, ld * lp))
-    return out
+        out.append(Matrix.from_int_rows(field, r, rows, ld * lp))
+    return vecs, out
 
 
 def check_forward_conjugate(original, conjugate, base):

@@ -30,7 +30,9 @@ splitting it and sorted every transition key (before one split per
 line and rows built per letter and state), and the subset construction
 and the disambiguation with their own worklists and numbering (before
 ``graphs.explore`` replaced them; ``reference_ifa_to_dfa`` numbers its
-signatures the same way).  ``edited`` draws the line edits of a document that the parser
+signatures the same way), and ``minimize`` solving every step of its
+explorations (before the steps that are basis vectors became unit
+rows).  ``edited`` draws the line edits of a document that the parser
 and command line fuzz tests share.
 """
 
@@ -38,6 +40,7 @@ import itertools
 from collections import deque
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from hypothesis import strategies as st
 
@@ -65,6 +68,7 @@ from imagebinary import (
     trim_iba,
     zero_automaton,
 )
+from imagebinary import wa
 from imagebinary.fields import field_by_name
 from imagebinary.graphs import (
     live_components,
@@ -984,6 +988,61 @@ def reference_minimize(automaton):
         Matrix.row_vector(field, [_dot(alpha1, v, zero) for v in bvecs]),
         Matrix.col_vector(field, bbasis.coords(bwd)),
     )
+
+
+def reference_minimize_all_steps(automaton):
+    """``minimize`` on integer-scaled vectors, stepping every basis vector
+    by every letter and solving every step and the start vector, as it did
+    before the steps that are basis vectors became unit rows."""
+    a = automaton
+    field = a.field
+    fwd = wa._row_vec(a.init)
+    if not fwd[0]:
+        return zero_automaton(a.alphabet, field)
+    _, fvecs, fbasis, _ = wa.span_explore(
+        field, fwd, a.alphabet, lambda v, letter: wa._vec_mat(v, a.matrix(letter)), itemgetter(0)
+    )
+    groups = [[wa._vec_mat(v, a.matrix(letter)) for v in fvecs] for letter in a.alphabet]
+    *blocks, init1 = _solve_every_step(field, fbasis, fvecs, groups + [[fwd]])
+    trans1 = dict(zip(a.alphabet, blocks))
+    final = wa._col_vec(a.final)
+    final1 = Matrix.col_vector(field, [wa._dot(v, final, field) for v in fvecs])
+    bwd = wa._col_vec(final1)
+    if not bwd[0]:
+        return zero_automaton(a.alphabet, field)
+    _, bvecs, bbasis, _ = wa.span_explore(
+        field, bwd, a.alphabet, lambda v, letter: wa._mat_vec(trans1[letter], v), itemgetter(0)
+    )
+    groups = [[wa._mat_vec(trans1[letter], v) for v in bvecs] for letter in a.alphabet]
+    *blocks, final2 = _solve_every_step(field, bbasis, bvecs, groups + [[bwd]])
+    alpha1 = wa._row_vec(init1)
+    return WeightedAutomaton(
+        field,
+        a.alphabet,
+        {letter: b.transpose() for letter, b in zip(a.alphabet, blocks)},
+        Matrix.row_vector(field, [wa._dot(alpha1, v, field) for v in bvecs]),
+        final2.transpose(),
+    )
+
+
+def _solve_every_step(field, basis, vecs, groups):
+    """One matrix per group of scaled targets, all solved together: row t
+    holds the coordinates of the group's t-th target against ``vecs``."""
+    sols = iter(basis.int_coords([t[0] for group in groups for t in group]))
+    lp = lcm(*[pk for _, pk, _ in vecs])
+    cs = [qk * (lp // pk) for _, pk, qk in vecs]
+    out = []
+    for group in groups:
+        block = []
+        for (_, p, q), sol in zip(group, sols):
+            if sol is None:
+                raise InternalInvariantError("space not closed under step")
+            block.append((*sol, p, q))
+        ld = lcm(*[d * q for _, d, _, q in block])
+        rows = [[(k, y * p * (ld // (d * q)) * c) for k, (y, c) in enumerate(zip(ys, cs)) if y]
+                for ys, d, p, q in block]
+        out.append(Matrix.from_int_rows(field, len(vecs), rows, ld * lp))
+    return out
 
 
 def reference_is_image_binary(automaton):

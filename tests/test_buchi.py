@@ -756,6 +756,8 @@ def test_weight_w_absent_target_is_zero():
     r = cv([((2, False), 1)])
     unreachable = cv([((0, False), 1)])
     assert kdis_weight_w(r, "a", unreachable, nba) == 0
+    with pytest.raises(InputError):
+        kdis_weight_w(r, "z", unreachable, nba)  # not a letter of the acceptor
 
 
 # === The disambiguation ===

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -527,10 +528,17 @@ def test_readme_table_lists_every_subcommand_in_parser_order():
 
 
 def test_module_entry_point(ifa_path):
+    """``python -m imagebinary.cli`` from this checkout's ``src``, whether
+    or not the package is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "imagebinary.cli", "eval", ifa_path, "aa"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/1\n"

@@ -26,6 +26,7 @@ from imagebinary import (
     intersect,
     is_image_binary,
     minimize,
+    negate,
     parse_automaton,
     random_dfa,
     serialize_automaton,
@@ -42,6 +43,7 @@ from goldens import (
     reference_ifa_to_dfa,
     reference_is_image_binary,
     reference_minimize,
+    reference_minimize_all_steps,
     reference_product,
 )
 
@@ -225,7 +227,9 @@ def test_span_algorithms_match_references_property(seed):
 def test_minimize_matches_reference_over_both_fields():
     """Blocks built straight from the integer coordinates: the same
     minimal automaton as the per-vector ``Fraction`` coordinates, over QQ
-    (scaled, summed and arbitrary rational inputs) and over F2."""
+    (scaled, summed, multiplied, united, zero and arbitrary rational
+    inputs) and over F2.  Unit rows for the steps that are basis vectors
+    give the same automaton as solving every step."""
     rng = random.Random(3301)
     sizes = set()
     for _ in range(25):
@@ -233,11 +237,13 @@ def test_minimize_matches_reference_over_both_fields():
         d2, a2 = binary_automaton(rng, rng.randint(1, 4))
         f1, f2 = dfa_to_ifa(d1, F2), dfa_to_ifa(d2, F2)
         cases = [a1, add(a1, a2), add(a1, a1), diagonal_conjugate(rng, add(a1, a2)),
+                 hadamard(a1, a2), union(a1, a2), add(a1, negate(a1)),
                  random_rational_automaton(rng, rng.randint(1, 4)), f1, add(f1, f2), add(f1, f1)]
         for a in cases:
             got, want = minimize(a), reference_minimize(a)
             assert (got.trans, got.init, got.final) == (want.trans, want.init, want.final)
             assert serialize_automaton(got) == serialize_automaton(want)
+            assert serialize_automaton(got) == serialize_automaton(reference_minimize_all_steps(a))
             sizes.add((a.field, got.n < a.n))
     assert sizes == {(QQ, True), (QQ, False), (F2, True), (F2, False)}
 
@@ -292,7 +298,9 @@ def test_int_span_entry_matches_reference_basis_on_words_fixtures():
                      (union(a1, a2), a1), (complement(a2), a2), (f1, f2), (add(f1, f2), f1)):
             assert forward_words(a) == reference_forward_words(a)
             assert equivalent(a, b) == reference_equivalent(a, b)
-            assert serialize_automaton(minimize(a)) == serialize_automaton(reference_minimize(a))
+            got = serialize_automaton(minimize(a))
+            assert got == serialize_automaton(reference_minimize(a))
+            assert got == serialize_automaton(reference_minimize_all_steps(a))
             if a.field is F2:
                 continue
             ok, witness = is_image_binary(a)
@@ -305,6 +313,8 @@ def test_int_span_entry_matches_reference_basis_on_words_fixtures():
                 want.state_count, want.delta, want.accepting)
             mod2 = reference_minimize(dfa_to_ifa(want, F2))
             assert serialize_automaton(ifa_to_mod2(a)) == serialize_automaton(mod2)
+            assert serialize_automaton(mod2) == serialize_automaton(
+                reference_minimize_all_steps(dfa_to_ifa(want, F2)))
     assert refused >= 3  # the sums of overlapping languages
 
 

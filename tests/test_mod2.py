@@ -1,5 +1,6 @@
 """Shift registers, their GF(2) automata and the rank report."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,13 @@ from imagebinary import (
     equivalent,
     eval_word,
     ifa_to_mod2,
+    is_image_binary,
     lfsr_period,
     lfsr_sequence,
     lfsr_to_mod2ma,
     shift_register_rank_report,
 )
+from imagebinary.ifa import require_image_binary
 
 from goldens import even_ablock_ifa
 
@@ -123,8 +126,23 @@ def test_ifa_to_mod2_golden_language():
         assert eval_word(out, w) == F2.of(1 if even_ablock_accepts(w) else 0)
 
 
-def test_ifa_to_mod2_rejects_non_binary():
-    from imagebinary import Matrix, QQ, WeightedAutomaton
+def refusal(fn, automaton, error=SemanticError):
+    with pytest.raises(error) as info:
+        fn(automaton)
+    return str(info.value)
+
+
+def test_ifa_to_mod2_rejects_non_binary(monkeypatch):
+    """The refusal is the one of ``require_image_binary``, with its
+    shortest witness word, and comes before any extraction (which could
+    step 2^n signatures first): on a doubling automaton and on sums of
+    overlapping languages.  An F2 input is refused the same way."""
+    import random
+
+    from imagebinary import Matrix, QQ, WeightedAutomaton, add, conjugated_ifa, mod2, random_dfa
+
+    extracted = []
+    monkeypatch.setattr(mod2, "ifa_to_dfa", lambda automaton: extracted.append(automaton))
 
     wa = WeightedAutomaton(
         QQ,
@@ -133,8 +151,42 @@ def test_ifa_to_mod2_rejects_non_binary():
         Matrix.row_vector(QQ, [Fraction(1)]),
         Matrix.col_vector(QQ, [Fraction(1)]),
     )
-    with pytest.raises(SemanticError):
-        ifa_to_mod2(wa)
+    assert refusal(ifa_to_mod2, wa) == refusal(require_image_binary, wa)
+    assert refusal(ifa_to_mod2, wa) == "not image-binary (witness word a)"
+    rng = random.Random(1919)
+    for _ in range(12):
+        d1, d2 = (random_dfa(rng, rng.randint(1, 6), ("a", "b")) for _ in range(2))
+        total = add(conjugated_ifa(rng, d1), conjugated_ifa(rng, d2))
+        if is_image_binary(total)[0]:
+            continue
+        assert refusal(ifa_to_mod2, total) == refusal(require_image_binary, total)
+    f2 = dfa_to_ifa(sequence_dfa(MAXIMAL_3), F2)
+    assert refusal(ifa_to_mod2, f2, InputError) == refusal(is_image_binary, f2, InputError)
+    assert extracted == []
+
+
+def test_ifa_to_mod2_names_the_witness_past_the_signature_bound():
+    """Over 2 states the signature of a word is its vector (x, y) and its
+    value x: a adds x to y, c adds 2x, b copies y to both.  Five binary
+    signatures cross the 2^2 bound before cb (vector (2, 2), value 2) is
+    reached, so the extraction alone stops at the bound; ``to-mod2``
+    checks first and names the shortest witness."""
+    from imagebinary import InternalInvariantError, Matrix, QQ, WeightedAutomaton, ifa_to_dfa
+
+    wa = WeightedAutomaton(
+        QQ,
+        ("a", "b", "c"),
+        {
+            "a": Matrix.from_ints(QQ, [[1, 1], [0, 1]]),
+            "b": Matrix.from_ints(QQ, [[0, 0], [1, 1]]),
+            "c": Matrix.from_ints(QQ, [[1, 2], [0, 1]]),
+        },
+        Matrix.from_ints(QQ, [[1, 0]]),
+        Matrix.from_ints(QQ, [[1], [0]]),
+    )
+    assert "2^n bound" in refusal(ifa_to_dfa, wa, InternalInvariantError)
+    assert refusal(ifa_to_mod2, wa) == refusal(require_image_binary, wa)
+    assert refusal(ifa_to_mod2, wa) == "not image-binary (witness word cb)"
 
 
 # === Rank report ===
@@ -186,6 +238,26 @@ def test_report_rejects_non_maximal():
         shift_register_rank_report(LfsrSpec((0, 1), (1, 0)))  # period 2, not 3
     with pytest.raises(InputError):
         shift_register_rank_report(LfsrSpec((0, 1, 1), (0, 0, 0)))
+
+
+def maximal_taps(d):
+    """Every tap vector of dimension d whose register has period 2^d - 1."""
+    seed = (1,) + (0,) * (d - 1)
+    return [taps + (1,) for taps in itertools.product((0, 1), repeat=d - 1)
+            if lfsr_period(LfsrSpec(taps + (1,), seed)) == 2 ** d - 1]
+
+
+def test_report_rank_matches_elimination():
+    """The rank read off the verified inverse of H^2 equals the rank found
+    by elimination, for every maximal register of dimension 1 to 5."""
+    counts = []
+    for d in range(1, 6):
+        taps = maximal_taps(d)
+        counts.append(len(taps))
+        for t in taps:
+            report = shift_register_rank_report(LfsrSpec(t, (1,) + (0,) * (d - 1)))
+            assert report.rank == report.block.rank() == 2 ** d - 1
+    assert counts == [1, 1, 2, 2, 6]  # phi(2^d - 1) / d primitive polynomials
 
 
 def test_gf2_rank_is_dimension():

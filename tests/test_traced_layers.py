@@ -23,7 +23,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 HOT = {
     "words": {
         "formats.parse_automaton", "formats.serialize_automaton",
-        "matrix.CoordBasis.add", "matrix.Matrix.__mul__", "matrix.Matrix.rank",
+        "matrix.CoordBasis.add", "matrix.Matrix.__mul__",
         "wa.span_explore", "wa.equivalent", "wa.minimize",
         "ifa.is_image_binary", "ifa.ifa_to_dfa",
         "mod2.ifa_to_mod2", "mod2.shift_register_rank_report",
