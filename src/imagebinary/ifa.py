@@ -18,7 +18,7 @@ from operator import itemgetter
 from .errors import InputError, SemanticError
 from .fields import F2, QQ
 from .graphs import explore
-from .matrix import Matrix
+from .matrix import CoordBasis, Matrix
 from .wa import (
     WeightedAutomaton,
     add,
@@ -106,11 +106,21 @@ def is_image_binary(automaton):
     of n^2; the projection is injective on symmetric tensors, so spans,
     basis words and the witness stay the same.  Returns (True, None) or
     (False, w) for a shortest word w whose value is outside {0, 1}.
+
+    While the v-parts v_1..v_r of the basis pairs are linearly
+    independent, (v, v (x) v) lies in their span iff v = 0 or v is some
+    v_k exactly.  Proof: if (v, v (x) v) = sum c_k (v_k, v_k (x) v_k), then
+    v = sum c_k v_k, so v (x) v = sum_{k,l} c_k c_l v_k (x) v_l; the
+    v_k (x) v_l are independent, so c_k c_l = 0 for k != l and
+    c_k^2 = c_k: at most one c_k is nonzero, and it is 1.  The
+    upper-triangle projection is injective on symmetric tensors, so this
+    holds on the tracked coordinates too.  So the check runs on v's n
+    coordinates (``_SquareSpan``) and builds the squares only after the
+    first v that is dependent, nonzero and new.
     """
     a = automaton
     if a.field is not QQ:
         raise InputError("image-binary analysis is defined over the rationals")
-    n = a.n
     f, fp, fq = _col_vec(a.final)
 
     def step(v, letter):
@@ -123,9 +133,39 @@ def is_image_binary(automaton):
         return t and p * t * fp != q * fq
 
     _, _, _, witness = span_explore(
-        QQ, _row_vec(a.init), a.alphabet, step, lambda v: _with_square(v, n), observe
+        QQ, _row_vec(a.init), a.alphabet, step, observe=observe, basis=_SquareSpan(a.n)
     )
     return (witness is None), witness
+
+
+class _SquareSpan:
+    """The span of the pairs (v, v (x) v) of the scaled vectors v = (u, p,
+    q) given to ``add``, decided on v alone while the added v are
+    independent (the lemma in ``is_image_binary``): a zero or repeated v
+    is dependent and an independent v is added.  The first other v
+    switches, once, to one ``CoordBasis`` on the pairs (``_with_square``),
+    seeded with the added vectors' pairs in order, so every answer is the
+    one that basis would have given from the start."""
+
+    def __init__(self, n):
+        self.n = n
+        self.vs = CoordBasis(QQ)
+        self.added = {}  # canonical triple -> added vector, in order
+        self.pairs = None  # the basis on the pairs, after the switch
+
+    def add(self, v):
+        if self.pairs is None:
+            u, p, q = v
+            key = frozenset(u.items()), p, q
+            if not u or key in self.added:
+                return None
+            if self.vs.add(u) is not None:
+                self.added[key] = v
+                return len(self.added) - 1
+            self.pairs = CoordBasis(QQ)
+            for w in self.added.values():
+                self.pairs.add(_with_square(w, self.n))
+        return self.pairs.add(_with_square(v, self.n))
 
 
 def _with_square(v, n):

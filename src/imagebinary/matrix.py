@@ -364,8 +364,9 @@ class CoordBasis:
     it is given and returns the new basis index when the vector extends
     the span and None when it is dependent.  ``int_coords`` expresses
     int vectors as integer combinations of the added vectors with one
-    elimination, and ``coords`` expresses a vector of field scalars as a
-    combination of them.
+    elimination (``span_coords`` does so without checking membership),
+    and ``coords`` expresses a vector of field scalars as a combination
+    of them.
 
     Over QQ an incoming vector is reduced against each echelon row b with
     pivot p to b[p] * v - v[p] * b (both factors divided by their gcd),
@@ -434,15 +435,18 @@ class CoordBasis:
 
     def int_coords(self, vecs):
         """For each int dict w in vecs (over F2, ones): None when w is
-        outside the span, else (ys, d) with d * w = sum(ys[k] * added_k);
-        over F2 d is 1 and the ys are bits."""
+        outside the span, else its ``span_coords``."""
+        return [None if self._reduce(dict(w)) else sol
+                for w, sol in zip(vecs, self.span_coords(vecs))]
+
+    def span_coords(self, vecs):
+        """For each int dict w in vecs, which must lie in the span (this is
+        not checked), (ys, d) with d * w = sum(ys[k] * added_k); over F2 d
+        is 1 and the ys are bits."""
         m, added = len(self._added), self._added
         rows = [[a.get(p, 0) for a in added] + [w.get(p, 0) for w in vecs] for p in self._pivots]
         work, _ = _eliminate(self.field, rows, m)
-        return [
-            None if self._reduce(dict(w)) else _back_substitute(self.field, work, m, t)
-            for t, w in enumerate(vecs, m)
-        ]
+        return [_back_substitute(self.field, work, m, t) for t in range(m, m + len(vecs))]
 
     def coords(self, vec):
         """Coordinates of vec, a dict of field scalars, w.r.t. the added

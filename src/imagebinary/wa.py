@@ -24,7 +24,7 @@ from collections import deque
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError
 from .fields import QQ
 from .matrix import CoordBasis, Matrix
 
@@ -252,26 +252,30 @@ def language_table(automaton, max_len):
     return out
 
 
-def span_explore(field, init_state, letters, step, to_vector=None, observe=None):
+def span_explore(field, init_state, letters, step, to_vector=None, observe=None, basis=None):
     """Breadth-first span exploration in the style of Tzeng's equivalence
     algorithm.
 
     States are whatever ``step`` consumes; ``to_vector`` turns a state
-    into the int dict whose span is tracked, over F2 with ones (default:
-    the state is the vector).  Exploration visits words breadth first
-    with letters in the given order, keeps the first-seen independent
-    vectors as basis, and only expands states whose vector extended the
-    span.
+    into what the membership object ``basis`` takes (default: the state
+    itself).  ``basis.add`` returns None for a vector in the span so far
+    and otherwise adds it; the default basis is a ``CoordBasis`` of the
+    field, which takes int dicts (over F2, ones).  Exploration visits
+    words breadth first with letters in the given order, keeps the
+    first-seen independent vectors as basis, and only expands states
+    whose vector extended the span: basis state 0, 1, ... in turn, each
+    stepped by every letter in order.
 
     When ``observe`` is given, every generated state is tested in
     generation order and the first word observing nonzero is returned as
     the witness, which is therefore a shortest one.
 
-    Returns (basis_words, basis_states, coord_basis, witness).
+    Returns (basis_words, basis_states, basis, witness).
     """
     if to_vector is None:
         to_vector = lambda s: s
-    basis = CoordBasis(field)
+    if basis is None:
+        basis = CoordBasis(field)
     words, states = [], []
     witness = None
 
@@ -343,7 +347,8 @@ def minimize(automaton):
     matrix; the constant-zero language collapses to the canonical 1-state
     zero automaton (0-state automata are never built).  Each side keeps
     its exploration's steps: a step that is a basis vector is a unit row,
-    and only the dependent steps are solved (``_coord_blocks``).
+    and only the dependent steps are solved (``_coord_blocks``).  The
+    final and initial vectors come from integer dot products (``_dots``).
     """
     a = automaton
     field = a.field
@@ -351,30 +356,35 @@ def minimize(automaton):
     if not fwd[0]:
         return zero_automaton(a.alphabet, field)
     fvecs, (*blocks, init1) = _coord_blocks(
-        field, fwd, a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter)), "forward"
+        field, fwd, a.alphabet, lambda v, letter: _vec_mat(v, a.matrix(letter))
     )
     trans1 = dict(zip(a.alphabet, blocks))
-    final = _col_vec(a.final)
-    final1 = Matrix.col_vector(field, [_dot(v, final, field) for v in fvecs])
-
-    bwd = _col_vec(final1)
+    ints, den = _dots(fvecs, _col_vec(a.final))
+    bwd = _scaled(field, dict(enumerate(ints)), 1, den)
     if not bwd[0]:
         return zero_automaton(a.alphabet, field)
     bvecs, (*blocks, final2) = _coord_blocks(
-        field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v), "backward"
+        field, bwd, a.alphabet, lambda v, letter: _mat_vec(trans1[letter], v)
     )
-    alpha1 = _row_vec(init1)
-    alpha2 = [_dot(alpha1, v, field) for v in bvecs]
+    ints, den = _dots(bvecs, _row_vec(init1))
     return WeightedAutomaton(
         field,
         a.alphabet,
         {letter: b.transpose() for letter, b in zip(a.alphabet, blocks)},
-        Matrix.row_vector(field, alpha2),
+        Matrix.from_int_rows(field, len(bvecs), [[(k, x) for k, x in enumerate(ints) if x]], den),
         final2.transpose(),
     )
 
 
-def _coord_blocks(field, start, letters, step, side):
+def _dots(vecs, w):
+    """(ints, den): ints[k] / den is the dot product of the scaled vector
+    vecs[k] with the scaled vector w, over one common denominator."""
+    t, r, s = w
+    lq = lcm(*[q for _, _, q in vecs])
+    return [_idot(u, t) * p * r * (lq // q) for u, p, q in vecs], lq * s
+
+
+def _coord_blocks(field, start, letters, step):
     """Explore the span from the nonzero scaled vector ``start`` and
     return its basis vectors ``vecs`` with one matrix per letter, whose
     row t holds the coordinates, against ``vecs``, of the t-th basis
@@ -382,19 +392,27 @@ def _coord_blocks(field, start, letters, step, side):
 
     The step from basis word w by a is basis vector j exactly when w + a
     is basis word j, and ``start`` is basis vector 0; those rows are unit
-    rows.  Only the other, dependent, steps are taken again and solved
-    together (``int_coords``, which checks that each lies in the span).
+    rows.  The other, dependent, steps are the exploration's own, which
+    its basis reduced to zero, so they are solved together without a
+    second membership check (``span_coords``).
     A target (u, p, q) with d * u = sum(y_k * ints_k) has k-th coordinate
     y_k * p * q_k / (d * q * p_k), as u_k = (q_k / p_k) * vecs[k].  Over
     the block's common denominator lcm_t(d * q) * lcm_k(p_k) every entry
     is an exact int, so the block is built from its integer view."""
-    words, vecs, basis, _ = span_explore(field, start, letters, step, itemgetter(0))
-    r = len(vecs)
+    steps = []
+
+    def recorded(v, letter):
+        steps.append(step(v, letter))
+        return steps[-1]
+
+    words, vecs, basis, _ = span_explore(field, start, letters, recorded, itemgetter(0))
+    r, nl = len(vecs), len(letters)
     index = {w: j for j, w in enumerate(words)}
     targets = [[index.get(w + (a,)) for w in words] for a in letters] + [[0]]
-    dependent = [step(vecs[i], a) for a, group in zip(letters, targets)
+    # basis vector i was stepped by letter x as step i * nl + x
+    dependent = [steps[i * nl + x] for x, group in enumerate(targets)
                  for i, j in enumerate(group) if j is None]
-    sols = zip(dependent, basis.int_coords([t[0] for t in dependent]))
+    sols = zip(dependent, basis.span_coords([t[0] for t in dependent]))
     lp = lcm(*[pk for _, pk, _ in vecs])
     cs = [qk * (lp // pk) for _, pk, qk in vecs]
     out = []
@@ -403,8 +421,6 @@ def _coord_blocks(field, start, letters, step, side):
         for j in group:
             if j is None:
                 (_, p, q), sol = next(sols)
-                if sol is None:
-                    raise InternalInvariantError("%s space not closed under step" % side)
             else:
                 (_, p, q), sol = vecs[j], ([int(k == j) for k in range(r)], 1)
             block.append((*sol, p, q))

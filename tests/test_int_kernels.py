@@ -32,9 +32,10 @@ from imagebinary import (
     serialize_automaton,
     union,
 )
+from imagebinary import ifa, wa
 from imagebinary.matrix import CoordBasis
-from imagebinary.ifa import _with_square
-from imagebinary.wa import _row_vec, _vec_mat, span_explore
+from imagebinary.ifa import _SquareSpan, _with_square
+from imagebinary.wa import _mat_vec, _row_vec, _scaled, _vec_mat, span_explore
 
 from goldens import (
     ReferenceCoordBasis,
@@ -222,6 +223,8 @@ def test_span_algorithms_match_references_property(seed):
     _, b = binary_automaton(rng, rng.randint(1, 3))
     check_against_references(add(a, b), hadamard(a, b))
     check_against_references(random_rational_automaton(rng, rng.randint(1, 3)), a)
+    # binary, and its forward vectors grow dependent: the check switches
+    check_against_references(hadamard(a, non_minimal_binary()), b)
 
 
 def test_minimize_matches_reference_over_both_fields():
@@ -316,6 +319,128 @@ def test_int_span_entry_matches_reference_basis_on_words_fixtures():
             assert serialize_automaton(mod2) == serialize_automaton(
                 reference_minimize_all_steps(dfa_to_ifa(want, F2)))
     assert refused >= 3  # the sums of overlapping languages
+
+
+# === The image-binary check on v's coordinates, and minimize's steps ===
+
+
+def count_squares(monkeypatch):
+    """The list of n of every ``_with_square`` call from now on."""
+    calls, real = [], ifa._with_square
+
+    def counted(v, n):
+        calls.append(n)
+        return real(v, n)
+
+    monkeypatch.setattr(ifa, "_with_square", counted)
+    return calls
+
+
+def scaled_vector(xs):
+    """The scaled vector (u, p, q) of a list of rationals."""
+    den = lcm(*(Fraction(x).denominator for x in xs))
+    return _scaled(QQ, {j: int(x * den) for j, x in enumerate(xs)}, 1, den)
+
+
+def test_square_span_answers_as_the_basis_on_pairs():
+    """``_SquareSpan`` decides on v alone until its first dependent, new,
+    nonzero v; every answer, before and after that switch, is the one the
+    basis on the pairs (v, v (x) v) gives: the same index or None."""
+    rng = random.Random(4207)
+    switched = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        pool = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        fast, full = _SquareSpan(n), CoordBasis(QQ)
+        for _ in range(rng.randint(1, 9)):
+            x, y = rng.choice(pool), rng.choice(pool)
+            xs = rng.choice([x, [rng.choice(SCALES) * c for c in x], [a + b for a, b in zip(x, y)],
+                             [0] * n, [rng.randint(-2, 2) for _ in range(n)]])
+            v = scaled_vector(xs)
+            assert fast.add(v) == full.add(_with_square(v, n))
+        switched.add(fast.pairs is not None)
+    assert switched == {True, False}
+
+
+def non_minimal_binary():
+    """Words ending in a, read by states 0 and 1; state 2 doubles on a and
+    never reaches the final state, so the value stays binary while its
+    forward vectors (1, 0, 1), (0, 1, 2), (0, 1, 4), ... grow dependent."""
+    return WeightedAutomaton(
+        QQ,
+        ALPHABET,
+        {"a": Matrix.from_ints(QQ, [[0, 1, 0], [0, 1, 0], [0, 0, 2]]),
+         "b": Matrix.from_ints(QQ, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])},
+        Matrix.from_ints(QQ, [[1, 0, 1]]),
+        Matrix.from_ints(QQ, [[0], [1], [0]]),
+    )
+
+
+def test_image_binary_check_switches_to_squares_only_when_needed(monkeypatch):
+    """On the binary inputs of the ``words`` benchmark, read back from
+    their text (conjugated DFAs, products, unions and complements), the
+    forward vectors are independent or repeats, so no square is built.  A
+    non-minimal binary automaton switches without a witness, and sums of
+    overlapping languages switch or meet their witness first; every
+    verdict and witness is the reference's."""
+    squares = count_squares(monkeypatch)
+    rng = random.Random(2718)
+    for n in (3, 4, 5, 6, 7, 8):
+        # Hadamard operands of 2 to 4 states, as in the benchmark
+        a1, a2, a3 = (parse_automaton(serialize_automaton(conjugated_ifa(rng, random_dfa(rng, k, ALPHABET))))
+                      for k in (n, rng.randint(2, 4), rng.randint(2, 4)))
+        for a in (a1, intersect(a2, a3), union(a2, a3), complement(a1)):
+            assert is_image_binary(a) == reference_is_image_binary(a) == (True, None)
+    assert squares == []
+    a = non_minimal_binary()
+    assert is_image_binary(a) == reference_is_image_binary(a) == (True, None)
+    assert squares
+    del squares[:]
+    refused = switched = 0
+    for _ in range(40):
+        while True:
+            d1, d2 = (random_dfa(rng, rng.randint(3, 6), ALPHABET) for _ in range(2))
+            if ifa_to_dfa(intersect(dfa_to_ifa(d1), dfa_to_ifa(d2))).accepting:
+                break
+        a = parse_automaton(serialize_automaton(add(conjugated_ifa(rng, d1), conjugated_ifa(rng, d2))))
+        before = len(squares)
+        ok, witness = is_image_binary(a)
+        assert (ok, witness) == reference_is_image_binary(a)
+        refused += not ok
+        switched += len(squares) > before
+    assert refused == 40 and switched > 0
+
+
+def test_minimize_steps_each_basis_vector_once_per_side(monkeypatch):
+    """Each side of ``minimize`` steps every basis vector by every letter
+    once, in its exploration, and solves the dependent steps from there."""
+    rng = random.Random(1618)
+    cases = [non_minimal_binary()]
+    for _ in range(6):
+        d1, a1 = binary_automaton(rng, rng.randint(1, 6))
+        _, a2 = binary_automaton(rng, rng.randint(1, 4))
+        cases += [a1, add(a1, a2), union(a1, a2), dfa_to_ifa(d1, F2)]
+    for a in cases:
+        r1 = len(forward_words(a))
+        steps = {"forward": [], "backward": []}
+
+        def counted(side, real):
+            def step(x, y):
+                v, mat = (x, y) if side == "forward" else (y, x)
+                steps[side].append((frozenset(v[0].items()), v[1], v[2], id(mat)))
+                return real(x, y)
+            return step
+
+        monkeypatch.setattr(wa, "_vec_mat", counted("forward", _vec_mat))
+        monkeypatch.setattr(wa, "_mat_vec", counted("backward", _mat_vec))
+        got = minimize(a)
+        monkeypatch.undo()
+        # the zero language ends before the backward side
+        r2 = 0 if got.init.is_zero() else got.n
+        for side, r in (("forward", r1), ("backward", r2)):
+            assert len(steps[side]) == len(set(steps[side])) == r * len(ALPHABET)
+        assert serialize_automaton(got) == serialize_automaton(reference_minimize(a))
+        assert serialize_automaton(got) == serialize_automaton(reference_minimize_all_steps(a))
 
 
 # === Integer-view product ===
