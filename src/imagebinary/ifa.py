@@ -215,8 +215,10 @@ def ifa_to_dfa(automaton):
     States are signatures of forward vectors against a basis of the
     backward space, so two words reaching the same signature have the same
     residual language.  A signature whose value is outside {0,1} raises
-    ``SemanticError`` naming the value; an image-binary input has at most
-    2^n signatures, so exceeding that means the input was not image-binary.
+    ``SemanticError`` naming the value, and so does a signature past the
+    2^r-th, r the backward basis size: a signature holds the values of
+    w.w_k over the r backward basis words w_k, each 0 or 1 for an
+    image-binary input, so such an input has at most 2^r of them.
     """
     a = automaton
     field = a.field
@@ -228,6 +230,7 @@ def ifa_to_dfa(automaton):
         )
     # the scales of the backward vectors are common to every signature
     gs = [g for g, _, _ in bvecs]
+    cap = 2 ** len(gs)
     zero, one = field.zero, field.one
     found = {}  # signature -> (its first forward vector, whether it accepts)
 
@@ -241,6 +244,9 @@ def ifa_to_dfa(automaton):
             val = _dot(v, bwd, field)
             if val != zero and val != one:
                 raise SemanticError("input not image-binary (a word has value %s)" % (val,))
+            if len(found) == cap:
+                raise SemanticError("input not image-binary (more than 2^r = %d signatures, "
+                                    "r = %d)" % (cap, len(gs)))
             found[sig] = v, val == one
         return sig
 
@@ -248,8 +254,7 @@ def ifa_to_dfa(automaton):
         v = found[sig][0]
         return [signature(_vec_mat(v, a.matrix(letter))) for letter in a.alphabet]
 
-    graph = explore([signature(_row_vec(a.init))], successors, 2 ** a.n,
-                    "signatures (the 2^n bound); input was not image-binary")
+    graph = explore([signature(_row_vec(a.init))], successors)
     return _numbered_dfa(graph, a.alphabet, lambda sig: found[sig][1])
 
 

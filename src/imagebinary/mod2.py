@@ -1,11 +1,12 @@
 """Mod-2 weighted automata and linear feedback shift registers.
 
-An image-binary automaton can be reinterpreted over GF(2): extract its
-DFA, read the 0/1 structure as a GF(2) automaton and minimise.  The result
-never has more states than the rational automaton.  Shift-register
-sequences supply the classic witnesses separating the rational rank from
-the GF(2) rank: a maximal-period register of dimension d needs 2^d - 1
-states over the rationals but only d over GF(2).
+The minimal GF(2) automaton for the language of an image-binary
+automaton is the backward reduction of its DFA's 0/1 structure over
+GF(2) (the README derives it); it never has more states than the
+rational automaton.  Shift-register sequences supply the classic
+witnesses separating the rational rank from the GF(2) rank: a
+maximal-period register of dimension d needs 2^d - 1 states over the
+rationals but only d over GF(2).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 from .errors import InputError, InternalInvariantError
 from .fields import F2, QQ
 from .matrix import Matrix
-from .wa import WeightedAutomaton, minimize
-from .ifa import dfa_to_ifa, ifa_to_dfa, require_image_binary
+from .wa import WeightedAutomaton, zero_automaton
+from .ifa import ifa_to_dfa, require_image_binary
 
 __all__ = [
     "LfsrSpec",
@@ -109,22 +110,64 @@ def lfsr_to_mod2ma(spec, letter="#"):
 
 def ifa_to_mod2(automaton):
     """Minimal GF(2) automaton for the language of an image-binary
-    automaton: extract the DFA, reinterpret its 0/1 structure over GF(2)
-    and minimise.  The result has at most as many states as the input.
+    automaton, reduced from its extracted DFA (``_dfa_mod2``).  The
+    result has at most as many states as the input.
 
     The image-binary check runs before the extraction, although a
     completed extraction would prove the same: it keeps a refusal at the
-    check's polynomial cost, where an extraction can step up to 2^n
+    check's polynomial cost, where an extraction can step up to 2^r
     signatures before it meets a non-binary value.
     """
     require_image_binary(automaton)
-    dfa = ifa_to_dfa(automaton)
-    out = minimize(dfa_to_ifa(dfa, F2))
+    out = _dfa_mod2(ifa_to_dfa(automaton))
     if out.n > automaton.n:
         raise InternalInvariantError(
             "GF(2) automaton larger than the rational one (%d > %d)" % (out.n, automaton.n)
         )
     return out
+
+
+def _dfa_mod2(dfa):
+    """``minimize(dfa_to_ifa(dfa, F2))`` for a DFA numbered as ``ifa_to_dfa``
+    numbers it, whose forward reduction is the identity (see the README):
+    the backward reduction alone, on int bitmasks with bit q for state q."""
+    n, letters = dfa.state_count, dfa.alphabet
+    start = sum(1 << q for q in dfa.accepting)
+    if not start:
+        return zero_automaton(letters, F2)
+    pre = {a: [0] * n for a in letters}  # pre[a][t]: the states a sends to t
+    for (q, a), t in dfa.delta.items():
+        pre[a][t] |= 1 << q
+    vecs, echelon = [], {}  # lowest bit -> (row, mask of the vectors summing to it)
+
+    def coords(v):
+        # v's coordinates as a mask; a v outside the span is added
+        row, mask = v, 0
+        while row:
+            hit = echelon.get(row & -row)
+            if hit is None:
+                echelon[row & -row] = row, mask ^ (1 << len(vecs))
+                vecs.append(v)
+                return 1 << (len(vecs) - 1)
+            row ^= hit[0]
+            mask ^= hit[1]
+        return mask
+
+    coords(start)
+    steps = {a: [] for a in letters}  # per letter, each basis vector's step
+    for v in vecs:  # breadth first: vecs grows as the steps add to it
+        for a, pull in pre.items():
+            # the preimages are disjoint, so their sum is their xor
+            steps[a].append(coords(sum(p for q, p in enumerate(pull) if v >> q & 1)))
+    # as ``minimize`` builds them: the letter blocks transposed, the initial
+    # row read off the basis vectors, the final column the start's unit row
+    # (``from_int_rows`` keeps the odd ints over F2)
+    r = len(vecs)
+    trans = {a: Matrix.from_int_rows(F2, r, [[(t, m >> k) for t, m in enumerate(ms)]
+                                             for k in range(r)], 1) for a, ms in steps.items()}
+    init = Matrix.from_int_rows(F2, r, [[(k, v >> dfa.initial) for k, v in enumerate(vecs)]], 1)
+    final = Matrix.from_int_rows(F2, 1, [[(0, 1)]] + [[]] * (r - 1), 1)
+    return WeightedAutomaton(F2, letters, trans, init, final)
 
 
 @dataclass

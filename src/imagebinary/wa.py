@@ -326,14 +326,19 @@ def equivalent(a, b):
     """
     _require_compatible(a, b)
     diff = add(a, negate(b))
-    final, field = _col_vec(diff.final), diff.field
+    final, field = _col_vec(diff.final)[0], diff.field
+
+    def observe(v):  # the value is nonzero iff the int dot is, over F2 iff odd
+        t = _idot(v[0], final)
+        return t if field is QQ else t & 1
+
     _, _, _, witness = span_explore(
         field,
         _row_vec(diff.init),
         diff.alphabet,
         lambda v, letter: _vec_mat(v, diff.matrix(letter)),
         itemgetter(0),
-        lambda v: _dot(v, final, field),
+        observe,
     )
     if witness is None:
         return True, None

@@ -32,8 +32,10 @@ and the disambiguation with their own worklists and numbering (before
 ``graphs.explore`` replaced them; ``reference_ifa_to_dfa`` numbers its
 signatures the same way), and ``minimize`` solving every step of its
 explorations (before the steps that are basis vectors became unit
-rows).  ``edited`` draws the line edits of a document that the parser
-and command line fuzz tests share.
+rows), and ``ifa_to_mod2`` minimising the GF(2) embedding of its DFA
+(before the bitmask backward reduction replaced it).  ``edited`` draws
+the line edits of a document that the parser and command line fuzz
+tests share.
 """
 
 import itertools
@@ -64,10 +66,13 @@ from imagebinary import (
     SemanticError,
     ValidationError,
     WeightedAutomaton,
+    dfa_to_ifa,
+    ifa_to_dfa,
     kdis_successor_weights,
     trim_iba,
     zero_automaton,
 )
+from imagebinary.ifa import require_image_binary
 from imagebinary import wa
 from imagebinary.fields import field_by_name
 from imagebinary.graphs import (
@@ -1106,6 +1111,13 @@ def reference_ifa_to_dfa(automaton):
                 queue.append((j, v2))
             delta[i, letter] = j
     return Dfa(len(ids), a.alphabet, delta, 0, accepting)
+
+
+def reference_ifa_to_mod2(automaton):
+    """``ifa_to_mod2`` through the generic ``minimize``, forward and
+    backward, of the extracted DFA's GF(2) embedding."""
+    require_image_binary(automaton)
+    return wa.minimize(dfa_to_ifa(ifa_to_dfa(automaton), F2))
 
 
 def reference_nfa_to_dfa(nfa):

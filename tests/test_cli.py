@@ -326,6 +326,39 @@ def test_modelcheck(run, nba_path, tmp_path):
     assert run("modelcheck", str(dis), str(chain)) == (0, "1/1\n", "")
 
 
+def three_run_pipeline(run, tmp_path, k):
+    """``kdis --k K`` then ``modelcheck`` on an acceptor with three final
+    runs on a^6 b^omega (a chain of six a-moves, then b-moves into three
+    final b-loops), against a chain that emits a and stays or moves to a
+    b-loop with probability 1/2 each; so P(a^6 b^omega) = 1/64.  Returns
+    the ``kdis`` result if it fails, else the ``modelcheck`` result."""
+    trans = [(i, "a", i + 1) for i in range(6)] + [(6, "b", q) for q in (7, 8, 9)]
+    nba = Nba(10, ("a", "b"), trans + [(q, "b", q) for q in (7, 8, 9)], [0], [7, 8, 9])
+    src, dis = tmp_path / "three_runs.nba", tmp_path / "dis.iba"
+    save_automaton(str(src), nba)
+    chain = tmp_path / "chain.mc"
+    chain.write_text("states: 2\nalphabet: a b\ninitial: 1 0\nlabels: a b\n"
+                     "row: 1/2 1/2\nrow: 0 1\n")
+    made = run("kdis", str(src), str(dis), "--k", str(k))
+    return made if made[0] else run("modelcheck", str(dis), str(chain))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="kdis does not prove its k, and k = 2 on three runs gives value 0")
+def test_modelcheck_refuses_or_is_right_after_a_too_small_k(run, tmp_path):
+    """With N final runs on a word, the ``kdis`` output's value is
+    1 - (-1)^k C(N - 1, k): 0 for N = 3 and k = 2, a binary value for the
+    wrong language, so every check passes and ``modelcheck`` prints 0/1.
+    This fails loudly once a too small k is refused (exit 3, by ``kdis``
+    or ``modelcheck``) or the probability is right."""
+    code, out, _ = three_run_pipeline(run, tmp_path, 2)
+    assert code == 3 or out == "1/64\n"
+
+
+def test_modelcheck_is_right_with_k_at_the_run_count(run, tmp_path):
+    assert three_run_pipeline(run, tmp_path, 3) == (0, "1/64\n", "")
+
+
 def test_modelcheck_rejects_non_binary(run, tmp_path):
     doc = (
         "kind: iba\nalphabet: a\nstates: 2\ninitial: 1 0\nfinal: 2\n"
