@@ -12,7 +12,8 @@ word.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, inf
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import InputError, InternalInvariantError, SemanticError
@@ -137,8 +138,11 @@ class Iba(_LetterMatrices):
     infinite word is the sum over final paths of the path weights; for the
     automata built here that value is always 0 or 1.
 
-    ``trans`` is read-only, so the ultimate stability flag is computed
-    once, on first use.
+    ``trans``, ``init`` and ``final`` are never changed after
+    construction, so what depends only on them is computed once, on first
+    use, and kept: the nonzero edge graph, the ultimate stability flag
+    and, once the automaton is known to be stable, the lasso view that
+    every lasso query reads (``_lasso_view``).
     ``untrimmed_state_count`` is the state count of the construction
     before trimming, when the automaton came from one (else None)."""
 
@@ -160,15 +164,19 @@ class Iba(_LetterMatrices):
             raise InputError("state_labels must have one entry per state")
         self.n = n
         self._stable = None
+        self._edges = None
+        self._view = None
 
     def nonzero_edge_graph(self):
         """{state: tuple of states reached by a nonzero weight under some
-        letter}, read-only."""
-        succs = [set() for _ in range(self.n)]
-        for m in self.trans.values():
-            for q, row in enumerate(m.int_rows()[0]):
-                succs[q].update(q2 for q2, _w in row)
-        return MappingProxyType({q: tuple(sorted(s)) for q, s in enumerate(succs)})
+        letter}, read-only, built once."""
+        if self._edges is None:
+            succs = [set() for _ in range(self.n)]
+            for m in self.trans.values():
+                for q, row in enumerate(m.int_rows()[0]):
+                    succs[q].update(q2 for q2, _w in row)
+            self._edges = MappingProxyType({q: tuple(sorted(s)) for q, s in enumerate(succs)})
+        return self._edges
 
     def __eq__(self, other):
         # labels are decoration, not identity
@@ -192,7 +200,7 @@ class Iba(_LetterMatrices):
 # engine serves both automaton kinds: it reads one tuple of (successor,
 # weight) pairs per state, so an Iba's nonzero rows sum path values and
 # the same rows with weight 1 count paths.  The weights are ints wherever
-# the automaton is integral (``_stable_weights``) and ``Fraction`` values
+# the automaton is integral (``_LassoView``) and ``Fraction`` values
 # otherwise; the engine is exact on either.
 #
 # Sums use the locked-cycle normal form.  If some live node (one with a
@@ -400,27 +408,57 @@ def is_ultimately_stable(iba):
     return iba._stable
 
 
-def _stable_weights(iba):
-    """Initial weights and {letter: nonzero rows}, in alphabet order, of
-    an ultimately stable automaton: the input of the lasso engine.  A
-    matrix with integer entries (every ``kdis`` output, every 0/1
+class _LassoView:
+    """The input of the lasso engine for one ultimately stable automaton:
+    ``start`` (initial weights) and ``rows`` ({letter: per state, its
+    nonzero (successor, weight) pairs}, in alphabet order) to sum values,
+    ``unit``, whether every weight is 1, and ``unit_start`` and
+    ``unit_rows``, the same supports with weight 1 to count final paths.
+    A matrix with integer entries (every ``kdis`` output, every 0/1
     embedding) hands over the ints of its integer view, any other its
     ``Fraction`` rows."""
-    if not is_ultimately_stable(iba):
-        raise InputError("automaton is not ultimately stable")
 
-    def rows(m):
-        ints, den = m.int_rows()
-        return ints if den == 1 else m.nonzero_rows()
+    __slots__ = ("start", "rows", "unit", "unit_start", "unit_rows")
 
-    return dict(rows(iba.init)[0]), {a: rows(iba.trans[a]) for a in iba.alphabet}
+    def __init__(self, iba):
+        def rows(m):
+            ints, den = m.int_rows()
+            return ints if den == 1 else m.nonzero_rows()
+
+        self.start = dict(rows(iba.init)[0])
+        self.rows = {a: rows(iba.trans[a]) for a in iba.alphabet}
+        self.unit = all(w == 1 for w in self.start.values()) and all(
+            w == 1 for table in self.rows.values() for row in table for _q, w in row
+        )
+        if self.unit:
+            self.unit_start, self.unit_rows = self.start, self.rows
+        else:
+            pairs = [(q, 1) for q in range(iba.n)]  # shared by every row
+            self.unit_start = dict.fromkeys(self.start, 1)
+            self.unit_rows = {
+                a: tuple([tuple([pairs[q2] for q2, _w in row]) for row in table])
+                for a, table in self.rows.items()
+            }
+
+
+def _lasso_view(iba):
+    """The automaton's ``_LassoView``, built on its first lasso query
+    right after the stability check and kept on the automaton (whose
+    transitions, initial row and final states never change).  An unstable
+    automaton raises ``InputError`` on every query and keeps no view."""
+    if iba._view is None:
+        if not is_ultimately_stable(iba):
+            raise InputError("automaton is not ultimately stable")
+        iba._view = _LassoView(iba)
+    return iba._view
 
 
 def iba_lasso_eval(iba, lasso):
     """Exact value of the lasso word: the sum of initial weight times
     transient edge weights over all final paths.  Raises SemanticError
     when infinitely many final paths exist."""
-    total = _lasso_sum(*_stable_weights(iba), lasso, iba.final)
+    view = _lasso_view(iba)
+    total = _lasso_sum(view.start, view.rows, lasso, iba.final)
     if total is None:
         raise SemanticError(
             "infinitely many final paths on %s" % (_join_lasso(lasso, iba.alphabet),)
@@ -432,9 +470,8 @@ def iba_lasso_count_final(iba, lasso, cap):
     """Number of final paths over the lasso, or OVERFLOW beyond cap."""
     if cap < 0:
         raise InputError("cap must be nonnegative")
-    start, rows = _stable_weights(iba)
-    unit = {a: [[(q2, 1) for q2, _w in row] for row in r] for a, r in rows.items()}
-    total = _lasso_sum(dict.fromkeys(start, 1), unit, lasso, iba.final)
+    view = _lasso_view(iba)
+    total = _lasso_sum(view.unit_start, view.unit_rows, lasso, iba.final)
     return OVERFLOW if total is None or total > cap else total
 
 
@@ -448,15 +485,12 @@ def binariness_witness(iba, max_stem, max_cycle):
     sweeping.  Any other input, and an ambiguous 0/1 one, is swept lasso
     by lasso, so ambiguity that shows only beyond the bounds still gives
     None."""
-    start, rows = _stable_weights(iba)
+    view = _lasso_view(iba)
     if max_stem < 0 or max_cycle < 1:
         raise InputError("lasso bounds need max_stem >= 0 and max_cycle >= 1")
-    unit = all(w == 1 for w in start.values()) and all(
-        w == 1 for table in rows.values() for row in table for _q, w in row
-    )
-    if unit and _unambiguous(start, rows, iba.final):
+    if view.unit and _unambiguous(view.start, view.rows, iba.final):
         return None
-    for stem, cycle, total in _lasso_sweep(start, rows, iba.final, max_stem, max_cycle):
+    for stem, cycle, total in _lasso_sweep(view.start, view.rows, iba.final, max_stem, max_cycle):
         if total is None:
             raise SemanticError(
                 "infinitely many final paths on %s"
@@ -508,7 +542,7 @@ class CountVector:
     '+').  Immutable and usable as a dict key; entries are kept sorted
     state-major with '-' before '+'."""
 
-    __slots__ = ("_items", "_size")
+    __slots__ = ("_items", "_size", "_hash")
 
     def __init__(self, counts):
         acc = {}
@@ -522,6 +556,15 @@ class CountVector:
                 acc[key] = acc.get(key, 0) + c
         self._items = tuple(sorted(acc.items()))
         self._size = sum(c for _, c in self._items)
+        self._hash = hash(self._items)
+
+    @classmethod
+    def _trusted(cls, items):
+        """The vector of ``items``, already merged, positive and sorted:
+        no validation."""
+        vec = object.__new__(cls)
+        vec._items, vec._size, vec._hash = items, sum(c for _, c in items), hash(items)
+        return vec
 
     def items(self):
         return self._items
@@ -543,7 +586,7 @@ class CountVector:
         return isinstance(other, CountVector) and self._items == other._items
 
     def __hash__(self):
-        return hash(self._items)
+        return self._hash
 
     def __lt__(self, other):
         return (self._size, self._items) < (other._size, other._items)
@@ -580,50 +623,68 @@ def _bit_after(nba, q, b, b_next):
     return (q in nba.final or b) and b_next
 
 
+_TEMPLATES = {}  # (n, d) -> _successor_templates(n, d)
+
+
+def _successor_templates(n, d):
+    """The ways n runs can spread over d successors, as (growth, picks,
+    weight) triples: picks holds the (successor index, count) pairs with
+    a nonzero count, growth their total and weight = num_succ(n, counts),
+    positive.  Sorted by growth, so a scan can stop at a size cap.  Built
+    once per (n, d) and kept in ``_TEMPLATES``: they are tuples of ints
+    that depend on n and d alone, so every caller can share them."""
+    if (n, d) in _TEMPLATES:
+        return _TEMPLATES[n, d]
+    out = []
+    for combo in itertools.product(range(n + 1), repeat=d):
+        if sum(combo) < n:
+            continue
+        w = num_succ(n, combo)
+        if w < 0:
+            raise InternalInvariantError("negative successor count")
+        if w:
+            out.append((sum(combo), tuple((i, c) for i, c in enumerate(combo) if c), w))
+    out.sort(key=itemgetter(0))
+    _TEMPLATES[n, d] = out = tuple(out)
+    return out
+
+
 def kdis_successor_weights(nba, r, a, size_cap=None):
     """All successor count vectors of r under letter a with their
-    (unsigned) multiplicities w(r, a, r').
+    (unsigned) multiplicities w(r, a, r').  Each entry (q, b) of r with
+    multiplicity n spreads over q's d successors by the templates of
+    (n, d) (``_successor_templates``).
 
     ``size_cap`` drops vectors whose total size exceeds the cap (used when
     building the k-disambiguation, whose states track at most k runs).
     """
     if a not in nba.rows:
         raise InputError("letter %r is not in the alphabet" % (a,))
+    cap = inf if size_cap is None else size_cap
     b_next = any(not b for (_q, b), _c in r.items())
-    partials = {(): 1}
+    partials = {(): 1}  # sorted entries -> summed weight
     for (q, b), n in r.items():
         row = nba.rows[a][q]
         if not row:
             return {}
         bit = _bit_after(nba, q, b, b_next)
         keys = [(s, bit) for s, _w in row]
-        options = []
-        for combo in itertools.product(range(n + 1), repeat=len(keys)):
-            if sum(combo) < n:
-                continue
-            w = num_succ(n, combo)
-            if w < 0:
-                raise InternalInvariantError("negative successor count")
-            if w == 0:
-                continue
-            options.append((tuple(zip(keys, combo)), w))
+        templates = _successor_templates(n, len(keys))
         nxt = {}
         for vec, acc in partials.items():
-            base = dict(vec)
-            for add, w in options:
-                cur = dict(base)
-                for key, c in add:
-                    if c == 0:
-                        continue
-                    cur[key] = cur.get(key, 0) + c
-                if size_cap is not None and sum(cur.values()) > size_cap:
-                    continue
+            room = cap - sum(c for _key, c in vec)
+            for growth, picks, w in templates:
+                if growth > room:
+                    break
+                cur = dict(vec)
+                for i, c in picks:
+                    cur[keys[i]] = cur.get(keys[i], 0) + c
                 key2 = tuple(sorted(cur.items()))
                 nxt[key2] = nxt.get(key2, 0) + acc * w
         partials = nxt
         if not partials:
             return {}
-    return {CountVector(dict(vec)): w for vec, w in partials.items() if vec}
+    return {CountVector._trusted(vec): w for vec, w in partials.items() if vec}
 
 
 def kdis_weight_w(r, a, r2, nba):
@@ -645,7 +706,11 @@ def kdis(nba, k):
     lasso its value equals 1 when the input accepts the word and 0
     otherwise, provided the input really is k-ambiguous.  A state is a
     count vector of total size 1..k over the 2n (state, bit) pairs, so
-    there are at most C(2n+k, k) - 1; the search checks that bound.
+    there are at most C(2n+k, k) - 1; the search checks that bound.  A
+    state's successors come from templates, one per (multiplicity n,
+    out-degree d): the ways n runs spread over d successors with a
+    positive num_succ weight, built once as ints and scanned in order of
+    growth up to the size cap k (``kdis_successor_weights``).
     """
     if k < 1:
         raise InputError("k must be at least 1")

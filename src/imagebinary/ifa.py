@@ -231,23 +231,27 @@ def ifa_to_dfa(automaton):
     # the scales of the backward vectors are common to every signature
     gs = [g for g, _, _ in bvecs]
     cap = 2 ** len(gs)
-    zero, one = field.zero, field.one
+    bu, br, bs = bwd
     found = {}  # signature -> (its first forward vector, whether it accepts)
 
     def signature(v):
         """The dot products with the backward basis, as a scaled vector,
-        which is canonical; a new one is checked for a binary value."""
+        which is canonical; a new one is checked for a binary value, num /
+        den from the int dot with the backward start (over F2, its parity)."""
         u, p, q = v
-        t, p, q = _scaled(field, {k: _idot(u, g) for k, g in enumerate(gs)}, p, q)
-        sig = tuple(t.items()), p, q
+        t, tp, tq = _scaled(field, {k: _idot(u, g) for k, g in enumerate(gs)}, p, q)
+        sig = tuple(t.items()), tp, tq
         if sig not in found:
-            val = _dot(v, bwd, field)
-            if val != zero and val != one:
-                raise SemanticError("input not image-binary (a word has value %s)" % (val,))
+            num, den = _idot(u, bu) * p * br, q * bs
+            if field is not QQ:
+                num, den = num & 1, 1
+            if num != 0 and num != den:
+                raise SemanticError("input not image-binary (a word has value %s)"
+                                    % (field.frac(num, den),))
             if len(found) == cap:
                 raise SemanticError("input not image-binary (more than 2^r = %d signatures, "
                                     "r = %d)" % (cap, len(gs)))
-            found[sig] = v, val == one
+            found[sig] = v, num != 0
         return sig
 
     def successors(sig):

@@ -33,7 +33,10 @@ and the disambiguation with their own worklists and numbering (before
 signatures the same way), and ``minimize`` solving every step of its
 explorations (before the steps that are basis vectors became unit
 rows), and ``ifa_to_mod2`` minimising the GF(2) embedding of its DFA
-(before the bitmask backward reduction replaced it).  ``edited`` draws
+(before the bitmask backward reduction replaced it), and the successor
+vectors of ``kdis`` enumerated per call from every count combination
+(before templates per multiplicity and out-degree, cut at the size cap,
+replaced them).  ``edited`` draws
 the line edits of a document that the parser and command line fuzz
 tests share.
 """
@@ -69,6 +72,7 @@ from imagebinary import (
     dfa_to_ifa,
     ifa_to_dfa,
     kdis_successor_weights,
+    num_succ,
     trim_iba,
     zero_automaton,
 )
@@ -1141,6 +1145,50 @@ def reference_nfa_to_dfa(nfa):
             delta[i, a] = j
     accepting = {i for i, subset in enumerate(sets) if subset & nfa.final}
     return Dfa(len(sets), nfa.alphabet, delta, 0, accepting)
+
+
+def reference_kdis_successor_weights(nba, r, a, size_cap=None):
+    """``kdis_successor_weights`` enumerating, for each entry (q, b) of r
+    with multiplicity n, every count combination over q's successors
+    with ``num_succ`` per call, and merging every option into every
+    partial vector before the size cap drops it."""
+    if a not in nba.rows:
+        raise InputError("letter %r is not in the alphabet" % (a,))
+    b_next = any(not b for (_q, b), _c in r.items())
+    partials = {(): 1}
+    for (q, b), n in r.items():
+        row = nba.rows[a][q]
+        if not row:
+            return {}
+        bit = (q in nba.final or b) and b_next
+        keys = [(s, bit) for s, _w in row]
+        options = []
+        for combo in itertools.product(range(n + 1), repeat=len(keys)):
+            if sum(combo) < n:
+                continue
+            w = num_succ(n, combo)
+            if w < 0:
+                raise InternalInvariantError("negative successor count")
+            if w == 0:
+                continue
+            options.append((tuple(zip(keys, combo)), w))
+        nxt = {}
+        for vec, acc in partials.items():
+            base = dict(vec)
+            for add, w in options:
+                cur = dict(base)
+                for key, c in add:
+                    if c == 0:
+                        continue
+                    cur[key] = cur.get(key, 0) + c
+                if size_cap is not None and sum(cur.values()) > size_cap:
+                    continue
+                key2 = tuple(sorted(cur.items()))
+                nxt[key2] = nxt.get(key2, 0) + acc * w
+        partials = nxt
+        if not partials:
+            return {}
+    return {CountVector(dict(vec)): w for vec, w in partials.items() if vec}
 
 
 def reference_kdis(nba, k):

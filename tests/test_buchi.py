@@ -34,6 +34,7 @@ from imagebinary import (
     trim_iba,
 )
 from imagebinary import buchi, wa
+from imagebinary.formats import parse_automaton, serialize_automaton
 from imagebinary.fixtures import bounded_ambiguity_nba
 from imagebinary.graphs import strongly_connected_components
 
@@ -43,6 +44,7 @@ from goldens import (
     fanout_unary_nba,
     reference_cycle_sum,
     reference_diamond_on_loop,
+    reference_kdis_successor_weights,
     reference_lasso_accepts,
     reference_lasso_count,
     reference_trim_iba,
@@ -368,6 +370,13 @@ def test_infinite_final_paths_is_semantic():
     assert iba_lasso_count_final(iba, Lasso((), "a"), 10 ** 9) is OVERFLOW
 
 
+def stable_weights(iba):
+    """The initial weights and weighted rows of the automaton's lasso
+    view, the engine input of its value queries."""
+    view = buchi._lasso_view(iba)
+    return view.start, view.rows
+
+
 def sweep_against_tuple_nodes(start, rows, final, max_stem, max_cycle):
     """The lasso sweep and ``_cycle_sum`` against ``reference_cycle_sum``
     on every lasso within the bounds: the same (stem, cycle, sum) in the
@@ -423,10 +432,9 @@ def test_int_node_lasso_product_matches_tuple_node_reference():
     for k, size in ((1, 3), (1, 4), (2, 2), (3, 1), (2, 1)):
         for _ in range(3):
             out = kdis(bounded_ambiguity_nba(rng, k, size, ("a", "b")), k)
-            start, rows = buchi._stable_weights(out)
-            sums += sweep_against_tuple_nodes(start, rows, out.final, 2, 3)
-            unit = {a: [[(q2, 1) for q2, _w in row] for row in r] for a, r in rows.items()}
-            sums += sweep_against_tuple_nodes(dict.fromkeys(start, 1), unit, out.final, 1, 3)
+            view = buchi._lasso_view(out)
+            sums += sweep_against_tuple_nodes(view.start, view.rows, out.final, 2, 3)
+            sums += sweep_against_tuple_nodes(view.unit_start, view.unit_rows, out.final, 1, 3)
     rng = random.Random(83)
     for _ in range(12):
         nba = random_nba(rng, rng.randint(2, 5), ("a", "b"), density=0.35)
@@ -434,7 +442,7 @@ def test_int_node_lasso_product_matches_tuple_node_reference():
         sums += sweep_against_tuple_nodes(start, nba.rows, nba.final, 3, 3)
         iba = stable_rational_iba(rng, nba)
         assert is_ultimately_stable(iba)
-        start, rows = buchi._stable_weights(iba)
+        start, rows = stable_weights(iba)
         sums += sweep_against_tuple_nodes(start, rows, iba.final, 2, 3)
     assert None in sums and any(t is not None and t > 1 for t in sums)
     assert any(isinstance(t, Fraction) and t.denominator > 1 for t in sums)
@@ -453,13 +461,13 @@ def test_sweep_reuses_root_sums_lasso_for_lasso():
         nba = bounded_ambiguity_nba(rng, k, size, ("a", "b"))
         out = kdis(nba, k)
         cases.append((dict.fromkeys(nba.initial, 1), nba.rows, nba.final))
-        cases.append((*buchi._stable_weights(out), out.final))
+        cases.append((*stable_weights(out), out.final))
     rng = random.Random(89)
     for _ in range(10):
         nba = random_nba(rng, rng.randint(2, 4), ("a", "b"), density=0.35)
         iba = stable_rational_iba(rng, nba)
         cases.append((dict.fromkeys(nba.initial, 1), nba.rows, nba.final))
-        cases.append((*buchi._stable_weights(iba), iba.final))
+        cases.append((*stable_weights(iba), iba.final))
     reused, split = 0, 0
     for start, rows, final in cases:
         sums = sweep_against_tuple_nodes(start, rows, final, 2, 4)
@@ -540,7 +548,7 @@ def test_witness_matches_a_per_lasso_loop():
         got = witness_outcome(binariness_witness, iba, 2, 4)
         assert got == witness_outcome(witness_per_lasso, iba, 2, 4)
         kinds.add(type(got))
-        start, rows = buchi._stable_weights(iba)
+        start, rows = stable_weights(iba)
         if all(w == 1 for w in start.values()) and all(
             w == 1 for table in rows.values() for row in table for _q, w in row
         ):
@@ -550,6 +558,127 @@ def test_witness_matches_a_per_lasso_loop():
     assert settled.count(True) > 10 and settled.count(False) > 10
     # ambiguous, but only beyond the bounds: the sweep still answers None
     assert not settled[-1] and got is None
+
+
+# === The lasso view ===
+
+
+def view_cases():
+    """c07 kdis outputs (integral, signed weights), each also with half of
+    its final states (values outside {0, 1}), and ultimately stable
+    automata with non-integral weights, for the lasso view tests."""
+    rng = random.Random(2024)  # the c07 generator's bounded acceptors
+    ibas = []
+    for k, size in ((1, 3), (1, 4), (2, 2), (3, 1), (2, 1)):
+        out = kdis(bounded_ambiguity_nba(rng, k, size, ("a", "b")), k)
+        half = sorted(out.final)[: len(out.final) // 2]
+        ibas += [out, Iba(out.alphabet, out.trans, out.init, half)]
+    rng = random.Random(137)
+    for _ in range(6):
+        ibas.append(stable_rational_iba(rng, random_nba(rng, rng.randint(2, 4), ("a", "b"), 0.35)))
+    return ibas
+
+
+def reference_answer(iba, query):
+    """A lasso query answered without the library's engine: the value by
+    ``reference_cycle_sum`` over the automaton's ``Fraction`` rows, the
+    count by ``reference_lasso_count`` on its support acceptor; None for
+    infinitely many final paths."""
+    kind, lasso, cap = query
+    if kind == "count":
+        triples = [(q, a, q2) for a, m in iba.trans.items()
+                   for q, row in enumerate(m.nonzero_rows()) for q2, _w in row]
+        support = Nba(iba.n, iba.alphabet, triples,
+                      [q for q, _w in iba.init.nonzero_rows()[0]], iba.final)
+        return reference_lasso_count(support, lasso, cap)
+    rows = {a: iba.trans[a].nonzero_rows() for a in iba.alphabet}
+    layer = dict(iba.init.nonzero_rows()[0])
+    for a in lasso.stem:
+        nxt = {}
+        for q, w in layer.items():
+            for q2, x in rows[a][q]:
+                nxt[q2] = nxt.get(q2, 0) + w * x
+        layer = nxt
+    return reference_cycle_sum(layer, [rows[a] for a in lasso.cycle], iba.final)
+
+
+def library_answer(iba, query):
+    kind, lasso, cap = query
+    if kind == "count":
+        return iba_lasso_count_final(iba, lasso, cap)
+    if kind == "witness":
+        return witness_outcome(binariness_witness, iba, *cap)
+    try:
+        return iba_lasso_eval(iba, lasso)
+    except SemanticError:
+        return None
+
+
+def test_lasso_view_answers_do_not_depend_on_query_order():
+    """Value, path-count and witness queries, each asked twice in a
+    shuffled order of one automaton, give the answers of a fresh parsed
+    copy of it asked that query alone, and the values and counts equal
+    the reference analysis: on c07 kdis outputs and on stable automata
+    with non-integral weights."""
+    rng = random.Random(139)
+    kinds = set()
+    for iba in view_cases():
+        text = serialize_automaton(iba)
+        queries = [(kind, lasso, cap) for lasso in all_lassos(2, 3)
+                   for kind, cap in (("eval", None), ("count", 2), ("count", 10 ** 6))]
+        queries += [("witness", None, (2, 2)), ("witness", None, (1, 3))]
+        expected = {}
+        for query in queries:
+            expected[query] = library_answer(parse_automaton(text), query)
+            if query[0] != "witness":
+                assert expected[query] == reference_answer(iba, query), query
+            kinds.add((query[0], type(expected[query])))
+        asked = queries * 2
+        rng.shuffle(asked)
+        for query in asked:
+            assert library_answer(iba, query) == expected[query], query
+    assert {("eval", type(None)), ("count", type(OVERFLOW)), ("witness", tuple)} <= kinds
+
+
+def test_unstable_automaton_raises_on_every_query_and_keeps_no_view():
+    unstable = Iba(("a",), {"a": Matrix(QQ, [[1, 0], [0, 2]])}, Matrix.row_vector(QQ, [1, 1]), [0])
+    lasso = Lasso((), "a")
+    queries = [lambda: iba_lasso_eval(unstable, lasso),
+               lambda: iba_lasso_count_final(unstable, lasso, 5),
+               lambda: binariness_witness(unstable, 2, 2)] * 2
+    for query in queries:
+        with pytest.raises(InputError, match="^automaton is not ultimately stable$"):
+            query()
+        assert unstable._view is None and unstable._stable is False
+
+
+def test_lasso_view_is_built_once_per_automaton(monkeypatch):
+    """Every lasso query of an automaton reads one view, built on the
+    first query; trimming and the stability check build none, and the
+    edge graph is built once too."""
+    built = []
+
+    class CountedView(buchi._LassoView):
+        __slots__ = ()
+
+        def __init__(self, iba):
+            built.append(iba)
+            super().__init__(iba)
+
+    monkeypatch.setattr(buchi, "_LassoView", CountedView)
+    ibas = view_cases()
+    for iba in ibas:
+        assert is_ultimately_stable(iba)
+        trim_iba(iba)
+        assert iba.nonzero_edge_graph() is iba.nonzero_edge_graph()
+    assert built == []
+    for _ in range(2):
+        for iba in ibas:
+            for lasso in all_lassos(1, 2):
+                library_answer(iba, ("eval", lasso, None))
+                library_answer(iba, ("count", lasso, 3))
+            library_answer(iba, ("witness", None, (1, 2)))
+    assert built == ibas
 
 
 def test_two_run_product_matches_lasso_counts():
@@ -758,6 +887,47 @@ def test_weight_w_absent_target_is_zero():
     assert kdis_weight_w(r, "a", unreachable, nba) == 0
     with pytest.raises(InputError):
         kdis_weight_w(r, "z", unreachable, nba)  # not a letter of the acceptor
+
+
+def bounded_degree_nba(rng, state_count, alphabet, max_degree):
+    """A random acceptor in which every (state, letter) has at most
+    ``max_degree`` successors."""
+    triples = [(q, a, q2) for q in range(state_count) for a in alphabet
+               for q2 in rng.sample(range(state_count), rng.randint(0, max_degree))]
+    initial = sorted(rng.sample(range(state_count), rng.randint(1, 2)))
+    final = sorted(rng.sample(range(state_count), rng.randint(1, state_count)))
+    return Nba(state_count, alphabet, triples, initial, final)
+
+
+def test_successor_templates_match_per_call_enumeration(monkeypatch):
+    """Successor vectors from the per-(multiplicity, out-degree) templates
+    equal the per-call enumeration of every count combination, with no
+    cap, the cap k and the vector's own size as cap, on random acceptors
+    of out-degree <= 4 and vectors of size <= k <= 4; and kdis writes the
+    same document with the enumeration in their place."""
+    rng = random.Random(131)
+    seen = set()
+    for _ in range(10):
+        nba = bounded_degree_nba(rng, rng.randint(4, 5), ("a", "b"), 4)
+        for _ in range(8):
+            k = rng.randint(1, 4)
+            counts = {}
+            for _ in range(rng.randint(1, k)):
+                key = (rng.randrange(nba.state_count), rng.random() < 0.5)
+                counts[key] = counts.get(key, 0) + 1
+            for r in (CountVector(counts), CountVector({(rng.randrange(nba.state_count), False): k})):
+                for a in nba.alphabet:
+                    seen.update((n, len(nba.rows[a][q])) for (q, _b), n in r.items())
+                    for cap in (None, k, r.size):
+                        got = kdis_successor_weights(nba, r, a, cap)
+                        want = reference_kdis_successor_weights(nba, r, a, cap)
+                        assert got == want, (r, a, cap)
+    assert (4, 4) in seen and (1, 0) in seen
+    rng = random.Random(133)
+    cases = [(bounded_degree_nba(rng, 3, ("a", "b"), 3), k) for k in (1, 2, 3, 4, 2, 3)]
+    docs = [serialize_automaton(kdis(nba, k)) for nba, k in cases]
+    monkeypatch.setattr(buchi, "kdis_successor_weights", reference_kdis_successor_weights)
+    assert docs == [serialize_automaton(kdis(nba, k)) for nba, k in cases]
 
 
 # === The disambiguation ===

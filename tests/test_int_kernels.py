@@ -251,6 +251,21 @@ def test_minimize_matches_reference_over_both_fields():
     assert sizes == {(QQ, True), (QQ, False), (F2, True), (F2, False)}
 
 
+def test_ifa_to_dfa_over_f2_matches_reference():
+    """Over F2 every value is 0 or 1, and ``ifa_to_dfa`` reads a new
+    signature's value as the parity of an int dot product: the same DFA
+    as the reference on GF(2) embeddings, their sums (whose dots can be
+    even and nonzero) and the minimal forms of the sums."""
+    rng = random.Random(3303)
+    for _ in range(20):
+        f1 = dfa_to_ifa(binary_automaton(rng, rng.randint(1, 5))[0], F2)
+        f2 = dfa_to_ifa(binary_automaton(rng, rng.randint(1, 5))[0], F2)
+        for a in (f1, add(f1, f2), minimize(add(f1, f2))):
+            got, want = ifa_to_dfa(a), reference_ifa_to_dfa(a)
+            assert (got.state_count, got.delta, got.accepting) == (
+                want.state_count, want.delta, want.accepting)
+
+
 def test_upper_triangle_coordinates_are_distinct():
     """Each product v_i v_j, i <= j, gets its own coordinate, and together
     they fill n + n(n+1)/2 coordinates: 65 instead of 110 at n = 10."""

@@ -29,7 +29,7 @@ from imagebinary import (
     random_mc,
     serialize_automaton,
 )
-from imagebinary.buchi import _stable_weights
+from imagebinary.buchi import _lasso_view
 from imagebinary.fixtures import bounded_ambiguity_nba
 from imagebinary.graphs import nodes_on_cycles, reachable_from
 from imagebinary.wa import _col_vec, _mat_vec, _row_vec, _vec_mat
@@ -469,7 +469,8 @@ def support_nba(iba):
 
 
 def engine_weights(iba):
-    start, rows = _stable_weights(iba)
+    view = _lasso_view(iba)
+    start, rows = view.start, view.rows
     return list(start.values()) + [w for r in rows.values() for row in r for _q, w in row]
 
 
