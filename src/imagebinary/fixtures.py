@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import random
-from fractions import Fraction
 
 from .buchi import Nba
 from .errors import InputError
@@ -109,7 +108,8 @@ def random_mc(rng, state_count, alphabet):
     labels = [rng.choice(alphabet) for _ in range(state_count)]
     ratios = [[(j, (x, t)) for j, x in enumerate(w)] for w, t in zip(rows, map(sum, rows))]
     matrix = _int_matrix(QQ, state_count, ratios)
-    return MarkovChain(matrix, [Fraction(x, sum(init)) for x in init], labels, tuple(alphabet))
+    init_row = Matrix.from_int_rows(QQ, state_count, [[(j, x) for j, x in enumerate(init) if x]], sum(init))
+    return MarkovChain(matrix, init_row, labels, tuple(alphabet))
 
 
 def generate_fixture_files(seed, sizes, outdir, k=2):

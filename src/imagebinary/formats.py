@@ -10,7 +10,6 @@ parse(serialize(x)) reproduces x.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .buchi import CountVector, Iba, Nba
@@ -276,7 +275,7 @@ def serialize_automaton(obj):
 def parse_markov_chain(text):
     """Parse one Markov chain document: states, alphabet, initial
     distribution, per-state labels and one `row:` line per state.  The
-    rows are read straight into the integer view of the matrix."""
+    initial row and the rows are read straight into integer views."""
     headers, header_lines, n, rows = _read_document(
         text, ("states", "alphabet", "initial", "labels"), (), "row:"
     )
@@ -298,7 +297,7 @@ def parse_markov_chain(text):
             if tok not in ratios:
                 ratios[tok] = _parse_ratio(QQ, tok, lineno)
         parsed.append([ratios[tok] for tok in toks])
-    init = [Fraction(*r) for r in parsed[0]]
+    init = _int_matrix(QQ, n, [list(enumerate(parsed[0]))])
     matrix = _int_matrix(QQ, n, [list(enumerate(row)) for row in parsed[1:]])
     return MarkovChain(matrix, init, headers["labels"], alphabet)
 
@@ -307,7 +306,7 @@ def serialize_markov_chain(chain):
     lines = [
         "states: %d" % (chain.state_count,),
         "alphabet: %s" % " ".join(chain.alphabet),
-        "initial: %s" % " ".join(QQ.format(x) for x in chain.init),
+        "initial: " + _dense_text(chain.init_row)[0],
         "labels: %s" % " ".join(chain.labels),
     ]
     lines += ["row: " + text for text in _dense_text(chain.matrix)]

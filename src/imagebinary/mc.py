@@ -16,6 +16,9 @@ label ints, and each SCC block is solved from integer rows (a single
 transient node in closed form).  These solves only propose values: the
 solution is certified exactly, over the common denominator of its
 values, as a fixed point of B in [0, 1] that meets every cut normaliser.
+A chain's initial distribution is a 1 x n integer view too: ``Fraction``s
+are made only for ``MarkovChain.init`` (on first read), the values that
+``solve_values`` returns and the answer of ``model_check``.
 
 Product nodes are (automaton state, chain state) pairs (q, s), the ints
 q * ns + s in the graph passes.  The product holds only the pairs that
@@ -55,8 +58,10 @@ __all__ = [
 
 class MarkovChain:
     """Finite Markov chain with rational transition matrix, initial
-    distribution and a letter label per state.  On the matrix's integer
-    view, entries must be >= 0 and each row must sum to the denominator."""
+    distribution and a letter label per state.  The distribution is kept
+    as ``init_row``, a 1 x n matrix (given as one or as scalars), and
+    ``init``, its tuple of ``Fraction``s, is built on first read.  On
+    both integer views, entries are >= 0 and rows sum to the denominator."""
 
     def __init__(self, matrix, init, labels, alphabet=None):
         if matrix.field is not QQ:
@@ -65,12 +70,16 @@ class MarkovChain:
         if matrix.ncols != n:
             raise ValidationError("transition matrix must be square")
         self.matrix = matrix
-        try:
-            self.init = tuple([QQ.of(x) for x in init])
-        except ParseError as exc:
-            raise ValidationError("initial distribution: %s" % (exc,)) from None
+        if not isinstance(init, Matrix):
+            try:
+                init = Matrix(QQ, [[QQ.of(x) for x in init]])
+            except ParseError as exc:
+                raise ValidationError("initial distribution: %s" % (exc,)) from None
+        if init.field is not QQ:
+            raise ValidationError("initial distribution must be rational")
+        self.init_row = init
         self.labels = tuple(labels)
-        if len(self.init) != n:
+        if (init.nrows, init.ncols) != (1, n):
             raise ValidationError("initial distribution must have one entry per state")
         if len(self.labels) != n:
             raise ValidationError("labeling must have one letter per state")
@@ -80,9 +89,10 @@ class MarkovChain:
                 raise ValidationError("row %d of the transition matrix has a negative entry" % (i,))
             if sum(x for _j, x in row) != den:
                 raise ValidationError("row %d of the transition matrix does not sum to 1" % (i,))
-        if any(x < 0 for x in self.init):
+        (row,), den = init.int_rows()
+        if any(x < 0 for _j, x in row):
             raise ValidationError("initial distribution has a negative entry")
-        if sum(self.init) != 1:
+        if sum(x for _j, x in row) != den:
             raise ValidationError("initial distribution does not sum to 1")
         if alphabet is None:
             alphabet = sorted(set(self.labels))
@@ -92,6 +102,10 @@ class MarkovChain:
                 raise ValidationError("label %r is not in the alphabet" % (lab,))
 
     @property
+    def init(self):
+        return self.init_row.rows[0]
+
+    @property
     def state_count(self):
         return self.matrix.nrows
 
@@ -99,7 +113,7 @@ class MarkovChain:
         return (
             isinstance(other, MarkovChain)
             and self.matrix == other.matrix
-            and self.init == other.init
+            and self.init_row == other.init_row
             and self.labels == other.labels
             and self.alphabet == other.alphabet
         )
@@ -130,7 +144,8 @@ class ProductSystem:
     """Product of a trimmed automaton with a chain, restricted to the
     nodes that the initial pairs reach and that can reach an accepting
     cycle, with its SCC classification and (once solved, and certified
-    by the checks of ``solve_values``) the value vector."""
+    by the checks of ``solve_values``) the value vector ``z`` and its
+    integer view ``z_int`` = (Z, top), z = Z / top."""
 
     def __init__(self, automaton, chain, nodes, B, sccs, classes):
         self.automaton = automaton
@@ -141,6 +156,7 @@ class ProductSystem:
         self.sccs = tuple([tuple(c) for c in sccs])
         self.classes = tuple(classes)
         self.z = None
+        self.z_int = None
 
     @property
     def node_count(self):
@@ -179,7 +195,7 @@ def build_product(iba, chain):
     # node (q, s) as the int q * ns + s, which sorts like the pair; the
     # search from the initial pairs lists each reached node's successors
     # in graph and the integer B entries of those edges in weights
-    init_s = [s for s, p in enumerate(chain.init) if p]
+    init_s = [s for s, _p in chain.init_row.int_rows()[0][0]]
     weights = {}
 
     def successors(x):
@@ -295,7 +311,7 @@ def solve_values(ps):
     normaliser (its Z sum to lcm), in [0, 1] (0 <= Z_i <= lcm)."""
     n = ps.node_count
     if n == 0:
-        ps.z = ()
+        ps.z, ps.z_int = (), ((), 1)
         return ()
     brows, den = ps.B.int_rows()
     z = [None] * n
@@ -321,7 +337,7 @@ def solve_values(ps):
             z[i] = v
     z = tuple(z)
     top = lcm(*(v.denominator for v in z))
-    ints = [v.numerator * (top // v.denominator) for v in z]
+    ints = tuple([v.numerator * (top // v.denominator) for v in z])
     for i, row in enumerate(brows):
         if sum(w * ints[j] for j, w in row) != den * ints[i]:
             raise InternalInvariantError("solved vector is not a fixed point of B")
@@ -330,7 +346,7 @@ def solve_values(ps):
             raise InternalInvariantError("solved vector misses a cut normaliser")
     if any(x < 0 or x > top for x in ints):
         raise SemanticError("input not image-binary")
-    ps.z = z
+    ps.z, ps.z_int = z, (ints, top)
     return z
 
 
@@ -343,22 +359,25 @@ def model_check(iba, chain):
     refused; the lasso spot check of ``binariness_witness``, which the
     command line runs first, can still refuse it.  That check decides a
     0/1 automaton (every weight 1) by its two-run product, and sweeps
-    its lassos only when some word has two final paths."""
+    its lassos only when some word has two final paths.  The answer is
+    one integer sum over chain den x automaton init den x top (of
+    ``ps.z_int``), made a ``Fraction`` once."""
     ps = build_product(iba, chain)
-    z = solve_values(ps)
+    solve_values(ps)
     if ps.node_count == 0:
         return Fraction(0)
-    total = QQ.zero
-    init = ps.automaton.init.nonzero_rows()[0]
-    for s, p in enumerate(chain.init):
-        if not p:
-            continue
-        acc = QQ.zero
+    ints, top = ps.z_int
+    (init,), aden = ps.automaton.init.int_rows()
+    (chain_init,), cden = chain.init_row.int_rows()
+    total = 0
+    for s, p in chain_init:
+        acc = 0
         for q, w in init:
             i = ps.index.get((q, s))
             if i is not None:
-                acc = acc + w * z[i]
-        total = total + p * acc
-    if total < 0 or total > 1:
+                acc += w * ints[i]
+        total += p * acc
+    den = cden * aden * top
+    if total < 0 or total > den:
         raise SemanticError("input not image-binary")
-    return total
+    return Fraction(total, den)

@@ -117,6 +117,27 @@ def test_fixture_files_are_deterministic(tmp_path):
         assert f1.read() != f2.read()
 
 
+# one digest over the four files of each seed, in the order they are
+# written; the chain is built and written from integer views, and its
+# bytes must not move
+SEED_SHA256 = {
+    0: "0c74675718380f52cbb0d819dbbc5dc76e822a748c412d72fa4d9bffbc3e4db6",
+    1: "49434a5f7b191742dbd45f2a8c4182f905d62b83458d46d248b767f3cefdbfaa",
+    2: "2d7fe2ca267ab8d48f66fce3dadc22799e6feb2096bccc9dabb3fb738164bb2b",
+    3: "203247559111dce7340c7c5792e41811618393f7abdb78eb86164e23a8c85385",
+    4: "e0ef3248d63a632e8e0b600eff9e0dd7b382cb62a5fd628f8134ae6ca233ef56",
+}
+
+
+def test_fixture_files_are_pinned_for_seeds_0_to_4(tmp_path):
+    for seed, digest in SEED_SHA256.items():
+        h = hashlib.sha256()
+        for path in generate_fixture_files(seed, (4, 3 + seed), str(tmp_path / str(seed))):
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+        assert h.hexdigest() == digest, seed
+
+
 def test_fixture_files_parse_and_relate(tmp_path):
     dfa_p, conj_p, nba_p, mc_p = generate_fixture_files(7, (4, 3), str(tmp_path))
     source = load_automaton(dfa_p)

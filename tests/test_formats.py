@@ -340,6 +340,18 @@ def test_chain_rows_are_checked_exactly():
         parse_markov_chain(good + "row: -1/%d %d/%d\n" % (p, p + 1, p))
 
 
+def test_chain_initial_row_is_checked_exactly():
+    # the initial row is read into an integer view and checked on its ints
+    p = 2 ** 61 - 1
+    good = "states: 2\nalphabet: a\nlabels: a a\nrow: 1 0\nrow: 0 1\n"
+    chain = parse_markov_chain(good + "initial: 1/%d %d/%d\n" % (p, p - 1, p))
+    assert chain.init == (Fraction(1, p), Fraction(p - 1, p))
+    with pytest.raises(ValidationError, match="initial distribution does not sum to 1"):
+        parse_markov_chain(good + "initial: 2/%d %d/%d\n" % (p, p - 1, p))
+    with pytest.raises(ValidationError, match="initial distribution has a negative entry"):
+        parse_markov_chain(good + "initial: -1/%d %d/%d\n" % (p, p + 1, p))
+
+
 def test_serialize_rejects_foreign_objects():
     with pytest.raises(ValidationError, match="cannot serialize"):
         serialize_automaton(thirds_chain())

@@ -2,9 +2,11 @@
 independent deterministic-product oracle (own SCC search and Gaussian
 elimination) and exact residual checks on the solved systems."""
 
+import importlib.util
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,10 +28,13 @@ from imagebinary import (
     is_ultimately_stable,
     kdis,
     model_check,
+    parse_markov_chain,
+    serialize_markov_chain,
     solve_values,
     trim_iba,
 )
 from imagebinary import buchi, graphs, mc
+from imagebinary.fields import F2
 from imagebinary.fixtures import bounded_ambiguity_nba, random_mc
 from imagebinary.graphs import nodes_on_cycles, reachable_from, reaches_any, strongly_connected_components
 
@@ -105,6 +110,28 @@ def test_chain_rejects_inexact_init():
         MarkovChain(Matrix.from_ints(QQ, [[1, 0], [0, 1]]), [F(1, 2), 0.5], ["a", "a"])
     chain = MarkovChain(Matrix.from_ints(QQ, [[1]]), [1], ["a"])
     assert chain.init == (F(1),) and type(chain.init[0]) is F
+
+
+def test_chain_init_refusals_keep_their_order():
+    """The initial distribution, given as scalars or as a 1 x n matrix,
+    is checked on its integer view with the messages and the order of
+    the scalar checks: float entries, entry count (before the labels),
+    the matrix rows, then sign and sum."""
+    one = Matrix.from_ints(QQ, [[1, 0], [0, 1]])
+    with pytest.raises(ValidationError, match="initial distribution: float"):
+        MarkovChain(one, [0.5], ["a"])
+    for init in ([F(1)], Matrix.from_ints(QQ, [[1]]), Matrix.from_ints(QQ, [[1, 0], [0, 0]])):
+        with pytest.raises(ValidationError, match="initial distribution must have one entry per state"):
+            MarkovChain(one, init, ["a"])
+    with pytest.raises(ValidationError, match="row 1 .* does not sum to 1"):
+        MarkovChain(Matrix.from_ints(QQ, [[2, 0], [0, 1]]), [F(-1), F(1)], ["a", "a"])
+    with pytest.raises(ValidationError, match="initial distribution has a negative entry"):
+        MarkovChain(one, [F(-1), F(3)], ["a", "a"])
+    with pytest.raises(ValidationError, match="initial distribution must be rational"):
+        MarkovChain(one, Matrix.from_ints(F2, [[1, 0]]), ["a", "a"])
+    chain = MarkovChain(one, Matrix.from_ints(QQ, [[0, 1]]), ["a", "a"])
+    assert chain == MarkovChain(one, [0, 1], ["a", "a"])
+    assert chain.init == (F(0), F(1)) and all(type(x) is F for x in chain.init)
 
 
 def test_chain_alphabet_defaults_to_labels():
@@ -915,3 +942,79 @@ def test_dense_product_solves_within_budget():
     assert model_check(iba, chain) == 1
     assert time.monotonic() - start < 10.0
     assert build_product(iba, chain).node_count == 416
+
+
+# === The answer from integer views, against Fraction references ===
+
+
+def perfbench_reference():
+    """``perfbench/reference.py``: exact answers computed without the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def roundtrip_chain(chain):
+    """The chain read back from its text, whose ``init`` is the tuple of
+    ``Fraction``s written on its initial line."""
+    text = serialize_markov_chain(chain)
+    back = parse_markov_chain(text)
+    assert back == chain
+    written = next(line for line in text.splitlines() if line.startswith("initial:")).split()[1:]
+    assert type(back.init) is tuple and all(type(x) is F for x in back.init)
+    assert back.init == chain.init == tuple(F(x) for x in written)
+    return back
+
+
+def test_model_check_matches_fraction_references_on_seeded_chains():
+    """``model_check`` sums its answer as one integer from the chains'
+    integer initial rows and the solved values' integer view; it must
+    equal the full-grid dense solve of ``reference_solve_values`` summed
+    in ``Fraction``s, and for deterministic acceptors the absorption
+    probability of ``perfbench/reference.py``, on random and closed-block
+    chains against DBA embeddings and kdis outputs."""
+    ref = perfbench_reference()
+    rng = random.Random(2323)
+    chains = [random_mc(rng, rng.randint(2, 5), ALPHABET) for _ in range(4)]
+    chains += [closed_block_chain(rng, rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)) for _ in range(4)]
+    chains = [roundtrip_chain(c) for c in chains]
+    fractional = 0
+    for chain in chains:
+        rows, labels = [list(r) for r in chain.matrix.rows], list(chain.labels)
+        for dba in dba_suite():
+            iba = dba.to_iba()
+            p = model_check(iba, chain)
+            assert p == reference_probability(reference_build_product(iba, chain)), dba.name
+            assert p == ref.chain_dba_probability((rows, list(chain.init), labels), (dba.delta, dba.initial, dba.final))
+            fractional += 0 < p < 1
+    for _ in range(6):
+        k = rng.choice((1, 2))
+        iba = kdis(bounded_ambiguity_nba(rng, k, rng.randint(2, 3), ALPHABET), k)
+        for chain in rng.sample(chains, 2):
+            p = model_check(iba, chain)
+            assert p == reference_probability(reference_build_product(iba, chain))
+            fractional += 0 < p < 1
+    assert fractional > 0
+
+
+def test_model_check_never_builds_the_fraction_init(monkeypatch):
+    """Reading, spot-checking and model checking a chain go through its
+    integer initial row; the ``Fraction`` tuple ``MarkovChain.init`` is
+    built only for a caller that reads it."""
+    rng = random.Random(71)
+    texts = [serialize_markov_chain(c) for c in (closed_block_chain(rng, 2, 2, 2), random_mc(rng, 4, ALPHABET))]
+
+    def unread(self):
+        raise AssertionError("MarkovChain.init was built")
+
+    monkeypatch.setattr(MarkovChain, "init", property(unread))
+    ibas = [dba.to_iba() for dba in dba_suite()]
+    ibas.append(kdis(bounded_ambiguity_nba(rng, 2, 3, ALPHABET), 2))
+    for text in texts:
+        chain = parse_markov_chain(text)
+        assert serialize_markov_chain(chain) == text
+        for iba in ibas:
+            assert binariness_witness(iba, 2, 2) is None
+            assert 0 <= model_check(iba, chain) <= 1
