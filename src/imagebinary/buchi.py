@@ -138,45 +138,50 @@ class Iba(_LetterMatrices):
     infinite word is the sum over final paths of the path weights; for the
     automata built here that value is always 0 or 1.
 
-    ``trans``, ``init`` and ``final`` are never changed after
-    construction, so what depends only on them is computed once, on first
-    use, and kept: the nonzero edge graph, the ultimate stability flag
-    and, once the automaton is known to be stable, the lasso view that
-    every lasso query reads (``_lasso_view``).
+    The public attributes are set once, at construction: assigning to one,
+    or deleting any attribute, raises ``TypeError``, and ``trans`` is
+    read-only.  So what depends only on them is computed once, on first
+    use, and kept: the ultimate stability flag and, once the automaton is
+    known to be stable, the lasso view that every lasso query reads
+    (``_lasso_view``).
     ``untrimmed_state_count`` is the state count of the construction
     before trimming, when the automaton came from one (else None)."""
 
     def __init__(
         self, alphabet, trans, init, final, state_labels=None, untrimmed_state_count=None
     ):
-        self.field = QQ
-        self.alphabet = _distinct_letters(alphabet)
-        self.trans = MappingProxyType(dict(trans))
-        self.init = init
-        self.final = frozenset(final)
-        self.state_labels = list(state_labels) if state_labels is not None else None
-        self.untrimmed_state_count = untrimmed_state_count
-        n = _check_shapes(QQ, self.alphabet, self.trans, init)
-        for q in self.final:
+        alphabet = _distinct_letters(alphabet)
+        trans = MappingProxyType(dict(trans))
+        final = frozenset(final)
+        state_labels = list(state_labels) if state_labels is not None else None
+        n = _check_shapes(QQ, alphabet, trans, init)
+        for q in final:
             if not 0 <= q < n:
                 raise InputError("final state %r out of range" % (q,))
-        if self.state_labels is not None and len(self.state_labels) != n:
+        if state_labels is not None and len(state_labels) != n:
             raise InputError("state_labels must have one entry per state")
-        self.n = n
-        self._stable = None
-        self._edges = None
-        self._view = None
+        vars(self).update(
+            field=QQ, alphabet=alphabet, trans=trans, init=init, final=final,
+            state_labels=state_labels, untrimmed_state_count=untrimmed_state_count, n=n,
+            _stable=None, _view=None,
+        )
+
+    def __setattr__(self, name, value):
+        if not name.startswith("_"):
+            raise TypeError("Iba is immutable")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise TypeError("Iba is immutable")
 
     def nonzero_edge_graph(self):
         """{state: tuple of states reached by a nonzero weight under some
-        letter}, read-only, built once."""
-        if self._edges is None:
-            succs = [set() for _ in range(self.n)]
-            for m in self.trans.values():
-                for q, row in enumerate(m.int_rows()[0]):
-                    succs[q].update(q2 for q2, _w in row)
-            self._edges = MappingProxyType({q: tuple(sorted(s)) for q, s in enumerate(succs)})
-        return self._edges
+        letter}, read-only, built on each call."""
+        succs = [set() for _ in range(self.n)]
+        for m in self.trans.values():
+            for q, row in enumerate(m.int_rows()[0]):
+                succs[q].update(q2 for q2, _w in row)
+        return MappingProxyType({q: tuple(sorted(s)) for q, s in enumerate(succs)})
 
     def __eq__(self, other):
         # labels are decoration, not identity

@@ -134,8 +134,14 @@ def _cmd_to_mod2(args):
     return _write(args, mod2.ifa_to_mod2(_load(args.automaton, "wa", rational=True)))
 
 
+# the most bits ``lfsr --length`` prints; the whole sequence is built in memory
+MAX_LFSR_LENGTH = 1 << 20
+
+
 def _cmd_lfsr(args):
     spec = mod2.LfsrSpec(_parse_bits(args.taps, "taps"), _parse_bits(args.init, "init"))
+    if args.length > MAX_LFSR_LENGTH:
+        raise ValidationError("--length %d is above the cap of %d" % (args.length, MAX_LFSR_LENGTH))
     bits = mod2.lfsr_sequence(spec, args.length)
     period = mod2.lfsr_period(spec)
     result = {"sequence": "".join(map(str, bits)), "period": period}

@@ -107,14 +107,9 @@ def is_image_binary(automaton):
     basis words and the witness stay the same.  Returns (True, None) or
     (False, w) for a shortest word w whose value is outside {0, 1}.
 
-    While the v-parts v_1..v_r of the basis pairs are linearly
-    independent, (v, v (x) v) lies in their span iff v = 0 or v is some
-    v_k exactly.  Proof: if (v, v (x) v) = sum c_k (v_k, v_k (x) v_k), then
-    v = sum c_k v_k, so v (x) v = sum_{k,l} c_k c_l v_k (x) v_l; the
-    v_k (x) v_l are independent, so c_k c_l = 0 for k != l and
-    c_k^2 = c_k: at most one c_k is nonzero, and it is 1.  The
-    upper-triangle projection is injective on symmetric tensors, so this
-    holds on the tracked coordinates too.  So the check runs on v's n
+    Lemma (proved in the README): while the v-parts v_1..v_r of the basis
+    pairs are linearly independent, (v, v (x) v) lies in their span iff
+    v = 0 or v is some v_k exactly.  So the check runs on v's n
     coordinates (``_SquareSpan``) and builds the squares only after the
     first v that is dependent, nonzero and new.
     """
@@ -141,11 +136,12 @@ def is_image_binary(automaton):
 class _SquareSpan:
     """The span of the pairs (v, v (x) v) of the scaled vectors v = (u, p,
     q) given to ``add``, decided on v alone while the added v are
-    independent (the lemma in ``is_image_binary``): a zero or repeated v
-    is dependent and an independent v is added.  The first other v
-    switches, once, to one ``CoordBasis`` on the pairs (``_with_square``),
-    seeded with the added vectors' pairs in order, so every answer is the
-    one that basis would have given from the start."""
+    independent (the README's lemma: then (v, v (x) v) is in the span iff
+    v = 0 or v is an added v): a zero or repeated v is dependent and an
+    independent v is added.  The first other v switches, once, to one
+    ``CoordBasis`` on the pairs (``_with_square``), seeded with the added
+    vectors' pairs in order, so every answer is the one that basis would
+    have given from the start."""
 
     def __init__(self, n):
         self.n = n

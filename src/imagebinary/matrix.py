@@ -93,14 +93,6 @@ class Matrix:
         """Build from nested ints (or anything ``field.of`` accepts)."""
         return cls(field, [[field.of(x) for x in r] for r in rows])
 
-    @classmethod
-    def row_vector(cls, field, entries):
-        return cls(field, [entries])
-
-    @classmethod
-    def col_vector(cls, field, entries):
-        return cls(field, [[e] for e in entries])
-
     @property
     def rows(self):
         """The dense rows, as tuples; built once per matrix."""
@@ -220,9 +212,6 @@ class Matrix:
         ]
         return Matrix.from_int_rows(self.field, self.ncols * nc, out, da * db)
 
-    def is_zero(self):
-        return not any(self.int_rows()[0])
-
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise InputError("shape mismatch")
@@ -259,7 +248,7 @@ class Matrix:
         (arows, da), (brows, db) = self._ints, rhs._ints
         aug = [[(j, x * db) for j, x in a] + [(n, x * da) for _, x in b]
                for a, b in zip(arows, brows)]
-        return Matrix.col_vector(self.field, solve_rows(self.field, _dense(aug, n + 1), n))
+        return Matrix(self.field, [[y] for y in solve_rows(self.field, _dense(aug, n + 1), n)])
 
 
 def _check_scalars(field, entries):
@@ -362,11 +351,10 @@ class CoordBasis:
     ``add`` and ``contains`` take int dicts {index: nonzero int} (over F2,
     ones), the vectors the span algorithms build; ``add`` keeps the dict
     it is given and returns the new basis index when the vector extends
-    the span and None when it is dependent.  ``int_coords`` expresses
-    int vectors as integer combinations of the added vectors with one
-    elimination (``span_coords`` does so without checking membership),
-    and ``coords`` expresses a vector of field scalars as a combination
-    of them.
+    the span and None when it is dependent.  ``span_coords`` expresses
+    int vectors known to lie in the span as integer combinations of the
+    added vectors with one elimination, and ``coords`` expresses a vector
+    of field scalars as a combination of them, or None outside the span.
 
     Over QQ an incoming vector is reduced against each echelon row b with
     pivot p to b[p] * v - v[p] * b (both factors divided by their gcd),
@@ -433,12 +421,6 @@ class CoordBasis:
     def contains(self, ints):
         return not self._reduce(dict(ints))
 
-    def int_coords(self, vecs):
-        """For each int dict w in vecs (over F2, ones): None when w is
-        outside the span, else its ``span_coords``."""
-        return [None if self._reduce(dict(w)) else sol
-                for w, sol in zip(vecs, self.span_coords(vecs))]
-
     def span_coords(self, vecs):
         """For each int dict w in vecs, which must lie in the span (this is
         not checked), (ys, d) with d * w = sum(ys[k] * added_k); over F2 d
@@ -456,8 +438,7 @@ class CoordBasis:
             ints = {j: x.numerator * (den // x.denominator) for j, x in vec.items() if x}
         else:
             den, ints = 1, {j: 1 for j, x in vec.items() if x}
-        sol = self.int_coords([ints])[0]
-        if sol is None:
+        if not self.contains(ints):
             return None
-        ys, d = sol
+        (ys, d), = self.span_coords([ints])
         return [self.field.frac(y, d * den) for y in ys]

@@ -128,10 +128,6 @@ class Fiber(NamedTuple):
     s: int
     states: frozenset
 
-    @property
-    def empty(self):
-        return not self.states
-
 
 class SccClass(NamedTuple):
     nodes: tuple
@@ -161,12 +157,6 @@ class ProductSystem:
     @property
     def node_count(self):
         return len(self.nodes)
-
-    def scc_of(self, node):
-        for d, comp in enumerate(self.sccs):
-            if node in comp:
-                return d
-        raise InputError("node %r is not in the product" % (node,))
 
 
 def build_product(iba, chain):
@@ -297,9 +287,11 @@ def _class_row(brow, local, k, den, z):
 def solve_values(ps):
     """Exact solution of z = Bz, one SCC C at a time in the order of
     ``ps.classes`` (sinks first), so the values C reads outside itself
-    are known.  A non-accepting recurrent C gets z_C = 0; any other C
-    solves (I - B_CC) z_C = B_C,out z_out, and an accepting recurrent C
-    adds its cut normalizer row (cut entries sum to 1), which pins the
+    are known.  A non-accepting recurrent C gets z_C = 0, which solves its
+    rows only when each sums to 0 outside C; a row that does not means the
+    input is not image-binary (``SemanticError``).  Any other C solves
+    (I - B_CC) z_C = B_C,out z_out, and an accepting recurrent C adds its
+    cut normalizer row (cut entries sum to 1), which pins the
     one-dimensional kernel of I - B_CC.
 
     Node i's row is den * e_i - B^_iC | sum_j B^_ij z_j over the known
@@ -317,13 +309,15 @@ def solve_values(ps):
     z = [None] * n
     for cls in ps.classes:
         idx = [ps.index[x] for x in cls.nodes]
-        if cls.recurrent and not cls.accepting:
-            for i in idx:
-                z[i] = QQ.zero
-            continue
         m = len(idx)
         local = {i: k for k, i in enumerate(idx)}
         rows = [_class_row(brows[i], local, k, den, z) for k, i in enumerate(idx)]
+        if cls.recurrent and not cls.accepting:
+            if any(row[m] for row in rows):
+                raise SemanticError("input not image-binary")
+            for i in idx:
+                z[i] = QQ.zero
+            continue
         if m == 1 and not cls.recurrent:
             (pivot, num), = rows
             if not pivot:

@@ -30,10 +30,13 @@ from imagebinary import (
     nba_lasso_count_final,
 )
 from imagebinary.buchi import Iba
+from imagebinary import cli
 from imagebinary.cli import _build_parser, main
 from imagebinary.formats import save_automaton, save_markov_chain
 
 from goldens import (
+    LEAKING_ZERO_CLASS_CHAIN,
+    LEAKING_ZERO_CLASS_IBA,
     edited,
     even_ablock_accepts,
     even_ablock_ifa,
@@ -206,6 +209,17 @@ def test_lfsr(run, tmp_path):
     assert load_automaton(str(reg)).n == 3
 
 
+def test_lfsr_length_above_the_cap_is_exit_two(run, monkeypatch):
+    """The cap is checked before any bit is built."""
+    def unbuilt(spec, length):
+        raise AssertionError("sequence built")
+
+    monkeypatch.setattr(mod2, "lfsr_sequence", unbuilt)
+    assert cli.MAX_LFSR_LENGTH == 1 << 20
+    assert run("lfsr", "--taps", "011", "--init", "100", "--length", "1048577") == (
+        2, "", "error: --length 1048577 is above the cap of 1048576\n")
+
+
 def test_lfsr_rejects_bad_bits(run):
     code, _, err = run("lfsr", "--taps", "012", "--init", "100")
     assert code == 2
@@ -371,6 +385,19 @@ def test_modelcheck_rejects_non_binary(run, tmp_path):
     code, _, err = run("modelcheck", str(bad), str(chain))
     assert code == 3
     assert "not image-binary (lasso :a has value 2)" in err
+
+
+def test_modelcheck_refuses_a_zero_class_that_reads_a_positive_value(run, tmp_path):
+    """With a 0+1 spot check the solve refuses (it raised an uncaught
+    InternalInvariantError from the fixed-point check); with 2+2 the spot
+    check refuses first."""
+    aut, chain = tmp_path / "leak.iba", tmp_path / "leak.mc"
+    aut.write_text(LEAKING_ZERO_CLASS_IBA)
+    chain.write_text(LEAKING_ZERO_CLASS_CHAIN)
+    assert run("modelcheck", str(aut), str(chain), "--spot-stem", "0", "--spot-cycle", "1") == (
+        3, "", "error: input not image-binary\n")
+    assert run("modelcheck", str(aut), str(chain)) == (
+        3, "", "error: infinitely many final paths on :ab\n")
 
 
 def test_modelcheck_spot_check_refuses_what_the_chain_never_reads(run, tmp_path):

@@ -41,8 +41,8 @@ def letter_counter():
     """2-state automaton whose value on w is the number of 'a's in w."""
     m_a = Matrix.from_ints(QQ, [[1, 1], [0, 1]])
     m_b = Matrix.from_ints(QQ, [[1, 0], [0, 1]])
-    init = Matrix.row_vector(QQ, [Fraction(1), Fraction(0)])
-    final = Matrix.col_vector(QQ, [Fraction(0), Fraction(1)])
+    init = Matrix(QQ, [[Fraction(1), Fraction(0)]])
+    final = Matrix(QQ, [[Fraction(0)], [Fraction(1)]])
     return WeightedAutomaton(QQ, ("a", "b"), {"a": m_a, "b": m_b}, init, final)
 
 
@@ -53,8 +53,8 @@ def random_wa(rng, n, alphabet=("a", "b"), lo=-2, hi=2):
         )
         for a in alphabet
     }
-    init = Matrix.row_vector(QQ, [Fraction(rng.randint(lo, hi)) for _ in range(n)])
-    final = Matrix.col_vector(QQ, [Fraction(rng.randint(lo, hi)) for _ in range(n)])
+    init = Matrix(QQ, [[Fraction(rng.randint(lo, hi)) for _ in range(n)]])
+    final = Matrix(QQ, [[Fraction(rng.randint(lo, hi))] for _ in range(n)])
     return WeightedAutomaton(QQ, alphabet, trans, init, final)
 
 
@@ -233,8 +233,8 @@ def test_minimize_gf2():
         F2,
         ("a",),
         {"a": m},
-        Matrix.row_vector(F2, [one, zero, zero]),
-        Matrix.col_vector(F2, [zero, one, one]),
+        Matrix(F2, [[one, zero, zero]]),
+        Matrix(F2, [[zero], [one], [one]]),
     )
     small = minimize(wa)
     assert small.n == 2

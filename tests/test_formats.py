@@ -436,8 +436,8 @@ def _writer_inputs():
     autos = [
         WeightedAutomaton(
             QQ, ("a",), {"a": Matrix.from_ints(QQ, [[0, 1], [Fraction(-1, 3), 0]])},
-            Matrix.row_vector(QQ, [Fraction(0), Fraction(-3, 4)]),
-            Matrix.col_vector(QQ, [Fraction(5, 3), Fraction(0)]),
+            Matrix(QQ, [[Fraction(0), Fraction(-3, 4)]]),
+            Matrix(QQ, [[Fraction(5, 3)], [Fraction(0)]]),
         ),
         even_ablock_ifa(),
         lfsr_to_mod2ma(LfsrSpec((0, 1, 1), (1, 0, 1))),

@@ -42,8 +42,8 @@ def doubling_wa():
         QQ,
         ("a",),
         {"a": m},
-        Matrix.row_vector(QQ, [Fraction(1)]),
-        Matrix.col_vector(QQ, [Fraction(1)]),
+        Matrix(QQ, [[Fraction(1)]]),
+        Matrix(QQ, [[Fraction(1)]]),
     )
 
 

@@ -39,10 +39,8 @@ def test_shapes():
     m = mat([[1, 2, 3], [4, 5, 6]])
     assert (m.nrows, m.ncols) == (2, 3)
     assert m[1, 2] == Fraction(6)
-    assert Matrix.zeros(QQ, 2, 2).is_zero()
+    assert Matrix.zeros(QQ, 2, 2) == mat([[0, 0], [0, 0]])
     assert Matrix.identity(QQ, 3) == mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert Matrix.row_vector(QQ, [Fraction(1)]).nrows == 1
-    assert Matrix.col_vector(QQ, [Fraction(1), Fraction(2)]).ncols == 1
 
 
 def test_ragged_rows_rejected():
@@ -94,7 +92,7 @@ def test_transpose_add_sub_scale_match_dense_rows(field):
             a + Matrix(field, dense_matrix(rng, field, n, m + 1))
         with pytest.raises(InputError, match="shape mismatch"):
             a - Matrix(field, dense_matrix(rng, field, n + 1, m))
-    assert Matrix.identity(field, 3).scale(field.zero).is_zero()
+    assert Matrix.identity(field, 3).scale(field.zero) == Matrix.zeros(field, 3, 3)
     other = F2 if field is QQ else QQ
     with pytest.raises(InputError, match="different fields"):
         Matrix.identity(field, 2) + Matrix.identity(other, 2)
@@ -260,21 +258,21 @@ def test_rank_and_inverse_match_reference_on_random_matrices():
 
 def test_solve_unique_golden():
     a = mat([[2, 0], [0, 4], [2, 4]])  # consistent overdetermined system
-    rhs = Matrix.col_vector(QQ, [Fraction(1), Fraction(2), Fraction(3)])
+    rhs = Matrix(QQ, [[Fraction(1)], [Fraction(2)], [Fraction(3)]])
     x = a.solve_unique(rhs)
-    assert x == Matrix.col_vector(QQ, [Fraction(1, 2), Fraction(1, 2)])
+    assert x == Matrix(QQ, [[Fraction(1, 2)], [Fraction(1, 2)]])
 
 
 def test_solve_unique_rejects_inconsistent():
     a = mat([[1, 0], [1, 0], [0, 1]])
-    rhs = Matrix.col_vector(QQ, [Fraction(1), Fraction(2), Fraction(0)])
+    rhs = Matrix(QQ, [[Fraction(1)], [Fraction(2)], [Fraction(0)]])
     with pytest.raises(InternalInvariantError):
         a.solve_unique(rhs)
 
 
 def test_solve_unique_rejects_rank_deficient():
     a = mat([[1, 1], [2, 2]])
-    rhs = Matrix.col_vector(QQ, [Fraction(1), Fraction(2)])
+    rhs = Matrix(QQ, [[Fraction(1)], [Fraction(2)]])
     with pytest.raises(InternalInvariantError):
         a.solve_unique(rhs)
 
@@ -283,21 +281,21 @@ def test_solve_unique_matches_inverse():
     rng = random.Random(13)
     for _ in range(10):
         m = random_invertible_int_matrix(rng, 3)
-        rhs = Matrix.col_vector(QQ, [Fraction(rng.randint(-5, 5)) for _ in range(3)])
+        rhs = Matrix(QQ, [[Fraction(rng.randint(-5, 5))] for _ in range(3)])
         assert m.solve_unique(rhs) == m.inverse() * rhs
 
 
 def test_solve_unique_gf2_golden():
     def col(bits):
-        return Matrix.col_vector(F2, [F2.of(b) for b in bits])
+        return Matrix(F2, [[F2.of(b)] for b in bits])
 
     # consistent and overdetermined: x = (1, 0, 0)
     a = Matrix.from_ints(F2, [[1, 1, 0], [0, 1, 1], [1, 1, 1], [1, 0, 1]])
     assert a.solve_unique(col([1, 0, 1, 1])) == col([1, 0, 0])
     # invertible over QQ, but the rows sum to zero over F2
     cyclic = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    assert mat(cyclic).solve_unique(Matrix.col_vector(QQ, [Fraction(1), Fraction(0), Fraction(1)])) == (
-        Matrix.col_vector(QQ, [Fraction(1), Fraction(0), Fraction(0)])
+    assert mat(cyclic).solve_unique(Matrix(QQ, [[Fraction(1)], [Fraction(0)], [Fraction(1)]])) == (
+        Matrix(QQ, [[Fraction(1)], [Fraction(0)], [Fraction(0)]])
     )
     with pytest.raises(InternalInvariantError, match="full column rank"):
         Matrix.from_ints(F2, cyclic).solve_unique(col([1, 0, 1]))
@@ -359,7 +357,7 @@ def test_solve_unique_matches_reference_on_random_systems():
         kind = kinds[trial % (4 if field is QQ else 5)]
         rows, rhs = random_system(rng, field, kind)
         system = Matrix(field, rows)
-        b = Matrix.col_vector(field, rhs)
+        b = Matrix(field, [[v] for v in rhs])
         try:
             expected = reference_solve_unique(system, b)
         except InternalInvariantError as exc:

@@ -28,6 +28,7 @@ from imagebinary import (
     is_ultimately_stable,
     kdis,
     model_check,
+    parse_automaton,
     parse_markov_chain,
     serialize_markov_chain,
     solve_values,
@@ -39,6 +40,8 @@ from imagebinary.fixtures import bounded_ambiguity_nba, random_mc
 from imagebinary.graphs import nodes_on_cycles, reachable_from, reaches_any, strongly_connected_components
 
 from goldens import (
+    LEAKING_ZERO_CLASS_CHAIN,
+    LEAKING_ZERO_CLASS_IBA,
     closed_block_chain,
     dba_suite,
     fanout_unary_nba,
@@ -66,7 +69,7 @@ def accept_all_iba(alphabet=("a", "b")):
 def doubling_iba():
     """Stable weight-2 automaton: every infinite word has value 2."""
     m = Matrix.from_ints(QQ, [[0, 2], [0, 1]])
-    init = Matrix.row_vector(QQ, [F(1), F(0)])
+    init = Matrix(QQ, [[F(1), F(0)]])
     return Iba(("a",), {"a": m}, init, [1])
 
 
@@ -147,7 +150,7 @@ def test_chain_alphabet_defaults_to_labels():
 def test_trim_keeps_useful_part():
     # state 2 is a weighted dead end: reachable, reaches no final cycle
     m = Matrix.from_ints(QQ, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
-    init = Matrix.row_vector(QQ, [F(1), F(1), F(0)])
+    init = Matrix(QQ, [[F(1), F(1), F(0)]])
     iba = Iba(("a",), {"a": m}, init, [0])
     small, kept = trim_iba(iba)
     assert kept == [0]
@@ -175,7 +178,7 @@ def test_trim_removes_unstable_dead_branch():
     # the weight-2 loop at state 1 cannot reach the final cycle, so the
     # product is built from the stable surviving part
     m = Matrix(QQ, [[F(1), F(0)], [F(0), F(2)]])
-    init = Matrix.row_vector(QQ, [F(1), F(1)])
+    init = Matrix(QQ, [[F(1), F(1)]])
     iba = Iba(("a",), {"a": m}, init, [0])
     assert model_check(iba, unary_chain()) == 1
 
@@ -204,11 +207,12 @@ def test_fiber_step_respects_chain_support():
     ps = build_product(accept_all_iba(), two_state_chain())
     node = (0, 0)
     assert node in ps.index
-    fiber = Fiber(ps.scc_of(node), 0, frozenset([0]))
+    scc = next(d for d, comp in enumerate(ps.sccs) if node in comp)
+    fiber = Fiber(scc, 0, frozenset([0]))
     assert fiber_step(ps, fiber, 1) is None  # chain edge 0 -> 1 has rate 0
     step = fiber_step(ps, fiber, 0)
     assert step.states == frozenset([0])
-    assert not step.empty
+    assert step.states
 
 
 def test_fiber_and_scc_class_are_immutable_and_hashable():
@@ -216,7 +220,7 @@ def test_fiber_and_scc_class_are_immutable_and_hashable():
     cut = next(c.cut for c in ps.classes if c.recurrent)
     assert cut == Fiber(scc=cut.scc, s=cut.s, states=frozenset(cut.states))
     assert {cut: 1}[Fiber(cut.scc, cut.s, cut.states)] == 1
-    assert not cut.empty and Fiber(cut.scc, cut.s, frozenset()).empty
+    assert cut.states
     for cls in ps.classes:
         twin = SccClass(nodes=cls.nodes, accepting=cls.accepting, recurrent=cls.recurrent, cut=cls.cut)
         assert cls == twin and hash(cls) == hash(twin)
@@ -559,9 +563,10 @@ def test_product_keeps_sccs_reaching_accepting_cycles_sinks_first():
             assert {frozenset(c) for c in ps.sccs} == {
                 frozenset(c) for c in strongly_connected_components(kept)
             }
+            scc = {x: d for d, comp in enumerate(ps.sccs) for x in comp}
             for i, row in enumerate(ps.B.nonzero_rows()):
                 for j, _w in row:
-                    assert ps.scc_of(ps.nodes[j]) <= ps.scc_of(ps.nodes[i])
+                    assert scc[ps.nodes[j]] <= scc[ps.nodes[i]]
 
 
 def test_solve_matches_global_solve_on_suite():
@@ -790,7 +795,7 @@ def test_trim_keeps_a_known_stability_flag():
     unstable = Iba(
         ("a",),
         {"a": Matrix(QQ, [[F(1), F(0)], [F(0), F(2)]])},
-        Matrix.row_vector(QQ, [F(1), F(1)]),
+        Matrix(QQ, [[F(1), F(1)]]),
         [0],
     )
     ibas = [unstable] + [
@@ -912,6 +917,18 @@ def test_solve_refuses_to_read_unsolved_successors():
     ps = build_product(first_letter_a_dba().to_iba(), thirds_chain())
     ps.classes = tuple(reversed(ps.classes))
     with pytest.raises(InternalInvariantError, match="before it is solved"):
+        solve_values(ps)
+
+
+def test_zero_class_that_reads_a_positive_value_is_refused():
+    """z = 0 on a non-accepting recurrent class must solve its rows, which
+    read the values already solved outside it; here they read the
+    accepting class's positive values, which only a non-binary input does."""
+    ps = build_product(parse_automaton(LEAKING_ZERO_CLASS_IBA),
+                       parse_markov_chain(LEAKING_ZERO_CLASS_CHAIN))
+    assert [(c.nodes, c.accepting, c.recurrent) for c in ps.classes] == [
+        (((0, 2), (2, 0)), True, True), (((0, 0), (1, 2)), False, True)]
+    with pytest.raises(SemanticError, match="^input not image-binary$"):
         solve_values(ps)
 
 

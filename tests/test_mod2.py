@@ -186,8 +186,8 @@ def test_ifa_to_mod2_rejects_non_binary(monkeypatch):
         QQ,
         ("a",),
         {"a": Matrix.from_ints(QQ, [[2]])},
-        Matrix.row_vector(QQ, [Fraction(1)]),
-        Matrix.col_vector(QQ, [Fraction(1)]),
+        Matrix(QQ, [[Fraction(1)]]),
+        Matrix(QQ, [[Fraction(1)]]),
     )
     assert refusal(ifa_to_mod2, wa) == refusal(require_image_binary, wa)
     assert refusal(ifa_to_mod2, wa) == "not image-binary (witness word a)"

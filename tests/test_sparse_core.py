@@ -12,6 +12,7 @@ from imagebinary import (
     F2,
     Iba,
     InputError,
+    Lasso,
     Matrix,
     Nba,
     OVERFLOW,
@@ -161,7 +162,7 @@ def test_constructors_refuse_inexact_entries():
     with pytest.raises(InputError, match="scalar"):
         Matrix.from_entries(F2, 1, 1, {(0, 0): 1})
     with pytest.raises(InputError, match="scalar"):
-        Matrix.row_vector(F2, [1])
+        Matrix(F2, [[1]])
     one = Matrix(F2, [[F2.one]])
     doc = serialize_automaton(WeightedAutomaton(F2, ("a",), {"a": one}, one, one))
     assert "initial: 1\n" in doc
@@ -177,6 +178,27 @@ def test_iba_transitions_are_read_only():
     assert iba.untrimmed_state_count == 21
     plain = Iba(("a",), {"a": Matrix.identity(QQ, 1)}, Matrix.identity(QQ, 1), [0])
     assert plain.untrimmed_state_count is None
+
+
+def test_iba_attributes_cannot_be_rebound():
+    """Rebinding ``init`` after a lasso query once left the kept lasso view
+    stale (the value stayed 1 where a fresh automaton gives 0), and
+    rebinding ``final`` skipped its range check."""
+    two = Matrix.identity(QQ, 2)
+    iba = Iba(("a",), {"a": two}, Matrix(QQ, [[1, 0]]), [0])
+    lasso = Lasso((), ("a",))
+    assert iba_lasso_eval(iba, lasso) == 1
+    for name, value in (
+        ("init", Matrix(QQ, [[0, 1]])), ("final", frozenset({5})), ("trans", {}), ("alphabet", ()),
+        ("field", F2), ("n", 3), ("state_labels", ["p", "q"]), ("untrimmed_state_count", 2),
+    ):
+        with pytest.raises(TypeError, match="^Iba is immutable$"):
+            setattr(iba, name, value)
+        with pytest.raises(TypeError, match="^Iba is immutable$"):
+            delattr(iba, name)
+    assert (iba.init, iba.final) == (Matrix(QQ, [[1, 0]]), frozenset({0}))
+    assert iba_lasso_eval(iba, lasso) == 1
+    assert iba_lasso_eval(Iba(("a",), {"a": two}, Matrix(QQ, [[0, 1]]), [0]), lasso) == 0
 
 
 # === Products against the dense loops ===
@@ -517,8 +539,4 @@ def test_scc_index_matches_component_scan():
     iba = kdis(bounded_ambiguity_nba(rng, 2, 2, ALPHABET), 2)
     ps = build_product(iba, random_mc(rng, 4, ALPHABET))
     assert ps.node_count > 0
-    for x in ps.nodes:
-        d = ps.scc_of(x)
-        assert x in ps.sccs[d]
-    with pytest.raises(InputError, match="not in the product"):
-        ps.scc_of((-1, -1))
+    assert sorted(x for comp in ps.sccs for x in comp) == list(ps.nodes)

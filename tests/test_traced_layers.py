@@ -43,7 +43,7 @@ HOT = {
     },
 }
 # work done behind a name the tracer does not wrap, so the listed
-# metric reads 0: coordinates come from CoordBasis.int_coords, and the
+# metric reads 0: coordinates come from CoordBasis.span_coords, and the
 # block solve calls matrix.solve_rows, not Matrix.solve_unique
 KNOWN_GAPS = {
     "words": {"matrix.CoordBasis.coords"},
