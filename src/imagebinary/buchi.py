@@ -21,7 +21,7 @@ from .fields import QQ
 from .graphs import _cyclic, explore, live_components, reachable_from, strongly_connected_components
 from .ifa import words_up_to
 from .matrix import Matrix
-from .wa import _check_shapes, _distinct_letters, _join_word, _LetterMatrices, _parse_word
+from .wa import _check_shapes, _distinct_letters, _Frozen, _join_word, _LetterMatrices, _parse_word
 
 __all__ = [
     "Nba",
@@ -56,39 +56,41 @@ class _OverflowMarker:
 OVERFLOW = _OverflowMarker()
 
 
-class Nba:
+class Nba(_Frozen):
     """Buchi acceptor: a run is accepting when it visits a final state
     infinitely often.  Read over finite words, with the final states as
     accepting states, it is a nondeterministic finite acceptor.
 
-    ``delta`` ({(q, a): frozenset of successors}) and ``rows`` ({letter:
-    per state, its successors in order with weight 1}, the view every run
-    analysis reads) are built once and read-only."""
+    The attributes are set once, at construction: assigning to one, or
+    deleting one, raises ``TypeError``.  ``delta`` ({(q, a): frozenset of
+    successors}) and ``rows`` ({letter: per state, its successors in order
+    with weight 1}, the view every run analysis reads) are read-only."""
 
     def __init__(self, state_count, alphabet, transitions, initial, final):
-        self.state_count = state_count
-        self.alphabet = _distinct_letters(alphabet)
-        self.initial = frozenset(initial)
-        self.final = frozenset(final)
+        alphabet = _distinct_letters(alphabet)
+        initial, final = frozenset(initial), frozenset(final)
         delta = {}
         for (q, a, q2) in transitions:
             if not (0 <= q < state_count and 0 <= q2 < state_count):
                 raise InputError("transition (%r, %r, %r) out of range" % (q, a, q2))
-            if a not in self.alphabet:
+            if a not in alphabet:
                 raise InputError("transition letter %r not in alphabet" % (a,))
             succs = delta.setdefault((q, a), set())
             if q2 in succs:
                 raise InputError("duplicate transition (%r, %r, %r)" % (q, a, q2))
             succs.add(q2)
-        for q in self.initial | self.final:
+        for q in initial | final:
             if not 0 <= q < state_count:
                 raise InputError("state %r out of range" % (q,))
-        self.delta = MappingProxyType({key: frozenset(s) for key, s in delta.items()})
-        self.rows = MappingProxyType({
+        rows = MappingProxyType({
             a: tuple(tuple((q2, 1) for q2 in sorted(delta.get((q, a), ())))
                      for q in range(state_count))
-            for a in self.alphabet
+            for a in alphabet
         })
+        vars(self).update(
+            state_count=state_count, alphabet=alphabet, initial=initial, final=final,
+            delta=MappingProxyType({key: frozenset(s) for key, s in delta.items()}), rows=rows,
+        )
 
     def successors(self, q, a):
         return self.delta.get((q, a), frozenset())
@@ -132,7 +134,7 @@ def _parse_lasso(alphabet, text):
     return Lasso(_parse_word(alphabet, stem_text), _parse_word(alphabet, cycle_text))
 
 
-class Iba(_LetterMatrices):
+class Iba(_LetterMatrices, _Frozen):
     """Weighted automaton with Buchi-style acceptance: rational matrices,
     a rational init row and a set of final states.  The value of an
     infinite word is the sum over final paths of the path weights; for the
@@ -165,14 +167,6 @@ class Iba(_LetterMatrices):
             state_labels=state_labels, untrimmed_state_count=untrimmed_state_count, n=n,
             _stable=None, _view=None,
         )
-
-    def __setattr__(self, name, value):
-        if not name.startswith("_"):
-            raise TypeError("Iba is immutable")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise TypeError("Iba is immutable")
 
     def nonzero_edge_graph(self):
         """{state: tuple of states reached by a nonzero weight under some
@@ -214,9 +208,24 @@ class Iba(_LetterMatrices):
 # Otherwise every live cycle node is locked into one forced cycle, which
 # carries the final state its tails need and, by ultimate stability, only
 # weight-1 edges; the other live nodes form a DAG of weighted sums.
-# A sum belongs to the word: u.(v^k)^omega is u.v^omega, so a sweep reuses
-# the sum of the root v, met first (rotations, (u.x, v.x) against
-# (u, x.v), are one word too, but across stems, and are not shared).
+#
+# The engine is one routine, ``_settle``, that grows a table of tails for
+# one cycle word: per node, its weighted sum over final tails, _INFINITE
+# (infinitely many final paths: a cycle with a live exit, an unlocked
+# final cycle, or a path to either), or None (no final tail).  G does not
+# depend on the stem, and the settled nodes are closed under successors,
+# so a call explores and runs Tarjan on the nodes it adds alone.  A
+# lasso's sum is read from its stem layer (``_layer_sum``): the sum of
+# layer[q] * tail of (q, 0), or None when any layer entry is _INFINITE,
+# even one whose weights cancelled.  A sum belongs to the word:
+# u.(v^k)^omega is u.v^omega, so a table serves the root v.  An Iba's
+# lasso view keeps one table per root and weights, settled from every
+# state on the root's first query; a sweep, and an Nba query, settles a
+# fresh table per stem and root from the stem layer.  Rotations, (u.x,
+# v.x) against (u, x.v), are one word too, but across stems, and are not
+# shared.
+
+_INFINITE = object()  # the tail of a node with infinitely many final paths
 
 
 def _step(layer, rows):
@@ -229,54 +238,88 @@ def _step(layer, rows):
     return nxt
 
 
-def _cycle_sum(layer, cycle_rows, final):
-    """Sum over the final paths from ``layer`` (weights at cycle position
-    0) of entry weight times edge weights up to the locked cycle, or None
-    when there are infinitely many; ``cycle_rows`` is per cycle position."""
+def _settle(tails, states, cycle_rows, final):
+    """Add to ``tails`` ({node: tail}) every node that the cycle position
+    0 nodes of ``states`` reach and that it lacks, with its tail (see the
+    comment above); ``cycle_rows`` is per cycle position.  The Tarjan
+    pass meets the nodes already in ``tails`` only as successors without
+    successors, and skips them.  A call settles every node it explores,
+    so a shared table stays consistent."""
     clen = len(cycle_rows)
-    edges = {}  # node -> [(successor, weight)]
-    graph = {}  # node -> [successor], for the Tarjan pass
-    queue = [q * clen for q in layer]
+    edges = {}  # new node -> [(successor, weight)]
+    graph = {}  # new node -> [successor], for the Tarjan pass
+    queue = [q * clen for q in states]
     for x in queue:
-        if x not in graph:
+        if x not in graph and x not in tails:
             q, i = divmod(x, clen)
             nxt = i + 1 if i + 1 < clen else 0
             edges[x] = succs = [(q2 * clen + nxt, w) for q2, w in cycle_rows[i][q]]
             graph[x] = ys = [y for y, _w in succs]
             queue += ys
-    tails = {}  # live node -> weighted sum over its final tails
     # components come sinks first, so successors are settled before use
     for comp in strongly_connected_components(graph):
         x = comp[0]
+        if x in tails:
+            continue
         if len(comp) == 1 and x not in graph[x]:
-            live = [w * tails[y] for y, w in edges[x] if y in tails]
-            if live:
-                tails[x] = sum(live)
+            tail = None
+            for y, w in edges[x]:
+                t = tails[y]
+                if t is _INFINITE:
+                    tail = t
+                    break
+                if t is not None:
+                    tail = w * t if tail is None else tail + w * t
+            tails[x] = tail
             continue
-        if any(y in tails for x in comp for y in graph[x]):
-            return None  # a cycle with a live exit
-        if all(x // clen not in final for x in comp):
-            continue
+        members = set(comp)
+        if any(tails[y] is not None for x in comp for y, _w in edges[x] if y not in members):
+            tail = _INFINITE  # a cycle with a live exit, or reaching one
+        elif all(x // clen not in final for x in comp):
+            tail = None
         # every node of a cyclic component has a successor inside it, so
         # the cycle is locked when there are exactly len(comp) such edges
-        members = set(comp)
-        if sum(y in members for x in comp for y in graph[x]) != len(comp):
-            return None
+        elif sum(y in members for x in comp for y in graph[x]) != len(comp):
+            tail = _INFINITE
+        else:
+            tail = 1
         for x in comp:
-            tails[x] = 1
-    return sum(w * tails[q * clen] for q, w in layer.items() if q * clen in tails)
+            tails[x] = tail
 
 
-def _lasso_sum(start, rows, lasso, final):
-    """The engine on one lasso, from initial weights ``start``; ``rows``
-    has an entry for every letter of the alphabet."""
+def _layer_sum(tails, layer, clen):
+    """Sum over the final paths from ``layer`` (weights at cycle position
+    0) of entry weight times their tails in the settled table ``tails``,
+    or None when there are infinitely many."""
+    total = 0
+    for q, w in layer.items():
+        t = tails[q * clen]
+        if t is not None:
+            if t is _INFINITE:
+                return None
+            total += w * t
+    return total
+
+
+def _cycle_sum(layer, cycle_rows, final):
+    """The sum of ``layer`` from a fresh table settled from the layer's
+    states alone, in one Tarjan pass: what a sweep and an Nba query read
+    per stem and root."""
+    tails = {}
+    _settle(tails, layer, cycle_rows, final)
+    return _layer_sum(tails, layer, len(cycle_rows))
+
+
+def _stem_layer(start, rows, lasso):
+    """The layer that the lasso's stem reaches from initial weights
+    ``start``; every letter of the lasso must have an entry in ``rows``."""
     for a in lasso.stem + lasso.cycle:
         if a not in rows:
             raise InputError("lasso letter %r is not in the alphabet" % (a,))
     layer = start
     for a in lasso.stem:
         layer = _step(layer, rows[a])
-    return _cycle_sum(layer, [rows[a] for a in lasso.cycle], final)
+    return layer
 
 
 def _root(word):
@@ -284,13 +327,34 @@ def _root(word):
     return next(word[:p] for p in range(1, len(word) + 1) if word[:p] * (len(word) // p) == word)
 
 
+MAX_LASSOS = 1 << 20  # the most lassos a bounded sweep visits
+
+
+def _check_lasso_bounds(letters, max_stem, max_cycle):
+    """Refuse, with ``InputError``, bounds below 0+1 and bounds under
+    which a sweep over ``letters`` letters visits more than MAX_LASSOS
+    lassos: (1 + m + ... + m^S)(m + ... + m^C) over m letters.  With
+    m >= 2 either bound above 20 alone gives more than 2^20, so both are
+    clamped at 20 first and a huge bound costs no more than a small one."""
+    if max_stem < 0 or max_cycle < 1:
+        raise InputError("lasso bounds need max_stem >= 0 and max_cycle >= 1")
+    if letters < 2:
+        count = (max_stem + 1) * max_cycle * letters
+    else:
+        count = sum(letters ** i for i in range(min(max_stem, 20) + 1)) * sum(
+            letters ** i for i in range(1, min(max_cycle, 20) + 1))
+    if count > MAX_LASSOS:
+        raise InputError(
+            "lasso bounds %d+%d give more than %d lassos" % (max_stem, max_cycle, MAX_LASSOS)
+        )
+
+
 def _lasso_sweep(start, rows, final, max_stem, max_cycle):
     """(stem, cycle, sum) for every lasso within the bounds, stems then
     cycles in length-lexicographic order over the letters of ``rows``; each
     stem's layer is computed once, from its longest proper prefix, and a
     cycle v^k (k >= 2) takes the sum of its root v for the same stem."""
-    if max_stem < 0 or max_cycle < 1:
-        raise InputError("lasso bounds need max_stem >= 0 and max_cycle >= 1")
+    _check_lasso_bounds(len(rows), max_stem, max_cycle)
     cycles = [(c, _root(c), [rows[a] for a in c]) for c in words_up_to(rows, max_cycle)[1:]]
     layers = {(): start}
     for stem in words_up_to(rows, max_stem):
@@ -318,7 +382,8 @@ def nba_lasso_count_final(nba, lasso, cap):
     """
     if cap < 0:
         raise InputError("cap must be nonnegative")
-    total = _lasso_sum(dict.fromkeys(nba.initial, 1), nba.rows, lasso, nba.final)
+    layer = _stem_layer(dict.fromkeys(nba.initial, 1), nba.rows, lasso)
+    total = _cycle_sum(layer, [nba.rows[a] for a in _root(lasso.cycle)], nba.final)
     return OVERFLOW if total is None or total > cap else total
 
 
@@ -421,29 +486,46 @@ class _LassoView:
     ``unit_rows``, the same supports with weight 1 to count final paths.
     A matrix with integer entries (every ``kdis`` output, every 0/1
     embedding) hands over the ints of its integer view, any other its
-    ``Fraction`` rows."""
+    ``Fraction`` rows.  ``tables`` ({(whether over ``rows``, root cycle
+    word): settled tails}) holds the engine's tables; when every edge
+    weight is 1, ``unit_rows`` is ``rows``, and values and counts share
+    one table per root."""
 
-    __slots__ = ("start", "rows", "unit", "unit_start", "unit_rows")
+    __slots__ = ("start", "rows", "unit", "unit_start", "unit_rows", "tables", "n", "final")
 
     def __init__(self, iba):
         def rows(m):
             ints, den = m.int_rows()
             return ints if den == 1 else m.nonzero_rows()
 
+        self.n, self.final, self.tables = iba.n, iba.final, {}
         self.start = dict(rows(iba.init)[0])
         self.rows = {a: rows(iba.trans[a]) for a in iba.alphabet}
-        self.unit = all(w == 1 for w in self.start.values()) and all(
-            w == 1 for table in self.rows.values() for row in table for _q, w in row
-        )
-        if self.unit:
-            self.unit_start, self.unit_rows = self.start, self.rows
+        unit_edges = all(w == 1 for table in self.rows.values() for row in table for _q, w in row)
+        self.unit = unit_edges and all(w == 1 for w in self.start.values())
+        self.unit_start = self.start if self.unit else dict.fromkeys(self.start, 1)
+        if unit_edges:
+            self.unit_rows = self.rows
         else:
             pairs = [(q, 1) for q in range(iba.n)]  # shared by every row
-            self.unit_start = dict.fromkeys(self.start, 1)
             self.unit_rows = {
                 a: tuple([tuple([pairs[q2] for q2, _w in row]) for row in table])
                 for a, table in self.rows.items()
             }
+
+    def total(self, lasso, unit):
+        """The engine's sum on one lasso, over the unit rows when ``unit``
+        is set.  The first query on a root cycle word settles its table
+        from every state, in one Tarjan pass; later ones only read it."""
+        start, rows = (self.unit_start, self.unit_rows) if unit else (self.start, self.rows)
+        layer = _stem_layer(start, rows, lasso)
+        root = _root(lasso.cycle)
+        key = (rows is self.rows, root)
+        tails = self.tables.get(key)
+        if tails is None:
+            tails = self.tables[key] = {}
+            _settle(tails, range(self.n), [rows[a] for a in root], self.final)
+        return _layer_sum(tails, layer, len(root))
 
 
 def _lasso_view(iba):
@@ -462,8 +544,7 @@ def iba_lasso_eval(iba, lasso):
     """Exact value of the lasso word: the sum of initial weight times
     transient edge weights over all final paths.  Raises SemanticError
     when infinitely many final paths exist."""
-    view = _lasso_view(iba)
-    total = _lasso_sum(view.start, view.rows, lasso, iba.final)
+    total = _lasso_view(iba).total(lasso, False)
     if total is None:
         raise SemanticError(
             "infinitely many final paths on %s" % (_join_lasso(lasso, iba.alphabet),)
@@ -475,8 +556,7 @@ def iba_lasso_count_final(iba, lasso, cap):
     """Number of final paths over the lasso, or OVERFLOW beyond cap."""
     if cap < 0:
         raise InputError("cap must be nonnegative")
-    view = _lasso_view(iba)
-    total = _lasso_sum(view.unit_start, view.unit_rows, lasso, iba.final)
+    total = _lasso_view(iba).total(lasso, True)
     return OVERFLOW if total is None or total > cap else total
 
 
@@ -491,8 +571,7 @@ def binariness_witness(iba, max_stem, max_cycle):
     by lasso, so ambiguity that shows only beyond the bounds still gives
     None."""
     view = _lasso_view(iba)
-    if max_stem < 0 or max_cycle < 1:
-        raise InputError("lasso bounds need max_stem >= 0 and max_cycle >= 1")
+    _check_lasso_bounds(len(iba.alphabet), max_stem, max_cycle)
     if view.unit and _unambiguous(view.start, view.rows, iba.final):
         return None
     for stem, cycle, total in _lasso_sweep(view.start, view.rows, iba.final, max_stem, max_cycle):

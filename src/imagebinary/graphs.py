@@ -6,12 +6,14 @@ deterministic given insertion order.
 
 ``explore`` is the one bounded search behind every state-space
 construction.  ``strongly_connected_components`` is the one Tarjan pass
-behind the lasso engine, the liveness pass and the stability test; a
+behind the lasso engine, the liveness pass and the stability test.  A
 lasso sweep runs it once per stem and root cycle word (28 passes for the
 42 lassos of the 2+2 spot check, on an automaton with some weight other
 than 1; a 0/1 automaton's spot check makes one pass, over its two-run
-product), so its per-node bookkeeping is kept small: one index per
-visited node and one low link per node still on the Tarjan stack.
+product), and the single-lasso queries on one weighted automaton once
+per root cycle word and weights they touch; so its per-node bookkeeping
+is kept small: one index per visited node and one low link per node
+still on the Tarjan stack.
 """
 
 from __future__ import annotations

@@ -301,10 +301,11 @@ def nfa_to_ifa(nba, field=QQ):
 
 
 def words_up_to(alphabet, max_len):
-    """All words of length <= max_len in length-lexicographic order."""
+    """All words of length <= max_len in length-lexicographic order; over
+    an empty alphabet the empty word alone, whatever max_len."""
     out = [()]
     level = [()]
-    for _ in range(max_len):
+    for _ in range(max_len if alphabet else 0):
         nxt = []
         for w in level:
             for a in alphabet:

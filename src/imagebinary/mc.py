@@ -41,7 +41,7 @@ from .errors import InputError, InternalInvariantError, ParseError, SemanticErro
 from .fields import QQ
 from .graphs import explore, live_components, reaches_any
 from .matrix import Matrix, solve_rows
-from .wa import _distinct_letters
+from .wa import _distinct_letters, _Frozen
 
 __all__ = [
     "MarkovChain",
@@ -56,12 +56,14 @@ __all__ = [
 ]
 
 
-class MarkovChain:
+class MarkovChain(_Frozen):
     """Finite Markov chain with rational transition matrix, initial
     distribution and a letter label per state.  The distribution is kept
     as ``init_row``, a 1 x n matrix (given as one or as scalars), and
     ``init``, its tuple of ``Fraction``s, is built on first read.  On
-    both integer views, entries are >= 0 and rows sum to the denominator."""
+    both integer views, entries are >= 0 and rows sum to the denominator.
+    The attributes are set once, at construction: assigning to one, or
+    deleting one, raises ``TypeError``."""
 
     def __init__(self, matrix, init, labels, alphabet=None):
         if matrix.field is not QQ:
@@ -69,7 +71,6 @@ class MarkovChain:
         n = matrix.nrows
         if matrix.ncols != n:
             raise ValidationError("transition matrix must be square")
-        self.matrix = matrix
         if not isinstance(init, Matrix):
             try:
                 init = Matrix(QQ, [[QQ.of(x) for x in init]])
@@ -77,11 +78,10 @@ class MarkovChain:
                 raise ValidationError("initial distribution: %s" % (exc,)) from None
         if init.field is not QQ:
             raise ValidationError("initial distribution must be rational")
-        self.init_row = init
-        self.labels = tuple(labels)
+        labels = tuple(labels)
         if (init.nrows, init.ncols) != (1, n):
             raise ValidationError("initial distribution must have one entry per state")
-        if len(self.labels) != n:
+        if len(labels) != n:
             raise ValidationError("labeling must have one letter per state")
         rows, den = matrix.int_rows()
         for i, row in enumerate(rows, 1):
@@ -94,12 +94,11 @@ class MarkovChain:
             raise ValidationError("initial distribution has a negative entry")
         if sum(x for _j, x in row) != den:
             raise ValidationError("initial distribution does not sum to 1")
-        if alphabet is None:
-            alphabet = sorted(set(self.labels))
-        self.alphabet = _distinct_letters(alphabet)
-        for lab in self.labels:
-            if lab not in self.alphabet:
+        alphabet = _distinct_letters(sorted(set(labels)) if alphabet is None else alphabet)
+        for lab in labels:
+            if lab not in alphabet:
                 raise ValidationError("label %r is not in the alphabet" % (lab,))
+        vars(self).update(matrix=matrix, init_row=init, labels=labels, alphabet=alphabet)
 
     @property
     def init(self):

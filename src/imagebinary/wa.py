@@ -44,6 +44,21 @@ __all__ = [
 ]
 
 
+class _Frozen:
+    """Base of the classes whose public attributes are set once, at
+    construction, through ``vars(self)``: assigning to one, or deleting
+    any attribute, raises ``TypeError``.  Private attributes stay
+    assignable, for what is computed from the public ones and kept."""
+
+    def __setattr__(self, name, value):
+        if not name.startswith("_"):
+            raise TypeError("%s is immutable" % type(self).__name__)
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise TypeError("%s is immutable" % type(self).__name__)
+
+
 class _LetterMatrices:
     """Base of the automata given by one n x n matrix per letter in
     ``trans`` (``WeightedAutomaton`` and ``buchi.Iba``)."""

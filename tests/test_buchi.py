@@ -1,6 +1,7 @@
 """Buchi acceptors, lasso analysis and the weighted disambiguation,
 checked against deterministic-run and exhaustive-assignment oracles."""
 
+import contextlib
 import itertools
 import random
 import shlex
@@ -478,6 +479,207 @@ def test_sweep_reuses_root_sums_lasso_for_lasso():
                 infinite.setdefault(lasso.cycle, set()).add(total is None)
         split += sum(1 for flags in infinite.values() if flags == {True, False})
     assert reused == len(cases) * 7 * 8 and split > 0
+
+
+def support_nba(iba):
+    """The acceptor on the automaton's nonzero support: its final paths
+    are the automaton's."""
+    triples = [(q, a, q2) for a in iba.alphabet
+               for q, row in enumerate(iba.trans[a].nonzero_rows()) for q2, _w in row]
+    return Nba(iba.n, iba.alphabet, triples, [q for q, _w in iba.init.nonzero_rows()[0]], iba.final)
+
+
+def fraction_layer(iba, stem):
+    """{state: summed run weight} over the stem, from the matrices'
+    ``Fraction`` rows; a state whose weights cancel keeps its entry."""
+    layer = dict(iba.init.nonzero_rows()[0])
+    for a in stem:
+        nxt = {}
+        for q, w in layer.items():
+            for q2, x in iba.trans[a].nonzero_rows()[q]:
+                nxt[q2] = nxt.get(q2, 0) + w * x
+        layer = nxt
+    return layer
+
+
+def cancelled_entry_iba():
+    """Initial weights 1 and -1 on states 0 and 1, which both move on a to
+    state 2, from which b^omega has infinitely many final paths (2 -b-> 2,
+    2 -b-> 3, 3 -b-> 3, both final): the layer of stem a is {2: 0}, and
+    a:b still has infinitely many final paths."""
+    nba = Nba(4, ("a", "b"), [(0, "a", 2), (1, "a", 2), (2, "b", 2), (2, "b", 3), (3, "b", 3)],
+              [0, 1], [2, 3])
+    iba = nba_as_iba(nba)
+    init = Matrix.from_entries(QQ, 1, 4, {(0, 0): 1, (0, 1): -1})
+    return Iba(iba.alphabet, iba.trans, init, iba.final)
+
+
+def stem_split_iba():
+    """From state 1, a^omega has infinitely many final paths (1 -a-> 1,
+    1 -a-> 3, 3 -a-> 3, 3 final), and so from state 4, whose a-loop
+    leads only there; from state 2 it has one (2 -a-> 2, 2 final), with a
+    weight 1/2 on the way in.  Stem a reaches 4, stem b reaches 2: one
+    table for the root a, None after some stems only."""
+    a_edges = {(0, 4): 1, (4, 4): 1, (4, 1): 1, (1, 1): 1, (1, 3): 1, (3, 3): 1, (2, 2): 1}
+    trans = {
+        "a": Matrix.from_entries(QQ, 5, 5, a_edges),
+        "b": Matrix.from_entries(QQ, 5, 5, {(0, 2): Fraction(1, 2)}),
+    }
+    return Iba(("a", "b"), trans, Matrix.from_entries(QQ, 1, 5, {(0, 0): 1}), [2, 3])
+
+
+def test_single_lasso_queries_match_references_in_any_order():
+    """Value, count and Nba count queries, shuffled together, against
+    ``reference_cycle_sum`` and ``reference_lasso_count``: the view's
+    tables, settled on a root's first query from every state, answer
+    every later query, whichever kind and stem comes first.  On the c07
+    generator's kdis outputs, random acceptors with weight 1 and with
+    ``Fraction`` weights, a layer with a cancelled entry, and an automaton
+    with infinitely many final paths after some stems only."""
+    rng = random.Random(2024)  # the c07 generator's bounded acceptors
+    ibas = [kdis(bounded_ambiguity_nba(rng, k, size, ("a", "b")), k)
+            for k, size in ((1, 3), (1, 4), (2, 2), (3, 1), (2, 1), (3, 2))]
+    rng = random.Random(131)
+    for _ in range(6):
+        nba = random_nba(rng, rng.randint(2, 4), ("a", "b"), density=0.35)
+        ibas += [nba_as_iba(nba), stable_rational_iba(rng, nba)]
+    ibas += [cancelled_entry_iba(), stem_split_iba()]
+    seen = set()
+    for iba in ibas:
+        rows = {a: iba.trans[a].nonzero_rows() for a in iba.alphabet}
+        support = support_nba(iba)
+        queries = [(kind, lasso) for lasso in all_lassos(2, 4) for kind in ("value", "count", "nba")]
+        rng.shuffle(queries)
+        infinite = {}  # root -> {whether the value is None, per stem}
+        for kind, lasso in queries:
+            cap = rng.choice((0, 1, 3, 10 ** 9))
+            if kind == "nba":
+                got = nba_lasso_count_final(support, lasso, cap)
+                assert got == reference_lasso_count(support, lasso, cap), lasso
+            elif kind == "count":
+                got = iba_lasso_count_final(iba, lasso, cap)
+                assert got == reference_lasso_count(support, lasso, cap), lasso
+            else:
+                layer = fraction_layer(iba, lasso.stem)
+                want = reference_cycle_sum(layer, [rows[a] for a in lasso.cycle], iba.final)
+                infinite.setdefault(buchi._root(lasso.cycle), set()).add(want is None)
+                if want is None:
+                    with pytest.raises(SemanticError, match="infinitely many final paths"):
+                        iba_lasso_eval(iba, lasso)
+                    seen.add("cancelled" if 0 in layer.values() else "infinite")
+                else:
+                    got = iba_lasso_eval(iba, lasso)
+                    assert (got, type(got)) == (want, Fraction), lasso
+                    if got.denominator > 1:
+                        seen.add("fraction")
+        if any(flags == {True, False} for flags in infinite.values()):
+            seen.add("split")
+    assert seen == {"cancelled", "infinite", "fraction", "split"}
+
+
+def test_settle_grows_a_table_to_the_one_settled_at_once(monkeypatch):
+    """A table grown by one ``_settle`` call per stem layer, in shuffled
+    order, reads the sum of a fresh table for every layer, explores no
+    settled node again, and ends equal, node for node, to the table
+    settled from every state at once."""
+    sizes = []
+    tarjan = buchi.strongly_connected_components
+
+    def counted_tarjan(graph):
+        sizes.append(len(graph))
+        return tarjan(graph)
+
+    monkeypatch.setattr(buchi, "strongly_connected_components", counted_tarjan)
+    rng = random.Random(151)
+    ibas = [stem_split_iba(), cancelled_entry_iba()] + [
+        stable_rational_iba(rng, random_nba(rng, rng.randint(2, 4), ("a", "b"), density=0.35))
+        for _ in range(6)
+    ]
+    for iba in ibas:
+        view = buchi._lasso_view(iba)
+        for cycle in (("a",), ("b",), ("a", "b"), ("b", "b", "a")):
+            cycle_rows = [view.rows[a] for a in cycle]
+            layers = [buchi._stem_layer(view.start, view.rows, lasso)
+                      for lasso in all_lassos(3, 1, iba.alphabet) if lasso.cycle == ("a",)]
+            rng.shuffle(layers)
+            grown = {}
+            for layer in layers:
+                buchi._settle(grown, layer, cycle_rows, iba.final)
+                assert buchi._layer_sum(grown, layer, len(cycle)) == buchi._cycle_sum(
+                    layer, cycle_rows, iba.final)
+            sizes.clear()
+            for layer in layers:
+                buchi._settle(grown, layer, cycle_rows, iba.final)
+            assert sizes == [0] * len(layers)
+            whole = {}
+            buchi._settle(whole, range(iba.n), cycle_rows, iba.final)
+            assert grown == {x: whole[x] for x in grown}
+            buchi._settle(grown, range(iba.n), cycle_rows, iba.final)
+            assert grown == whole
+
+
+def test_single_lasso_queries_settle_one_table_per_root(monkeypatch):
+    """Single-lasso queries on one automaton, in any order, make one
+    Tarjan pass per (weights, root cycle word) they touch, after the
+    stability check: an automaton with edge weights other than 1 keeps a
+    table per root for its values and one for its path counts, a kdis
+    output of deterministic components (every edge weight 1, initial
+    weights -1 too) and a 0/1 automaton one for both; a cycle v^k reads
+    the table of v."""
+    passes = []
+    tarjan = buchi.strongly_connected_components
+
+    def counted_tarjan(graph):
+        passes.append(len(graph))
+        return tarjan(graph)
+
+    monkeypatch.setattr(buchi, "strongly_connected_components", counted_tarjan)
+    rng = random.Random(7)
+    weighted = stem_split_iba()
+    out = kdis(bounded_ambiguity_nba(rng, 3, 2, ("a", "b")), 3)
+    both = dba_suite()[3].to_iba()  # infinitely many a and b
+    for iba, shared in ((weighted, False), (out, True), (both, True)):
+        view = buchi._lasso_view(iba)
+        assert (view.unit_rows is view.rows) == shared
+        passes.clear()
+        queries = [(lasso, unit) for lasso in all_lassos(2, 4) for unit in (False, True)]
+        rng.shuffle(queries)
+        touched = set()
+        for lasso, unit in queries:
+            if unit:
+                iba_lasso_count_final(iba, lasso, 10 ** 9)
+            else:
+                with contextlib.suppress(SemanticError):  # infinitely many final paths
+                    iba_lasso_eval(iba, lasso)
+            touched.add((unit and not shared, buchi._root(lasso.cycle)))
+            assert len(passes) == len(touched)
+        assert len(touched) == (1 if shared else 2) * 22
+
+
+def test_lasso_bounds_cap_counts_every_lasso():
+    """A sweep visits (1 + m + ... + m^S)(m + ... + m^C) lassos over m
+    letters, and bounds that give more than MAX_LASSOS = 2^20 are refused
+    before any: over two letters 9+9 (1023 * 1022 lassos), 18+1 and 0+19
+    pass, 9+10, 10+9, 19+1 and 0+20 do not; over one letter there are
+    (S + 1) C lassos, over none none, and a sweep over no letters ends at
+    once whatever its bounds (it built one empty level per stem length)."""
+    check = buchi._check_lasso_bounds
+    huge = 10 ** 30
+    for letters, max_stem, max_cycle in (
+        (2, 9, 9), (2, 18, 1), (2, 0, 19), (3, 5, 5), (1, (1 << 20) - 1, 1), (1, 0, 1 << 20), (1, 1023, 1024), (0, huge, huge)
+    ):
+        check(letters, max_stem, max_cycle)
+    for letters, max_stem, max_cycle in (
+        (2, 9, 10), (2, 10, 9), (2, 19, 1), (2, 0, 20), (1, 1 << 20, 1), (1, 0, (1 << 20) + 1), (2, huge, 1), (5, 1, huge)
+    ):
+        with pytest.raises(InputError, match="give more than 1048576 lassos"):
+            check(letters, max_stem, max_cycle)
+    assert check_ambiguity_on_lassos(Nba(1, (), [], [0], [0]), 0, huge, huge)
+    for max_stem, max_cycle in ((0, 1), (2, 3), (3, 2)):
+        swept = buchi._lasso_sweep({0: 1}, {"a": (((0, 1),),), "b": ((),), "c": ((),)}, {0},
+                                   max_stem, max_cycle)
+        stems = sum(3 ** s for s in range(max_stem + 1))
+        assert len(list(swept)) == stems * sum(3 ** c for c in range(1, max_cycle + 1))
 
 
 def witness_outcome(find, iba, max_stem, max_cycle):

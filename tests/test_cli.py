@@ -30,7 +30,7 @@ from imagebinary import (
     nba_lasso_count_final,
 )
 from imagebinary.buchi import Iba
-from imagebinary import cli
+from imagebinary import buchi, cli
 from imagebinary.cli import _build_parser, main
 from imagebinary.formats import save_automaton, save_markov_chain
 
@@ -330,6 +330,39 @@ def test_lasso_bounds_are_exit_two(run, nba_path, tmp_path):
     code, out, err = run("modelcheck", str(dis), str(chain), "--spot-cycle", "0")
     assert (code, out) == (2, "")
     assert "lasso bounds" in err
+
+
+def test_lasso_bounds_above_the_cap_are_exit_two(run, nba_path, tmp_path, monkeypatch):
+    """Bounds that give more than 2^20 lassos are refused before any lasso
+    is swept or the two-run product is built, however large they are:
+    9+10 over two letters gives 1023 * 2046 lassos, and over the one
+    letter of the fan-out acceptor S+C gives (S + 1) * C."""
+    dis = tmp_path / "dis.iba"
+    assert run("kdis", nba_path, str(dis), "--k", "4")[0] == 0
+    chain = tmp_path / "chain.mc"
+    save_markov_chain(str(chain), unary_chain())
+    two = tmp_path / "two.nba"
+    save_automaton(str(two), Nba(1, ("a", "b"), [(0, "a", 0), (0, "b", 0)], [0], [0]))
+
+    def unswept(*args):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(buchi, "_settle", unswept)
+    monkeypatch.setattr(buchi, "_unambiguous", unswept)
+    assert buchi.MAX_LASSOS == 1 << 20
+    huge = str(10 ** 30)
+    for argv, shown in (
+        (("ambiguity-check", str(two), "--k", "1", "--max-stem", "9", "--max-cycle", "10"), "9+10"),
+        (("ambiguity-check", str(two), "--k", "1", "--max-stem", "10", "--max-cycle", "9"), "10+9"),
+        (("ambiguity-check", nba_path, "--k", "1", "--max-stem", "1048576", "--max-cycle", "1"),
+         "1048576+1"),
+        (("ambiguity-check", nba_path, "--k", "1", "--max-cycle", huge), "3+" + huge),
+        (("modelcheck", str(dis), str(chain), "--spot-stem", huge), huge + "+2"),
+        (("modelcheck", str(dis), str(chain), "--spot-stem", "0", "--spot-cycle", "1048577"),
+         "0+1048577"),
+    ):
+        assert run(*argv) == (
+            2, "", "error: lasso bounds %s give more than 1048576 lassos\n" % shown)
 
 
 def test_modelcheck(run, nba_path, tmp_path):

@@ -13,6 +13,7 @@ from imagebinary import (
     Iba,
     InputError,
     Lasso,
+    MarkovChain,
     Matrix,
     Nba,
     OVERFLOW,
@@ -199,6 +200,27 @@ def test_iba_attributes_cannot_be_rebound():
     assert (iba.init, iba.final) == (Matrix(QQ, [[1, 0]]), frozenset({0}))
     assert iba_lasso_eval(iba, lasso) == 1
     assert iba_lasso_eval(Iba(("a",), {"a": two}, Matrix(QQ, [[0, 1]]), [0]), lasso) == 0
+
+
+def test_nba_and_chain_attributes_cannot_be_rebound():
+    """Rebinding ``final`` on an acceptor silently turned its lasso
+    acceptance False, and a chain took labels outside its alphabet."""
+    nba = Nba(1, ("a",), [(0, "a", 0)], [0], [0])
+    chain = MarkovChain(Matrix(QQ, [[1]]), [1], ["a"])
+    lasso = Lasso((), ("a",))
+    for obj, names in (
+        (nba, ("state_count", "alphabet", "initial", "final", "delta", "rows")),
+        (chain, ("matrix", "init_row", "labels", "alphabet", "init", "state_count")),
+    ):
+        for name in names:
+            before = getattr(obj, name)
+            with pytest.raises(TypeError, match="^%s is immutable$" % type(obj).__name__):
+                setattr(obj, name, frozenset({7}))
+            with pytest.raises(TypeError, match="^%s is immutable$" % type(obj).__name__):
+                delattr(obj, name)
+            assert getattr(obj, name) == before
+    assert nba_lasso_accepts(nba, lasso)
+    assert chain.labels == ("a",) and chain == MarkovChain(Matrix(QQ, [[1]]), [1], ["a"])
 
 
 # === Products against the dense loops ===
