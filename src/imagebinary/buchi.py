@@ -220,10 +220,11 @@ class Iba(_LetterMatrices, _Frozen):
 # even one whose weights cancelled.  A sum belongs to the word:
 # u.(v^k)^omega is u.v^omega, so a table serves the root v.  An Iba's
 # lasso view keeps one table per root and weights, settled from every
-# state on the root's first query; a sweep, and an Nba query, settles a
-# fresh table per stem and root from the stem layer.  Rotations, (u.x,
-# v.x) against (u, x.v), are one word too, but across stems, and are not
-# shared.
+# state on the root's first query.  The spot check's sweep keeps one
+# table per root for the sweep alone, grown from each stem layer; the
+# ambiguity sweep, and an Nba query, settles a fresh table per stem and
+# root from the stem layer.  Rotations, (u.x, v.x) against (u, x.v), are
+# one word too, but across stems, and are not shared.
 
 _INFINITE = object()  # the tail of a node with infinitely many final paths
 
@@ -244,7 +245,8 @@ def _settle(tails, states, cycle_rows, final):
     comment above); ``cycle_rows`` is per cycle position.  The Tarjan
     pass meets the nodes already in ``tails`` only as successors without
     successors, and skips them.  A call settles every node it explores,
-    so a shared table stays consistent."""
+    so a shared table stays consistent.  A call that adds no node makes
+    no Tarjan pass."""
     clen = len(cycle_rows)
     edges = {}  # new node -> [(successor, weight)]
     graph = {}  # new node -> [successor], for the Tarjan pass
@@ -256,6 +258,8 @@ def _settle(tails, states, cycle_rows, final):
             edges[x] = succs = [(q2 * clen + nxt, w) for q2, w in cycle_rows[i][q]]
             graph[x] = ys = [y for y, _w in succs]
             queue += ys
+    if not graph:
+        return
     # components come sinks first, so successors are settled before use
     for comp in strongly_connected_components(graph):
         x = comp[0]
@@ -303,8 +307,7 @@ def _layer_sum(tails, layer, clen):
 
 def _cycle_sum(layer, cycle_rows, final):
     """The sum of ``layer`` from a fresh table settled from the layer's
-    states alone, in one Tarjan pass: what a sweep and an Nba query read
-    per stem and root."""
+    states alone, in one Tarjan pass: what an Nba query reads."""
     tails = {}
     _settle(tails, layer, cycle_rows, final)
     return _layer_sum(tails, layer, len(cycle_rows))
@@ -349,21 +352,31 @@ def _check_lasso_bounds(letters, max_stem, max_cycle):
         )
 
 
-def _lasso_sweep(start, rows, final, max_stem, max_cycle):
+def _lasso_sweep(start, rows, final, max_stem, max_cycle, *, shared):
     """(stem, cycle, sum) for every lasso within the bounds, stems then
     cycles in length-lexicographic order over the letters of ``rows``; each
     stem's layer is computed once, from its longest proper prefix, and a
-    cycle v^k (k >= 2) takes the sum of its root v for the same stem."""
+    cycle v^k (k >= 2) takes the sum of its root v for the same stem.
+
+    ``shared`` sets the table policy.  When set, the sweep keeps one table
+    per root cycle word for its own lifetime, and each stem layer grows it
+    with the nodes it lacks: a root makes at most one Tarjan pass per stem,
+    and explores each node once.  When not set, each (stem, root) settles a
+    fresh table, one Tarjan pass each."""
     _check_lasso_bounds(len(rows), max_stem, max_cycle)
     cycles = [(c, _root(c), [rows[a] for a in c]) for c in words_up_to(rows, max_cycle)[1:]]
+    tables = {}  # root -> its tails, when shared
     layers = {(): start}
     for stem in words_up_to(rows, max_stem):
         if stem:
             layers[stem] = _step(layers[stem[:-1]], rows[stem[-1]])
+        layer = layers[stem]
         sums = {}
         for cycle, root, cycle_rows in cycles:
             if root == cycle:
-                sums[cycle] = _cycle_sum(layers[stem], cycle_rows, final)
+                tails = tables.setdefault(cycle, {}) if shared else {}
+                _settle(tails, layer, cycle_rows, final)
+                sums[cycle] = _layer_sum(tails, layer, len(cycle))
             yield stem, cycle, sums[root]
 
 
@@ -389,10 +402,18 @@ def nba_lasso_count_final(nba, lasso, cap):
 
 def check_ambiguity_on_lassos(nba, k, max_stem, max_cycle):
     """True iff every lasso with stem length <= max_stem and cycle length
-    <= max_cycle has at most k final paths."""
+    <= max_cycle has at most k final paths.
+
+    The sweep settles a fresh table per (stem, root).  Shared tables would
+    make 4+4 checks about 11 times faster, with the same answers; they
+    wait on a change to perfbench, whose per-run records grow with the job
+    count, so a faster check raises its ``lassos`` peak memory past the
+    bound.  Once those records stop growing, ``shared=True`` is the whole
+    change."""
     if k < 0:
         raise InputError("k must be nonnegative")
-    sweep = _lasso_sweep(dict.fromkeys(nba.initial, 1), nba.rows, nba.final, max_stem, max_cycle)
+    sweep = _lasso_sweep(dict.fromkeys(nba.initial, 1), nba.rows, nba.final, max_stem, max_cycle,
+                         shared=False)
     return all(total is not None and total <= k for _stem, _cycle, total in sweep)
 
 
@@ -569,12 +590,15 @@ def binariness_witness(iba, max_stem, max_cycle):
     paths, every lasso is worth 0 or 1 and None is returned without
     sweeping.  Any other input, and an ambiguous 0/1 one, is swept lasso
     by lasso, so ambiguity that shows only beyond the bounds still gives
-    None."""
+    None.  The sweep keeps one table per root cycle word, grown from each
+    stem layer and dropped when the sweep ends; the view's tables are not
+    touched."""
     view = _lasso_view(iba)
     _check_lasso_bounds(len(iba.alphabet), max_stem, max_cycle)
     if view.unit and _unambiguous(view.start, view.rows, iba.final):
         return None
-    for stem, cycle, total in _lasso_sweep(view.start, view.rows, iba.final, max_stem, max_cycle):
+    sweep = _lasso_sweep(view.start, view.rows, iba.final, max_stem, max_cycle, shared=True)
+    for stem, cycle, total in sweep:
         if total is None:
             raise SemanticError(
                 "infinitely many final paths on %s"
@@ -707,29 +731,41 @@ def _bit_after(nba, q, b, b_next):
     return (q in nba.final or b) and b_next
 
 
-_TEMPLATES = {}  # (n, d) -> _successor_templates(n, d)
+_TEMPLATES = {}  # (n, d, cap) -> _successor_templates(n, d, cap)
 
 
-def _successor_templates(n, d):
-    """The ways n runs can spread over d successors, as (growth, picks,
-    weight) triples: picks holds the (successor index, count) pairs with
-    a nonzero count, growth their total and weight = num_succ(n, counts),
-    positive.  Sorted by growth, so a scan can stop at a size cap.  Built
-    once per (n, d) and kept in ``_TEMPLATES``: they are tuples of ints
-    that depend on n and d alone, so every caller can share them."""
-    if (n, d) in _TEMPLATES:
-        return _TEMPLATES[n, d]
+def _successor_templates(n, d, cap):
+    """The ways n runs can spread over d successors with at most ``cap``
+    runs in all, as (growth, picks, weight) triples: picks holds the
+    (successor index, count) pairs with a nonzero count, growth their
+    total (from n to cap) and weight = num_succ(n, counts), positive.
+    Sorted by growth, so a scan can stop at a size cap, and within a
+    growth in the order of the count tuples.  The count tuples are
+    enumerated successor by successor within the remaining budget, so
+    there are at most C(d + cap, cap) of them, not (n + 1)^d.  Built once
+    per (n, d, cap) and kept in ``_TEMPLATES``: they are tuples of ints
+    that depend on n, d and cap alone, so every caller can share them."""
+    key = (n, d, cap)
+    if key in _TEMPLATES:
+        return _TEMPLATES[key]
     out = []
-    for combo in itertools.product(range(n + 1), repeat=d):
-        if sum(combo) < n:
-            continue
-        w = num_succ(n, combo)
-        if w < 0:
-            raise InternalInvariantError("negative successor count")
-        if w:
-            out.append((sum(combo), tuple((i, c) for i, c in enumerate(combo) if c), w))
+
+    def spread(combo, budget):
+        if len(combo) == d:
+            growth = cap - budget
+            if growth >= n:
+                w = num_succ(n, combo)
+                if w < 0:
+                    raise InternalInvariantError("negative successor count")
+                if w:
+                    out.append((growth, tuple((i, c) for i, c in enumerate(combo) if c), w))
+            return
+        for c in range(min(n, budget) + 1):
+            spread(combo + (c,), budget - c)
+
+    spread((), cap)
     out.sort(key=itemgetter(0))
-    _TEMPLATES[n, d] = out = tuple(out)
+    _TEMPLATES[key] = out = tuple(out)
     return out
 
 
@@ -737,7 +773,8 @@ def kdis_successor_weights(nba, r, a, size_cap=None):
     """All successor count vectors of r under letter a with their
     (unsigned) multiplicities w(r, a, r').  Each entry (q, b) of r with
     multiplicity n spreads over q's d successors by the templates of
-    (n, d) (``_successor_templates``).
+    (n, d) up to the cap, or up to n * d without one
+    (``_successor_templates``).
 
     ``size_cap`` drops vectors whose total size exceeds the cap (used when
     building the k-disambiguation, whose states track at most k runs).
@@ -753,7 +790,7 @@ def kdis_successor_weights(nba, r, a, size_cap=None):
             return {}
         bit = _bit_after(nba, q, b, b_next)
         keys = [(s, bit) for s, _w in row]
-        templates = _successor_templates(n, len(keys))
+        templates = _successor_templates(n, len(keys), min(n * len(keys), cap))
         nxt = {}
         for vec, acc in partials.items():
             room = cap - sum(c for _key, c in vec)
@@ -792,9 +829,9 @@ def kdis(nba, k):
     count vector of total size 1..k over the 2n (state, bit) pairs, so
     there are at most C(2n+k, k) - 1; the search checks that bound.  A
     state's successors come from templates, one per (multiplicity n,
-    out-degree d): the ways n runs spread over d successors with a
-    positive num_succ weight, built once as ints and scanned in order of
-    growth up to the size cap k (``kdis_successor_weights``).
+    out-degree d, cap): the ways n runs spread over d successors with a
+    positive num_succ weight and at most k runs in all, built once as
+    ints and scanned in order of growth (``kdis_successor_weights``).
     """
     if k < 1:
         raise InputError("k must be at least 1")

@@ -4,7 +4,8 @@ Every subcommand reads the documented text formats, runs one library
 operation and prints either short human-readable lines or, with
 ``--json``, a single structured document {command, inputs, result,
 diagnostics}.  Exit codes: 0 success, 1 usage or parse error,
-2 validation error, 3 semantic error.
+2 validation error, 3 semantic error, 4 internal error (a broken
+invariant of the library, never the input's fault).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import buchi, formats, ifa, mc, mod2, wa
 from .buchi import Iba, Nba, _join_lasso, _parse_lasso
 from .errors import (
     InputError,
+    InternalInvariantError,
     ParseError,
     SemanticError,
     ValidationError,
@@ -300,6 +302,8 @@ def main(argv=None):
         code, diagnostics = 2, [str(exc)]
     except SemanticError as exc:
         code, diagnostics = 3, [str(exc)]
+    except InternalInvariantError as exc:
+        code, diagnostics = 4, ["internal error: %s" % (exc,)]
     if args.json:
         inputs = {k: v for k, v in vars(args).items() if k not in ("handler", "json", "command")}
         doc = {"command": args.command, "inputs": inputs, "result": result,

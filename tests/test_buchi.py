@@ -379,11 +379,12 @@ def stable_weights(iba):
 
 
 def sweep_against_tuple_nodes(start, rows, final, max_stem, max_cycle):
-    """The lasso sweep and ``_cycle_sum`` against ``reference_cycle_sum``
-    on every lasso within the bounds: the same (stem, cycle, sum) in the
-    same order, the same type of sum, None for infinitely many.  Returns
-    the sums."""
-    got = list(buchi._lasso_sweep(start, rows, final, max_stem, max_cycle))
+    """The lasso sweep, with fresh and with shared tables, and
+    ``_cycle_sum`` against ``reference_cycle_sum`` on every lasso within
+    the bounds: the same (stem, cycle, sum) in the same order, the same
+    type of sum, None for infinitely many.  Returns the sums."""
+    fresh, got = (list(buchi._lasso_sweep(start, rows, final, max_stem, max_cycle, shared=shared))
+                  for shared in (False, True))
     expected = []
     for lasso in all_lassos(max_stem, max_cycle, tuple(rows)):
         layer = start
@@ -394,8 +395,9 @@ def sweep_against_tuple_nodes(start, rows, final, max_stem, max_cycle):
         total = buchi._cycle_sum(layer, cycle_rows, final)
         assert (total, type(total)) == (want, type(want)), lasso
         expected.append((lasso.stem, lasso.cycle, want))
-    assert got == expected
-    assert [type(t) for _s, _c, t in got] == [type(t) for _s, _c, t in expected]
+    for swept in (fresh, got):
+        assert swept == expected
+        assert [type(t) for _s, _c, t in swept] == [type(t) for _s, _c, t in expected]
     return [t for _s, _c, t in got]
 
 
@@ -580,8 +582,9 @@ def test_single_lasso_queries_match_references_in_any_order():
 def test_settle_grows_a_table_to_the_one_settled_at_once(monkeypatch):
     """A table grown by one ``_settle`` call per stem layer, in shuffled
     order, reads the sum of a fresh table for every layer, explores no
-    settled node again, and ends equal, node for node, to the table
-    settled from every state at once."""
+    settled node again (a call that adds none makes no Tarjan pass), and
+    ends equal, node for node, to the table settled from every state at
+    once."""
     sizes = []
     tarjan = buchi.strongly_connected_components
 
@@ -610,7 +613,7 @@ def test_settle_grows_a_table_to_the_one_settled_at_once(monkeypatch):
             sizes.clear()
             for layer in layers:
                 buchi._settle(grown, layer, cycle_rows, iba.final)
-            assert sizes == [0] * len(layers)
+            assert sizes == []
             whole = {}
             buchi._settle(whole, range(iba.n), cycle_rows, iba.final)
             assert grown == {x: whole[x] for x in grown}
@@ -676,10 +679,11 @@ def test_lasso_bounds_cap_counts_every_lasso():
             check(letters, max_stem, max_cycle)
     assert check_ambiguity_on_lassos(Nba(1, (), [], [0], [0]), 0, huge, huge)
     for max_stem, max_cycle in ((0, 1), (2, 3), (3, 2)):
-        swept = buchi._lasso_sweep({0: 1}, {"a": (((0, 1),),), "b": ((),), "c": ((),)}, {0},
-                                   max_stem, max_cycle)
         stems = sum(3 ** s for s in range(max_stem + 1))
-        assert len(list(swept)) == stems * sum(3 ** c for c in range(1, max_cycle + 1))
+        for shared in (False, True):
+            swept = buchi._lasso_sweep({0: 1}, {"a": (((0, 1),),), "b": ((),), "c": ((),)}, {0},
+                                       max_stem, max_cycle, shared=shared)
+            assert len(list(swept)) == stems * sum(3 ** c for c in range(1, max_cycle + 1))
 
 
 def witness_outcome(find, iba, max_stem, max_cycle):
@@ -727,11 +731,12 @@ def long_stem_split_nba():
 def test_witness_matches_a_per_lasso_loop():
     """``binariness_witness`` returns the same first lasso and value, or
     raises on the same first lasso with infinitely many final paths, as a
-    loop of ``iba_lasso_eval`` calls: on kdis outputs (with all and with
-    half of their final states), on random acceptors with weight-1 and
-    with rational weights, and on 0/1 automata that the two-run product
-    settles (deterministic and unambiguous acceptors) or hands to the
-    sweep (two copies, and a split after a stem longer than the bound)."""
+    loop of ``iba_lasso_eval`` calls, within the bounds 2+4, 0+6 and 4+3:
+    on kdis outputs (with all and with half of their final states), on
+    random acceptors with weight-1 and with rational weights, and on 0/1
+    automata that the two-run product settles (deterministic and
+    unambiguous acceptors) or hands to the sweep (two copies, and a split
+    after a stem longer than the bounds)."""
     rng = random.Random(97)
     ibas = []
     for k, size in ((1, 3), (2, 2), (3, 1)):
@@ -746,20 +751,21 @@ def test_witness_matches_a_per_lasso_loop():
     ibas += [nba_as_iba(unambiguous_nba()), nba_as_iba(long_stem_split_nba())]
     kinds = set()
     settled = []
+    bounds = ((2, 4), (0, 6), (4, 3))
     for iba in ibas:
-        got = witness_outcome(binariness_witness, iba, 2, 4)
-        assert got == witness_outcome(witness_per_lasso, iba, 2, 4)
-        kinds.add(type(got))
+        got = [witness_outcome(binariness_witness, iba, *b) for b in bounds]
+        assert got == [witness_outcome(witness_per_lasso, iba, *b) for b in bounds]
+        kinds.update(map(type, got))
         start, rows = stable_weights(iba)
         if all(w == 1 for w in start.values()) and all(
             w == 1 for table in rows.values() for row in table for _q, w in row
         ):
             settled.append(buchi._unambiguous(start, rows, iba.final))
-            assert got is None or not settled[-1]
+            assert got == [None] * 3 or not settled[-1]
     assert kinds == {type(None), tuple, str}
     assert settled.count(True) > 10 and settled.count(False) > 10
     # ambiguous, but only beyond the bounds: the sweep still answers None
-    assert not settled[-1] and got is None
+    assert not settled[-1] and got == [None] * 3
 
 
 # === The lasso view ===
@@ -1099,35 +1105,68 @@ def bounded_degree_nba(rng, state_count, alphabet, max_degree):
     return Nba(state_count, alphabet, triples, initial, final)
 
 
+def fanout_nba(d):
+    """Two initial states step onto one state of out-degree d, and each
+    successor is a final self-loop (``fanout_unary_nba`` is d = 2)."""
+    triples = [(0, "a", 2), (1, "a", 2)] + [(2, "a", 3 + i) for i in range(d)]
+    return Nba(3 + d, ("a",), triples + [(3 + i, "a", 3 + i) for i in range(d)],
+               [0, 1], range(3, 3 + d))
+
+
+def random_count_vectors(rng, nba, k):
+    """A random vector of size <= k over the acceptor's (state, bit)
+    pairs, and one that holds k runs on one state."""
+    counts = {}
+    for _ in range(rng.randint(1, k)):
+        key = (rng.randrange(nba.state_count), rng.random() < 0.5)
+        counts[key] = counts.get(key, 0) + 1
+    return CountVector(counts), CountVector({(rng.randrange(nba.state_count), False): k})
+
+
 def test_successor_templates_match_per_call_enumeration(monkeypatch):
-    """Successor vectors from the per-(multiplicity, out-degree) templates
-    equal the per-call enumeration of every count combination, with no
-    cap, the cap k and the vector's own size as cap, on random acceptors
-    of out-degree <= 4 and vectors of size <= k <= 4; and kdis writes the
-    same document with the enumeration in their place."""
+    """Successor vectors from the per-(multiplicity, out-degree, cap)
+    templates equal the per-call enumeration of every count combination,
+    with no cap, the cap k and the vector's own size as cap: on random
+    acceptors of out-degree <= 4 and vectors of size <= k <= 4, and of
+    out-degree <= 6 and size <= k <= 3; and kdis writes the same
+    document with the enumeration in their place, on random acceptors
+    and on the fan-out family at out-degrees 5 and 6."""
     rng = random.Random(131)
     seen = set()
-    for _ in range(10):
-        nba = bounded_degree_nba(rng, rng.randint(4, 5), ("a", "b"), 4)
-        for _ in range(8):
-            k = rng.randint(1, 4)
-            counts = {}
-            for _ in range(rng.randint(1, k)):
-                key = (rng.randrange(nba.state_count), rng.random() < 0.5)
-                counts[key] = counts.get(key, 0) + 1
-            for r in (CountVector(counts), CountVector({(rng.randrange(nba.state_count), False): k})):
-                for a in nba.alphabet:
-                    seen.update((n, len(nba.rows[a][q])) for (q, _b), n in r.items())
-                    for cap in (None, k, r.size):
-                        got = kdis_successor_weights(nba, r, a, cap)
-                        want = reference_kdis_successor_weights(nba, r, a, cap)
-                        assert got == want, (r, a, cap)
-    assert (4, 4) in seen and (1, 0) in seen
+    for count, max_degree, max_k in ((10, 4, 4), (3, 6, 3)):
+        for _ in range(count):
+            nba = bounded_degree_nba(rng, rng.randint(max_degree, max_degree + 1), ("a", "b"), max_degree)
+            for _ in range(8):
+                k = rng.randint(1, max_k)
+                for r in random_count_vectors(rng, nba, k):
+                    for a in nba.alphabet:
+                        seen.update((n, len(nba.rows[a][q])) for (q, _b), n in r.items())
+                        for cap in (None, k, r.size):
+                            got = kdis_successor_weights(nba, r, a, cap)
+                            want = reference_kdis_successor_weights(nba, r, a, cap)
+                            assert got == want, (r, a, cap)
+    assert (4, 4) in seen and (1, 0) in seen and {(2, 6), (3, 5)} <= seen
     rng = random.Random(133)
     cases = [(bounded_degree_nba(rng, 3, ("a", "b"), 3), k) for k in (1, 2, 3, 4, 2, 3)]
+    cases += [(fanout_nba(d), k) for d in (5, 6) for k in (2, 3)]
     docs = [serialize_automaton(kdis(nba, k)) for nba, k in cases]
     monkeypatch.setattr(buchi, "kdis_successor_weights", reference_kdis_successor_weights)
     assert docs == [serialize_automaton(kdis(nba, k)) for nba, k in cases]
+
+
+def test_successor_templates_stop_at_the_cap(monkeypatch):
+    """kdis at k builds templates of at most C(d + k, k) entries, the
+    count tuples of total <= k over d successors, not the (n + 1)^d of
+    every tuple: on the fan-out family up to out-degree 12, where all
+    (n + 1)^d tuples at n = 2, d = 12 number 531,441."""
+    for k in (1, 2, 3):
+        for d in range(1, 13):
+            templates = {}
+            monkeypatch.setattr(buchi, "_TEMPLATES", templates)
+            out = kdis(fanout_nba(d), k)
+            assert out.n > 0 and any(degree == d for _n, degree, _cap in templates)
+            for (n, degree, cap), entries in templates.items():
+                assert n <= cap <= k and len(entries) <= comb(degree + k, k), (n, degree, cap)
 
 
 # === The disambiguation ===

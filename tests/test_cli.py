@@ -30,7 +30,7 @@ from imagebinary import (
     nba_lasso_count_final,
 )
 from imagebinary.buchi import Iba
-from imagebinary import buchi, cli
+from imagebinary import buchi, cli, graphs
 from imagebinary.cli import _build_parser, main
 from imagebinary.formats import save_automaton, save_markov_chain
 
@@ -564,6 +564,23 @@ def test_validation_is_exit_two(run, tmp_path):
     code, _, err = run("eval", str(path), "a")
     assert code == 2
     assert "duplicate transition" in err
+
+
+def test_broken_invariant_is_exit_four(run, nba_path, tmp_path, monkeypatch):
+    """A broken invariant of the library, here kdis's state bound cut to
+    one state, ends in exit 4 with the message after "internal error: ",
+    in text and in --json mode, and not in a traceback."""
+    def one_state(starts, successors, limit, what):
+        return graphs.explore(starts, successors, 1, what)
+
+    monkeypatch.setattr(buchi, "explore", one_state)
+    out = tmp_path / "dis.iba"
+    message = "internal error: more than 1 disambiguation states (the C(2n+k, k) - 1 bound)"
+    assert run("kdis", nba_path, str(out), "--k", "4") == (4, "", "error: %s\n" % (message,))
+    code, text, err = run("kdis", nba_path, str(out), "--k", "4", "--json")
+    doc = json.loads(text)
+    assert (code, err, doc["result"], doc["diagnostics"]) == (4, "", None, [message])
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(capsys):

@@ -25,6 +25,7 @@ from imagebinary import (
     ValidationError,
     binariness_witness,
     build_product,
+    check_ambiguity_on_lassos,
     is_ultimately_stable,
     kdis,
     model_check,
@@ -812,14 +813,17 @@ def test_trim_keeps_a_known_stability_flag():
 
 
 def test_tarjan_pass_counts(monkeypatch):
-    """The work model that the benchmark's traced counts read: one Tarjan
-    pass per lasso of a sweep whose cycle is not a power v^k (k >= 2) of
-    a shorter word, and for a 0/1 automaton one pass over the two-run
-    product instead of the sweep; a stability pass only when some edge
-    weight is not 1; for ``build_product`` of an automaton known to be
-    stable, one liveness pass over the automaton (trimming) and one over
-    the pairs that the initial pairs reach, with no stability pass; one
-    ``classify_scc`` call per SCC."""
+    """The work model that the benchmark's traced counts read: the spot
+    check's sweep makes one Tarjan pass per (stem, root cycle word) whose
+    stem layer reaches a node missing from the root's table, so at most
+    one per stem and root, and explores each node once per root; the
+    ambiguity sweep makes one pass per (stem, root) over a fresh table;
+    for a 0/1 automaton one pass over the two-run product instead of the
+    sweep; a stability pass only when some edge weight is not 1; for
+    ``build_product`` of an automaton known to be stable, one liveness
+    pass over the automaton (trimming) and one over the pairs that the
+    initial pairs reach, with no stability pass; one ``classify_scc``
+    call per SCC."""
     passes, classified = [], []
     tarjan, classify = graphs.strongly_connected_components, mc.classify_scc
 
@@ -844,8 +848,13 @@ def test_tarjan_pass_counts(monkeypatch):
     assert is_ultimately_stable(entry) and len(passes) == 1
     passes.clear()
     assert binariness_witness(iba, 2, 2) is None
-    # stems of length <= 2 times the cycles a, b, ab, ba (aa and bb reuse a and b)
-    assert len(passes) == 7 * 4
+    # stems of length <= 2 times the roots a, b, ab, ba (aa and bb reuse a
+    # and b) give 28 (stem, root) pairs; 9 of them reach an unsettled node
+    assert len(passes) == 9 and 0 not in passes
+    assert sum(passes) <= iba.n * (1 + 1 + 2 + 2)
+    passes.clear()
+    # every stem layer of a total acceptor is nonempty: 7 stems times 4 roots
+    assert check_ambiguity_on_lassos(both.to_nba(), 1, 2, 2) and len(passes) == 7 * 4
     passes.clear()
     assert binariness_witness(both.to_iba(), 2, 2) is None and len(passes) == 1
     chain = closed_block_chain(rng, 2, 2, 2)
